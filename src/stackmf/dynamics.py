@@ -3,11 +3,15 @@ delays.
 
 The leader state lives on [-b, T] (its segment on [-b, 0] is a sampled
 initial path), followers live on [0, T].  Follower i observes the leader
-state lagged by its own delay delta_i and interacts with the other followers
-through declared empirical-measure features, computed leave-one-out for
-followers and over the full population for the leader.  Time stepping is
-explicit Euler with left-endpoint coefficient evaluation; delays are snapped
-to the grid so the delayed lookup is an exact array index.
+state lagged by its own delay delta_i.  Time stepping is explicit Euler with
+left-endpoint coefficient evaluation; delays are snapped to the grid so the
+delayed lookup is an exact array index.
+
+One stepper, ``_euler``, advances the leader and its followers for every
+simulation in the package.  Only the measure argument differs: the N-player
+game reads the empirical features of the current states, leave-one-out for
+followers and over the full population for the leader; the limit twin and
+the Picard particle solver in ``meanfield`` read a prescribed feature flow.
 """
 from __future__ import annotations
 
@@ -28,14 +32,6 @@ from .errors import (
 from .measures import DiscreteMeasure, w2_exact_lp
 
 _GRID_TOL = 1e-12
-
-# reported mean-square increment exponent q~ per initial-path family
-# (constant paths have zero increments; any exponent is valid)
-INITIAL_PATH_INCREMENT_EXPONENT = {
-    "constant": 1.0,
-    "ou_path": 1.0,
-    "scaled_brownian": 1.0,
-}
 
 FEATURE_NAMES = ("mean", "second_moment", "tanh_mean")
 
@@ -377,15 +373,6 @@ def features_of_measure(mu: DiscreteMeasure, names):
     return out
 
 
-def features_of_points(points, names):
-    """Feature averages of a uniform particle cloud (K, n1)."""
-    K = points.shape[0]
-    out = {}
-    for name in names:
-        out[name] = exact_sum(_phi_block(name, points), axis=0) / K
-    return out
-
-
 # ---------------------------------------------------------------------------
 # policies
 
@@ -619,25 +606,21 @@ def draw_follower_initial(spec: dict, rng, n1: int, size=None):
     raise ParameterError(f"unknown follower initial family {family!r}")
 
 
-def _draw_delay(law: DelayLaw, rng) -> float:
-    if law.kind == "degenerate":
-        return law.a
-    return float(law.quantile(rng.random()))
-
-
 def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
     """N i.i.d. draws from the delay law.
 
     With a SharedNoise seed each follower draws from its own stream, which
-    makes the draws permutation-equivariant under relabeling.
+    makes the draws permutation-equivariant under relabeling.  A degenerate
+    law needs no randomness and derives no stream.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
-    if isinstance(seed, SharedNoise):
-        return np.array([_draw_delay(law, seed.delay(i)) for i in range(N)])
-    rng = _as_generator(seed, DELAY)
     if law.kind == "degenerate":
         return np.full(N, law.a)
+    if isinstance(seed, SharedNoise):
+        return np.array([float(law.quantile(seed.delay(i).random()))
+                         for i in range(N)])
+    rng = _as_generator(seed, DELAY)
     return np.asarray(law.quantile(rng.random(N)), dtype=float)
 
 
@@ -649,6 +632,100 @@ def snap_delays_to_grid(delays, grid: TimeGrid) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # simulation
+
+def _leader_draws(model: ModelSpec, noise: SharedNoise, overrides):
+    """Initial leader segment and forward Euler noise (m, n0), each drawn
+    from its stream unless `overrides` supplies it."""
+    xi0 = overrides.get("leader_init_path")
+    if xi0 is None:
+        init_params = dict(model.leader_init.get("params", {}))
+        init_params.setdefault("dim", model.n0)
+        xi0 = sample_initial_leader_path(
+            model.grid, model.leader_init["family"], init_params,
+            noise.leader_init())
+    zeta0 = overrides.get("leader_noise")
+    if zeta0 is None:
+        zeta0 = noise.leader_noise().standard_normal(
+            (model.grid.forward_steps, model.n0))
+    return xi0, zeta0
+
+
+def _follower_draws(model: ModelSpec, noise: SharedNoise, N: int, overrides):
+    """Initial states (N, n1) and Euler noise (N, m, n1) of followers
+    0..N-1, each from the follower's own streams unless overridden."""
+    X0 = overrides.get("follower_init")
+    if X0 is None:
+        X0 = np.stack([
+            draw_follower_initial(model.follower_init, noise.follower_init(i),
+                                  model.n1)
+            for i in range(N)])
+    zeta = overrides.get("follower_noise")
+    if zeta is None:
+        zeta = np.stack([
+            noise.follower_noise(i).standard_normal(
+                (model.grid.forward_steps, model.n1))
+            for i in range(N)])
+    return X0, zeta
+
+
+def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
+           delays, flow_features=None):
+    """Explicit Euler for the leader and P followers stepped together.
+
+    Follower p reads the leader lagged by delays[p] (grid multiples).  With
+    flow_features None the measure argument is the empirical one of the
+    current follower states (full for the leader, leave-one-out for
+    followers); otherwise every player reads flow_features[name][k] at
+    forward step k.  Returns (leader path on [-b, T], follower paths
+    (P, m+1, n1), leader controls (m, p0), follower controls (P, m, p1)).
+    """
+    grid = model.grid
+    h = grid.h
+    sqrt_h = math.sqrt(h)
+    m = grid.forward_steps
+    z0 = grid.zero_index
+    coeffs = model.coefficients
+    names = coeffs.measure_features
+    X = np.array(X0, dtype=float)
+    P = X.shape[0]
+    lags = np.round(delays / h).astype(int)
+    leader_path = np.empty((grid.n_steps + 1, model.n0))
+    leader_path[:z0 + 1] = xi0
+    follower_paths = np.empty((P, m + 1, model.n1))
+    follower_paths[:, 0, :] = X
+    controls_leader = np.empty((m, model.p0))
+    controls_followers = np.empty((P, m, model.p1))
+    x0 = np.array(leader_path[z0], dtype=float)
+
+    # overflow during coefficient evaluation is caught by the explosion guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            g = z0 + k
+            t = grid.times[g]
+            if flow_features is None:
+                full, loo = follower_feature_arrays(X, names)
+            else:
+                full = loo = {name: arr[k] for name, arr in flow_features.items()}
+            x0_delayed = leader_path[g - lags, :]
+            u0 = np.asarray(policies.leader_value(t, x0, full, model.p0), dtype=float)
+            v1 = np.asarray(
+                policies.follower_value(t, X, loo, x0_delayed, delays, model.p1),
+                dtype=float)
+            if v1.shape != (P, model.p1):
+                v1 = np.broadcast_to(v1, (P, model.p1)).copy()
+            controls_leader[k] = u0
+            controls_followers[:, k, :] = v1
+            x0 = x0 + coeffs.g0(x0, full, u0) * h \
+                + coeffs.sigma0(x0, full, u0) * sqrt_h * zeta0[k]
+            X = X + coeffs.g1(X, loo, v1) * h \
+                + coeffs.sigma1(X, loo, v1) * sqrt_h * zeta1[:, k, :]
+            if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(X))):
+                raise SimulationDivergedError(
+                    k, f"non-finite state at forward step {k} (t={t!r})")
+            leader_path[g + 1] = x0
+            follower_paths[:, k + 1, :] = X
+    return leader_path, follower_paths, controls_leader, controls_followers
+
 
 def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
                      delay_law: DelayLaw, seed,
@@ -667,85 +744,21 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
             f"delay bound {delay_law.b!r} exceeds grid history b={model.grid.b!r}")
     noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
     ov = _noise_overrides or {}
-    grid = model.grid
-    h = grid.h
-    sqrt_h = math.sqrt(h)
-    m = grid.forward_steps
-    z0 = grid.zero_index
-    coeffs = model.coefficients
-    names = coeffs.measure_features
-
-    init_params = dict(model.leader_init.get("params", {}))
-    init_params.setdefault("dim", model.n0)
-    xi0 = ov.get("leader_init_path")
-    if xi0 is None:
-        xi0 = sample_initial_leader_path(
-            grid, model.leader_init["family"], init_params, noise.leader_init())
-    leader_path = np.empty((grid.n_steps + 1, model.n0))
-    leader_path[:z0 + 1] = xi0
-
-    X = ov.get("follower_init")
-    if X is None:
-        X = np.stack([
-            draw_follower_initial(model.follower_init, noise.follower_init(i), model.n1)
-            for i in range(N)])
-    else:
-        X = np.array(X, dtype=float)
-
+    xi0, zeta0 = _leader_draws(model, noise, ov)
+    X0, zeta1 = _follower_draws(model, noise, N, ov)
     delays = ov.get("delays")
     if delays is None:
         delays = sample_delays(delay_law, N, noise)
-    delays = snap_delays_to_grid(delays, grid)
-    lags = np.round(delays / h).astype(int)
-
-    zeta0 = ov.get("leader_noise")
-    if zeta0 is None:
-        zeta0 = noise.leader_noise().standard_normal((m, model.n0))
-    zeta1 = ov.get("follower_noise")
-    if zeta1 is None:
-        zeta1 = np.stack([
-            noise.follower_noise(i).standard_normal((m, model.n1))
-            for i in range(N)])
-
-    follower_paths = np.empty((N, m + 1, model.n1))
-    follower_paths[:, 0, :] = X
-    controls_leader = np.empty((m, model.p0))
-    controls_followers = np.empty((N, m, model.p1))
-    x0 = np.array(leader_path[z0], dtype=float)
-    X = np.array(X, dtype=float)
-
-    # overflow during coefficient evaluation is caught by the explosion guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            g = z0 + k
-            t = grid.times[g]
-            full, loo = follower_feature_arrays(X, names)
-            x0_delayed = leader_path[g - lags, :]
-            u0 = np.asarray(policies.leader_value(t, x0, full, model.p0), dtype=float)
-            v1 = np.asarray(
-                policies.follower_value(t, X, loo, x0_delayed, delays, model.p1),
-                dtype=float)
-            if v1.shape != (N, model.p1):
-                v1 = np.broadcast_to(v1, (N, model.p1)).copy()
-            controls_leader[k] = u0
-            controls_followers[:, k, :] = v1
-            x0 = x0 + coeffs.g0(x0, full, u0) * h \
-                + coeffs.sigma0(x0, full, u0) * sqrt_h * zeta0[k]
-            X = X + coeffs.g1(X, loo, v1) * h \
-                + coeffs.sigma1(X, loo, v1) * sqrt_h * zeta1[:, k, :]
-            if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(X))):
-                raise SimulationDivergedError(
-                    k, f"non-finite state at forward step {k} (t={t!r})")
-            leader_path[g + 1] = x0
-            follower_paths[:, k + 1, :] = X
-
+    delays = snap_delays_to_grid(delays, model.grid)
+    leader_path, follower_paths, u, v = _euler(
+        model, policies, xi0, X0, zeta0, zeta1, delays)
     return TrajectoryBundle(
-        grid=grid,
+        grid=model.grid,
         leader_path=leader_path,
         follower_paths=follower_paths,
         delays=delays,
         noise_seeds=noise.provenance,
-        controls_applied={"leader": controls_leader, "followers": controls_followers},
+        controls_applied={"leader": u, "followers": v},
     )
 
 

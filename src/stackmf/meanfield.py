@@ -8,6 +8,11 @@ empirical features, repeat until the sup-in-time W2 discrepancy between
 successive iterates is below tolerance.  The particle noise ensemble is
 frozen across iterations, so the iteration is a deterministic map and the
 discrepancy can reach machine scale instead of a Monte-Carlo floor.
+
+Both the Picard solver and the limit twin step through the one Euler
+stepper of ``dynamics`` (``_euler``), fed with the flow's feature
+trajectories in place of empirical features; the Picard solver steps all
+n_atoms * K particles in one call, each with its atom's delay.
 """
 from __future__ import annotations
 
@@ -22,9 +27,11 @@ from .dynamics import (
     ModelSpec,
     PolicySet,
     TimeGrid,
+    _euler,
+    _follower_draws,
+    _leader_draws,
     _phi_block,
     draw_follower_initial,
-    sample_initial_leader_path,
     snap_delays_to_grid,
 )
 from .errors import ParameterError, ValidationError
@@ -162,67 +169,6 @@ def _features_of_clouds(particles, weights, names):
     return out
 
 
-def _forward_leader(model: ModelSpec, policies: PolicySet, feats_seq,
-                    xi0, zeta0):
-    """Leader path on the full grid driven by prescribed features."""
-    grid = model.grid
-    h = grid.h
-    sqrt_h = math.sqrt(h)
-    m = grid.forward_steps
-    z0 = grid.zero_index
-    coeffs = model.coefficients
-    path = np.empty((grid.n_steps + 1, model.n0))
-    path[:z0 + 1] = xi0
-    controls = np.empty((m, model.p0))
-    x0 = np.array(xi0[-1], dtype=float)
-    for k in range(m):
-        t = grid.times[z0 + k]
-        feats = {name: arr[k] for name, arr in feats_seq.items()}
-        u0 = np.asarray(policies.leader_value(t, x0, feats, model.p0), dtype=float)
-        controls[k] = u0
-        x0 = x0 + coeffs.g0(x0, feats, u0) * h \
-            + coeffs.sigma0(x0, feats, u0) * sqrt_h * zeta0[k]
-        if not np.all(np.isfinite(x0)):
-            raise ValidationError(f"leader state diverged at forward step {k}")
-        path[z0 + k + 1] = x0
-    return path, controls
-
-
-def _forward_particles(model: ModelSpec, policies: PolicySet, feats_seq,
-                       leader_path, X0, zeta, delays):
-    """Particle paths (P, m+1, n1) under prescribed features and a fixed
-    leader path; each particle observes the leader lagged by its delay."""
-    grid = model.grid
-    h = grid.h
-    sqrt_h = math.sqrt(h)
-    m = grid.forward_steps
-    z0 = grid.zero_index
-    coeffs = model.coefficients
-    P = X0.shape[0]
-    lags = np.round(np.asarray(delays) / h).astype(int)
-    paths = np.empty((P, m + 1, model.n1))
-    paths[:, 0, :] = X0
-    controls = np.empty((P, m, model.p1))
-    X = np.array(X0, dtype=float)
-    for k in range(m):
-        g = z0 + k
-        t = grid.times[g]
-        feats = {name: arr[k] for name, arr in feats_seq.items()}
-        x0_delayed = leader_path[g - lags, :]
-        v1 = np.asarray(
-            policies.follower_value(t, X, feats, x0_delayed, delays, model.p1),
-            dtype=float)
-        if v1.shape != (P, model.p1):
-            v1 = np.broadcast_to(v1, (P, model.p1)).copy()
-        controls[:, k, :] = v1
-        X = X + coeffs.g1(X, feats, v1) * h \
-            + coeffs.sigma1(X, feats, v1) * sqrt_h * zeta[:, k, :]
-        if not np.all(np.isfinite(X)):
-            raise ValidationError(f"particle state diverged at forward step {k}")
-        paths[:, k + 1, :] = X
-    return paths, controls
-
-
 def _cloud_w2(points_a, points_b, idx_a, idx_b):
     """Exact W2 between uniform clouds after index subsampling."""
     a = points_a[idx_a] if idx_a is not None else points_a
@@ -263,27 +209,21 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     if atoms.max() > model.grid.b + 1e-12:
         raise ValidationError("delay atom exceeds grid history")
 
-    ov = _overrides or {}
     noise = SharedNoise(int(leader_noise_seed))
     grid = model.grid
     m = grid.forward_steps
     n_atoms = atoms.size
     names = model.coefficients.measure_features
 
-    init_params = dict(model.leader_init.get("params", {}))
-    init_params.setdefault("dim", model.n0)
-    xi0 = sample_initial_leader_path(
-        grid, model.leader_init["family"], init_params, noise.leader_init())
-    zeta0 = ov.get("leader_noise")
-    if zeta0 is None:
-        zeta0 = noise.leader_noise().standard_normal((m, model.n0))
+    xi0, zeta0 = _leader_draws(model, noise, _overrides or {})
     X0 = np.stack([
         draw_follower_initial(model.follower_init, noise.flow_init(j),
                               model.n1, size=K)
         for j in range(n_atoms)])                      # (n_atoms, K, n1)
-    zeta = np.stack([
+    zeta = np.concatenate([
         noise.flow_noise(j).standard_normal((K, m, model.n1))
-        for j in range(n_atoms)])                      # (n_atoms, K, m, n1)
+        for j in range(n_atoms)])                      # (n_atoms * K, m, n1)
+    delays = np.repeat(atoms, K)
 
     # fixed subsampling and comparison times for the stopping rule
     sub_times = np.unique(np.linspace(0, m, _DISCREPANCY_SUBGRID).round().astype(int))
@@ -295,13 +235,10 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
                                          replace=False))
 
     def simulate(feats_seq):
-        leader_path, _ = _forward_leader(model, policies, feats_seq, xi0, zeta0)
-        parts = np.empty((n_atoms, K, m + 1, model.n1))
-        for j in range(n_atoms):
-            parts[j], _ = _forward_particles(
-                model, policies, feats_seq, leader_path,
-                X0[j], zeta[j], np.full(K, atoms[j]))
-        return leader_path, parts
+        leader_path, parts, _, _ = _euler(
+            model, policies, xi0, X0.reshape(cloud_size, model.n1), zeta0,
+            zeta, delays, feats_seq)
+        return leader_path, parts.reshape(n_atoms, K, m + 1, model.n1)
 
     # iteration 0: features of the initial clouds, frozen in time
     feats0 = _features_of_clouds(X0[:, :, None, :], weights, names)
@@ -354,29 +291,13 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
         raise ValidationError(
             f"flow conditions on leader seed {zflow.leader_seed}, "
             f"shared noise has entropy {shared_noise.entropy}")
-    grid = model.grid
-    m = grid.forward_steps
-    delays = snap_delays_to_grid(np.asarray(delays, dtype=float), grid)
-    N = delays.size
-    if delays.max(initial=0.0) > grid.b + 1e-12:
+    delays = snap_delays_to_grid(np.asarray(delays, dtype=float), model.grid)
+    if delays.max(initial=0.0) > model.grid.b + 1e-12:
         raise ValidationError("delay exceeds grid history")
-
-    init_params = dict(model.leader_init.get("params", {}))
-    init_params.setdefault("dim", model.n0)
-    xi0 = sample_initial_leader_path(
-        grid, model.leader_init["family"], init_params, shared_noise.leader_init())
-    zeta0 = shared_noise.leader_noise().standard_normal((m, model.n0))
-    x0_path, u0 = _forward_leader(model, policies, zflow.features, xi0, zeta0)
-
-    X0 = np.stack([
-        draw_follower_initial(model.follower_init, shared_noise.follower_init(i),
-                              model.n1)
-        for i in range(N)])
-    zeta = np.stack([
-        shared_noise.follower_noise(i).standard_normal((m, model.n1))
-        for i in range(N)])
-    x1_paths, _ = _forward_particles(
-        model, policies, zflow.features, x0_path, X0, zeta, delays)
+    xi0, zeta0 = _leader_draws(model, shared_noise, {})
+    X0, zeta = _follower_draws(model, shared_noise, delays.size, {})
+    x0_path, x1_paths, _, _ = _euler(
+        model, policies, xi0, X0, zeta0, zeta, delays, zflow.features)
     return x0_path, x1_paths
 
 

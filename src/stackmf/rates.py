@@ -369,6 +369,66 @@ def _check_failures(flags, reps):
 # ---------------------------------------------------------------------------
 # gap experiments
 
+def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
+                    Ns, reps: int, K: int, seed, scenario, regime, tol,
+                    max_iter, damping, partition_level, slope_tol, threads,
+                    *, min_n: int, curve_names, quantity: str,
+                    rate_quantity: str, measure) -> GapReport:
+    """Replication driver shared by the three gap experiments.
+
+    Per replication: fix a leader noise realization, solve the conditional
+    law once per distinct delay partition, and record
+    measure(noise, N, flow) -> one value per curve name for every N.  Means
+    over replications become the curves; the slope is fitted on `quantity`
+    and compared with the prediction for `rate_quantity`.
+    """
+    Ns = _check_ns(Ns, min_n)
+    if reps < 50:
+        raise ValidationError(f"need reps >= 50, got {reps}")
+    parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
+
+    def one_rep(r):
+        ent = child_entropy(int(seed), REPLICATION, r)
+        noise = SharedNoise(ent)
+        flows = {}
+        failed = False
+        out = np.empty((len(curve_names), len(Ns)))
+        for j, N in enumerate(Ns):
+            key = parts[N]
+            if key not in flows:
+                flow, rep = solve_conditional_law(
+                    model, policies, key, ent, K,
+                    tol=tol, max_iter=max_iter, damping=damping)
+                flows[key] = flow
+                failed = failed or not rep.converged
+            out[:, j] = measure(noise, N, flows[key])
+        return out, failed
+
+    results = _run_replications(one_rep, int(reps), threads)
+    fails = _check_failures([f for _, f in results], reps)
+    stack = np.stack([row for row, _ in results])    # (reps, curves, nN)
+    curves = {name: _aggregate(stack[:, i, :])
+              for i, name in enumerate(curve_names)}
+    slope, stderr, r2 = _fit_or_undefined(Ns, curves[quantity][0])
+    pred = rate = None
+    if regime is not None:
+        pred = predicted_n_slope(model.n1, model.q, regime, rate_quantity)
+        rate = predicted_exponent(model.n1, model.q, regime, rate_quantity)[1]
+    return GapReport(
+        scenario=scenario, quantity=quantity, Ns=Ns, reps=int(reps),
+        curves=curves, slope=slope, slope_stderr=stderr, r2=r2,
+        predicted_slope=pred, predicted_rate=rate,
+        verdict=_verdict(slope, pred, regime, slope_tol),
+        fixed_point_failures=fails)
+
+
+def _coupled_pair(model, policies, delay_law, noise, N, flow):
+    """N-player bundle and its synchronously coupled limit twin."""
+    bundle = simulate_nplayer(model, policies, N, delay_law, noise)
+    x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
+    return bundle, x0, x1
+
+
 def state_gap_experiment(model: ModelSpec, policies: PolicySet,
                          delay_law: DelayLaw, Ns, reps: int, K: int, seed,
                          *, scenario: str = "state-gap", regime=None,
@@ -385,59 +445,21 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
     mean, their sum (the fitted quantity), and the time integral of W2^2
     between the leave-one-out limit empirical and the flow.
     """
-    Ns = _check_ns(Ns, 4)
-    if reps < 50:
-        raise ValidationError(f"need reps >= 50, got {reps}")
-    parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
+    def measure(noise, N, flow):
+        bundle, x0, x1 = _coupled_pair(model, policies, delay_law, noise, N, flow)
+        lead = float(_sup_sq_gap(bundle.leader_path, x0))
+        fol = _atom_sup_mean(
+            _sup_sq_gap(bundle.follower_paths, x1), bundle.delays)
+        return (lead, fol, lead + fol,
+                _w2_time_integral(x1[1:], flow, noise.subsample()))
 
-    def one_rep(r):
-        ent = child_entropy(int(seed), REPLICATION, r)
-        noise = SharedNoise(ent)
-        flows = {}
-        failed = False
-        out = np.empty((4, len(Ns)))
-        for j, N in enumerate(Ns):
-            key = parts[N]
-            if key not in flows:
-                flow, rep = solve_conditional_law(
-                    model, policies, key, ent, K,
-                    tol=tol, max_iter=max_iter, damping=damping)
-                flows[key] = flow
-                failed = failed or not rep.converged
-            flow = flows[key]
-            bundle = simulate_nplayer(model, policies, N, delay_law, noise)
-            x0, x1 = simulate_limit_pair(
-                model, policies, flow, noise, bundle.delays)
-            lead = float(_sup_sq_gap(bundle.leader_path, x0))
-            fol = _atom_sup_mean(
-                _sup_sq_gap(bundle.follower_paths, x1), bundle.delays)
-            out[0, j] = lead
-            out[1, j] = fol
-            out[2, j] = lead + fol
-            out[3, j] = _w2_time_integral(x1[1:], flow, noise.subsample())
-        return out, failed
-
-    results = _run_replications(one_rep, int(reps), threads)
-    fails = _check_failures([f for _, f in results], reps)
-    stack = np.stack([row for row, _ in results])    # (reps, 4, nN)
-    curves = {
-        "leader_sq_gap": _aggregate(stack[:, 0, :]),
-        "follower_sq_gap": _aggregate(stack[:, 1, :]),
-        "squared_state_gap": _aggregate(stack[:, 2, :]),
-        "w2_time_integral": _aggregate(stack[:, 3, :]),
-    }
-    slope, stderr, r2 = _fit_or_undefined(Ns, curves["squared_state_gap"][0])
-    pred = rate = None
-    if regime is not None:
-        pred = predicted_n_slope(model.n1, model.q, regime, "squared_state_gap")
-        rate = predicted_exponent(model.n1, model.q, regime,
-                                  "squared_state_gap")[1]
-    return GapReport(
-        scenario=scenario, quantity="squared_state_gap", Ns=Ns, reps=int(reps),
-        curves=curves, slope=slope, slope_stderr=stderr, r2=r2,
-        predicted_slope=pred, predicted_rate=rate,
-        verdict=_verdict(slope, pred, regime, slope_tol),
-        fixed_point_failures=fails)
+    return _gap_experiment(
+        model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
+        max_iter, damping, partition_level, slope_tol, threads, min_n=4,
+        curve_names=("leader_sq_gap", "follower_sq_gap", "squared_state_gap",
+                     "w2_time_integral"),
+        quantity="squared_state_gap", rate_quantity="squared_state_gap",
+        measure=measure)
 
 
 def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
@@ -454,49 +476,17 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
     i.i.d. delays; smaller N reuse the leading follower streams of larger N,
     which correlates curve points without biasing any of them.
     """
-    Ns = _check_ns(Ns, 2)
-    if reps < 50:
-        raise ValidationError(f"need reps >= 50, got {reps}")
-    parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
+    def measure(noise, N, flow):
+        delays = sample_delays(delay_law, N - 1, noise)
+        _, x1 = simulate_limit_pair(model, policies, flow, noise, delays)
+        return (_w2_time_integral(x1, flow, noise.subsample()),)
 
-    def one_rep(r):
-        ent = child_entropy(int(seed), REPLICATION, r)
-        noise = SharedNoise(ent)
-        flows = {}
-        failed = False
-        out = np.empty(len(Ns))
-        delays_all = sample_delays(delay_law, max(Ns) - 1, noise)
-        for j, N in enumerate(Ns):
-            key = parts[N]
-            if key not in flows:
-                flow, rep = solve_conditional_law(
-                    model, policies, key, ent, K,
-                    tol=tol, max_iter=max_iter, damping=damping)
-                flows[key] = flow
-                failed = failed or not rep.converged
-            flow = flows[key]
-            _, x1 = simulate_limit_pair(
-                model, policies, flow, noise, delays_all[:N - 1])
-            out[j] = _w2_time_integral(x1, flow, noise.subsample())
-        return out, failed
-
-    results = _run_replications(one_rep, int(reps), threads)
-    fails = _check_failures([f for _, f in results], reps)
-    stack = np.stack([row for row, _ in results])
-    curves = {"w2_time_integral": _aggregate(stack)}
-    slope, stderr, r2 = _fit_or_undefined(Ns, curves["w2_time_integral"][0])
-    pred = rate = None
-    if regime is not None:
-        # the W2^2 term carries one power of f(N-1)
-        pred = predicted_n_slope(model.n1, model.q, regime, "squared_state_gap")
-        rate = predicted_exponent(model.n1, model.q, regime,
-                                  "squared_state_gap")[1]
-    return GapReport(
-        scenario=scenario, quantity="w2_time_integral", Ns=Ns, reps=int(reps),
-        curves=curves, slope=slope, slope_stderr=stderr, r2=r2,
-        predicted_slope=pred, predicted_rate=rate,
-        verdict=_verdict(slope, pred, regime, slope_tol),
-        fixed_point_failures=fails)
+    # the W2^2 term carries one power of f(N-1)
+    return _gap_experiment(
+        model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
+        max_iter, damping, partition_level, slope_tol, threads, min_n=2,
+        curve_names=("w2_time_integral",), quantity="w2_time_integral",
+        rate_quantity="squared_state_gap", measure=measure)
 
 
 def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
@@ -513,54 +503,19 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
     and not Monte-Carlo noise.  The fitted quantity is the mean absolute
     follower cost gap.
     """
-    Ns = _check_ns(Ns, 4)
-    if reps < 50:
-        raise ValidationError(f"need reps >= 50, got {reps}")
-    parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
+    def measure(noise, N, flow):
+        bundle, x0, x1 = _coupled_pair(model, policies, delay_law, noise, N, flow)
+        j0n, jin = evaluate_costs_nplayer(bundle, model)
+        j0l, jil = evaluate_costs_limit(
+            model, policies, flow, x0, x1, bundle.delays)
+        return (float(np.mean(np.abs(np.array(jin) - np.array(jil)))),
+                abs(j0n - j0l))
 
-    def one_rep(r):
-        ent = child_entropy(int(seed), REPLICATION, r)
-        noise = SharedNoise(ent)
-        flows = {}
-        failed = False
-        out = np.empty((2, len(Ns)))
-        for j, N in enumerate(Ns):
-            key = parts[N]
-            if key not in flows:
-                flow, rep = solve_conditional_law(
-                    model, policies, key, ent, K,
-                    tol=tol, max_iter=max_iter, damping=damping)
-                flows[key] = flow
-                failed = failed or not rep.converged
-            flow = flows[key]
-            bundle = simulate_nplayer(model, policies, N, delay_law, noise)
-            x0, x1 = simulate_limit_pair(
-                model, policies, flow, noise, bundle.delays)
-            j0n, jin = evaluate_costs_nplayer(bundle, model)
-            j0l, jil = evaluate_costs_limit(
-                model, policies, flow, x0, x1, bundle.delays)
-            out[0, j] = float(np.mean(np.abs(np.array(jin) - np.array(jil))))
-            out[1, j] = abs(j0n - j0l)
-        return out, failed
-
-    results = _run_replications(one_rep, int(reps), threads)
-    fails = _check_failures([f for _, f in results], reps)
-    stack = np.stack([row for row, _ in results])
-    curves = {
-        "cost_gap": _aggregate(stack[:, 0, :]),
-        "leader_cost_gap": _aggregate(stack[:, 1, :]),
-    }
-    slope, stderr, r2 = _fit_or_undefined(Ns, curves["cost_gap"][0])
-    pred = rate = None
-    if regime is not None:
-        pred = predicted_n_slope(model.n1, model.q, regime, "cost_gap")
-        rate = predicted_exponent(model.n1, model.q, regime, "cost_gap")[1]
-    return GapReport(
-        scenario=scenario, quantity="cost_gap", Ns=Ns, reps=int(reps),
-        curves=curves, slope=slope, slope_stderr=stderr, r2=r2,
-        predicted_slope=pred, predicted_rate=rate,
-        verdict=_verdict(slope, pred, regime, slope_tol),
-        fixed_point_failures=fails)
+    return _gap_experiment(
+        model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
+        max_iter, damping, partition_level, slope_tol, threads, min_n=4,
+        curve_names=("cost_gap", "leader_cost_gap"), quantity="cost_gap",
+        rate_quantity="cost_gap", measure=measure)
 
 
 # ---------------------------------------------------------------------------
