@@ -149,6 +149,7 @@ class EtaReport:
     time_index: int
     lhs: float
     rhs: float
+    fixed_point_failures: int = 0
 
     @property
     def ratio(self) -> float:
@@ -755,7 +756,7 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     def one_path(r):
         ent = child_entropy(int(seed), REPLICATION, r)
         part = _partition_for(delay_law, model, N, "auto")
-        flow, _ = solve_conditional_law(
+        flow, rep = solve_conditional_law(
             model, policies, part, ent, K,
             tol=tol, max_iter=max_iter, damping=damping)
         noise = SharedNoise(ent)
@@ -768,12 +769,13 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
         eta = eta.reshape(panels, N - 1, -1)
         lhs_rows = np.sum(eta.mean(axis=1) ** 2, axis=1)
         rhs_rows = np.sum(eta ** 2, axis=2).mean(axis=1)
-        return float(lhs_rows.sum()), float(rhs_rows.sum())
+        return float(lhs_rows.sum()), float(rhs_rows.sum()), not rep.converged
 
     results = _run_replications(one_path, int(leader_paths), threads)
+    fails = _check_failures([f for _, _, f in results], leader_paths)
     total = leader_paths * panels
-    lhs = sum(a for a, _ in results) / total
-    rhs = sum(b for _, b in results) / total / (N - 1)
+    lhs = sum(a for a, _, _ in results) / total
+    rhs = sum(b for _, b, _ in results) / total / (N - 1)
     return EtaReport(scenario=scenario, N=int(N), panels=int(panels),
                      leader_paths=int(leader_paths), time_index=s,
-                     lhs=lhs, rhs=rhs)
+                     lhs=lhs, rhs=rhs, fixed_point_failures=fails)

@@ -21,7 +21,8 @@ from stackmf.cli import (
     save_config,
     validate_config,
 )
-from stackmf.errors import ConfigError
+from stackmf.errors import ConfigError, ExperimentInvalidError
+from stackmf.rates import eta_orthogonality_check
 
 
 def small_state_gap() -> ScenarioConfig:
@@ -224,6 +225,21 @@ class TestRunExperiment:
         rc = run_experiment(cfg, out_dir=tmp_path / "bad", stream=buf)
         assert rc == 2
         report = json.loads((tmp_path / "bad" / "report.json").read_text())
+        assert report["status"] == "invalid"
+        assert report["error_type"] == "ExperimentInvalidError"
+
+    def test_unconverged_eta_flows_invalidate_the_run(self, tmp_path):
+        cfg = dataclasses.replace(
+            presets()["eta-orthogonality-n64"], Ns=[16], K=128, tol=1e-12,
+            extras={"panels": 40, "leader_paths": 2, "max_iter": 1})
+        model, policies, law = build_objects(cfg)
+        with pytest.raises(ExperimentInvalidError, match="2 of 2"):
+            eta_orthogonality_check(model, policies, law, 16, 40, 2, 128,
+                                    cfg.seed, tol=1e-12, max_iter=1)
+        buf = io.StringIO()
+        rc = run_experiment(cfg, out_dir=tmp_path / "eta", stream=buf)
+        assert rc == 2
+        report = json.loads((tmp_path / "eta" / "report.json").read_text())
         assert report["status"] == "invalid"
         assert report["error_type"] == "ExperimentInvalidError"
 
