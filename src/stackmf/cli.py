@@ -411,6 +411,14 @@ def validate_config(config: ScenarioConfig) -> list:
 
     if config.out_dir is not None and not isinstance(config.out_dir, str):
         out.append("out_dir: must be null or a string")
+    if not out:
+        # the constructors hold the remaining rules (parameter names, ...)
+        try:
+            _, policies, _ = build_objects(config)
+            if config.kind == "epsilon_nash":
+                _deviation_library(config, policies)
+        except StackmfError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -451,8 +459,24 @@ def build_objects(config: ScenarioConfig):
     return model, policies, delay_law
 
 
+def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
+    """epsilon_nash deviations as PolicySets; a missing role keeps the
+    profile's policy."""
+    library = []
+    for dev in config.extras["deviations"]:
+        leader = dev.get("leader")
+        follower = dev.get("follower")
+        library.append(PolicySet(
+            policies.leader if leader is None else _build_policy(leader),
+            policies.follower if follower is None else _build_policy(follower)))
+    return library
+
+
 def resolve_threads(threads=None) -> int:
-    """--threads flag, then STACKMF_THREADS, then the core count."""
+    """--threads flag, then STACKMF_THREADS, then 1.
+
+    Replications make many small numpy calls under the GIL, so more threads
+    are often slower; the serial path is the default."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("STACKMF_THREADS")
@@ -462,7 +486,7 @@ def resolve_threads(threads=None) -> int:
         except ValueError:
             raise ConfigError(
                 [f"STACKMF_THREADS must be an integer, got {env!r}"])
-    return os.cpu_count() or 1
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +600,9 @@ def _dispatch(config: ScenarioConfig, seed: int, threads: int):
         return fn(model, policies, delay_law, config.Ns, config.reps,
                   config.K, seed, **kwargs)
     if config.kind == "epsilon_nash":
-        library = []
-        for dev in ex["deviations"]:
-            leader = dev.get("leader")
-            follower = dev.get("follower")
-            library.append(PolicySet(
-                policies.leader if leader is None else _build_policy(leader),
-                policies.follower if follower is None
-                else _build_policy(follower)))
         return epsilon_nash_certify(
-            model, policies, library, config.Ns[0], config.reps, seed,
+            model, policies, _deviation_library(config, policies),
+            config.Ns[0], config.reps, seed,
             delay_law=delay_law,
             kappa=math.inf if ex.get("kappa") is None else float(ex["kappa"]),
             gamma=math.inf if ex.get("gamma") is None else float(ex["gamma"]),

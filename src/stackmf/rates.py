@@ -423,13 +423,6 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
         fixed_point_failures=fails)
 
 
-def _coupled_pair(model, policies, delay_law, noise, N, flow):
-    """N-player bundle and its synchronously coupled limit twin."""
-    bundle = simulate_nplayer(model, policies, N, delay_law, noise)
-    x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
-    return bundle, x0, x1
-
-
 def state_gap_experiment(model: ModelSpec, policies: PolicySet,
                          delay_law: DelayLaw, Ns, reps: int, K: int, seed,
                          *, scenario: str = "state-gap", regime=None,
@@ -447,7 +440,8 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
     between the leave-one-out limit empirical and the flow.
     """
     def measure(noise, N, flow):
-        bundle, x0, x1 = _coupled_pair(model, policies, delay_law, noise, N, flow)
+        bundle = simulate_nplayer(model, policies, N, delay_law, noise)
+        x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
         lead = float(_sup_sq_gap(bundle.leader_path, x0))
         fol = _atom_sup_mean(
             _sup_sq_gap(bundle.follower_paths, x1), bundle.delays)
@@ -505,7 +499,8 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
     follower cost gap.
     """
     def measure(noise, N, flow):
-        bundle, x0, x1 = _coupled_pair(model, policies, delay_law, noise, N, flow)
+        bundle = simulate_nplayer(model, policies, N, delay_law, noise)
+        x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
         j0n, jin = evaluate_costs_nplayer(bundle, model)
         j0l, jil = evaluate_costs_limit(
             model, policies, flow, x0, x1, bundle.delays)

@@ -116,6 +116,23 @@ class TestValidation:
                                leader={"family": "custom", "params": {}}))
         assert any("policies.leader" in e for e in validate_config(bad))
 
+    def test_unknown_constructor_parameters_rejected(self, tmp_path, capsys):
+        # validate accepts exactly what run accepts: names that only the
+        # object constructors check are reported too
+        cfg = presets()["two-atom-delay-n1-1"]
+        follower = cfg.policies["follower"]
+        bad_model = dataclasses.replace(cfg, model=dict(
+            cfg.model, params=dict(cfg.model["params"], a1x=0.1)))
+        bad_policy = dataclasses.replace(cfg, policies=dict(
+            cfg.policies, follower=dict(follower, params=dict(
+                follower["params"], gainn=0.1))))
+        for bad, key in ((bad_model, "a1x"), (bad_policy, "gainn")):
+            assert any(key in e for e in validate_config(bad)), key
+            path = tmp_path / f"{key}.json"
+            save_config(bad, path)
+            assert main(["validate", str(path)]) == 2
+            assert key in capsys.readouterr().err
+
     def test_single_population_kinds(self):
         cfg = presets()["epsilon-nash-n16"]
         assert any("single population" in e for e in validate_config(
@@ -270,7 +287,7 @@ class TestThreadsResolution:
 
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("STACKMF_THREADS", raising=False)
-        assert resolve_threads(None) >= 1
+        assert resolve_threads(None) == 1
 
 
 class TestMain:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stackmf import _rng
 from stackmf._rng import SharedNoise
 from stackmf.dynamics import (
     CoefficientSet,
@@ -146,6 +147,19 @@ class TestSampleDelays:
         perm = [3, 1, 5, 0, 2, 4]
         permuted = sample_delays(law, 6, SharedNoise(9).permuted(perm))
         assert np.array_equal(permuted, base[perm])
+
+    def test_degenerate_shared_noise_derives_no_stream(self, monkeypatch):
+        real = _rng.generator
+        calls = []
+
+        def counting(*key):
+            calls.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(_rng, "generator", counting)
+        d = sample_delays(DelayLaw.degenerate(0.125), 50, SharedNoise(9))
+        assert len(calls) == 0
+        assert np.array_equal(d, np.full(50, 0.125))
 
 
 class TestSnapDelays:

@@ -15,7 +15,11 @@ from stackmf.dynamics import (
     TimeGrid,
     simulate_nplayer,
 )
-from stackmf.errors import ParameterError, ValidationError
+from stackmf.errors import (
+    ParameterError,
+    SimulationDivergedError,
+    ValidationError,
+)
 from stackmf.meanfield import (
     ConditionalLawFlow,
     balanced_partition_level,
@@ -184,6 +188,14 @@ class TestSolveConditionalLaw:
         assert np.array_equal(a.particles[:, :, :cut + 1, :],
                               b.particles[:, :, :cut + 1, :])
         assert not np.array_equal(a.particles, b.particles)
+
+    def test_explosion_raises_typed_divergence(self):
+        model = make_model(params={"a1": 1e200},
+                           follower_init={"family": "constant",
+                                          "params": {"value": 1.0}})
+        with pytest.raises(SimulationDivergedError) as err:
+            solve_conditional_law(model, ZERO_POLICIES, [(0.0, 1.0)], 3, K=100)
+        assert err.value.step >= 0
 
     def test_parameter_guards(self):
         model = make_model()
