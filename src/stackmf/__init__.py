@@ -33,6 +33,7 @@ from .coupling import (
 from .dynamics import (
     CoefficientSet,
     DelayLaw,
+    Draws,
     ModelSpec,
     Policy,
     PolicySet,

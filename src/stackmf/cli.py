@@ -225,9 +225,6 @@ def _check_init(d, label, families, out):
     if not isinstance(params, dict) or \
             any(not _is_num(v) for v in params.values()):
         out.append(f"{label}: params must map names to finite numbers")
-        return
-    if d["family"] == "student_t" and params.get("df", 0) <= 2:
-        out.append(f"{label}: student_t needs df > 2")
 
 
 def validate_config(config: ScenarioConfig) -> list:

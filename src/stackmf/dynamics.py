@@ -22,7 +22,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._rng import SharedNoise, exact_sum, generator, DELAY, LEADER_INIT, PROBE
+from ._rng import (
+    DELAY,
+    FOLLOWER_INIT,
+    FOLLOWER_NOISE,
+    LEADER_INIT,
+    PROBE,
+    SharedNoise,
+    exact_sum,
+    generator,
+)
 from .errors import (
     DimensionError,
     ParameterError,
@@ -452,8 +461,37 @@ class PolicySet:
 # ---------------------------------------------------------------------------
 # model
 
-_INIT_PATH_FAMILIES = ("constant", "ou_path", "scaled_brownian")
-_INIT_STATE_FAMILIES = ("constant", "normal", "student_t")
+# allowed parameter names of each initial-condition family
+_LEADER_INIT_KEYS = {
+    "constant": {"value", "dim"},
+    "ou_path": {"theta", "mean", "vol", "start", "dim"},
+    "scaled_brownian": {"sigma", "start", "dim"},
+}
+_FOLLOWER_INIT_KEYS = {
+    "constant": {"value"},
+    "normal": {"loc", "scale"},
+    "student_t": {"loc", "scale", "df"},
+}
+
+
+def _check_init(spec, families: dict, label: str) -> None:
+    """Family, parameter names and parameter ranges of an initial-condition
+    spec."""
+    family = spec.get("family")
+    if family not in families:
+        raise ParameterError(f"unknown {label} family {family!r}")
+    params = spec.get("params", {})
+    unknown = set(params) - families[family]
+    if unknown:
+        raise ParameterError(
+            f"unknown params {sorted(unknown)} for {label} family {family!r}")
+    if family == "student_t" and not float(params.get("df", 5.0)) > 2:
+        raise ParameterError("student_t needs df > 2")
+    if family == "ou_path" and not float(params.get("theta", 1.0)) > 0:
+        raise ParameterError("theta must be positive")
+    for key in ("sigma", "vol"):
+        if float(params.get(key, 0.0)) < 0:
+            raise ParameterError(f"{key} must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -480,12 +518,8 @@ class ModelSpec:
             raise ParameterError(f"q must be >= 2, got {self.q!r}")
         leader_init = self.leader_init or {"family": "constant", "params": {"value": 0.0}}
         follower_init = self.follower_init or {"family": "constant", "params": {"value": 0.0}}
-        if leader_init.get("family") not in _INIT_PATH_FAMILIES:
-            raise ParameterError(
-                f"unknown leader initial-path family {leader_init.get('family')!r}")
-        if follower_init.get("family") not in _INIT_STATE_FAMILIES:
-            raise ParameterError(
-                f"unknown follower initial family {follower_init.get('family')!r}")
+        _check_init(leader_init, _LEADER_INIT_KEYS, "leader initial-path")
+        _check_init(follower_init, _FOLLOWER_INIT_KEYS, "follower initial")
         object.__setattr__(self, "leader_init", MappingProxyType(dict(leader_init)))
         object.__setattr__(self, "follower_init", MappingProxyType(dict(follower_init)))
 
@@ -539,46 +573,31 @@ def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed):
     volatility gives the exact exponential decay), scaled_brownian
     (increment variance sigma^2 h per step by construction).
     """
-    if family not in _INIT_PATH_FAMILIES:
-        raise ParameterError(f"unknown initial-path family {family!r}")
+    _check_init({"family": family, "params": params}, _LEADER_INIT_KEYS,
+                "initial-path")
     params = dict(params)
-    dim = int(params.pop("dim", 1))
+    dim = int(params.get("dim", 1))
     if dim < 1:
         raise ParameterError("dim must be a positive integer")
-    rng = _as_generator(seed, LEADER_INIT)
     m = grid.zero_index
     out = np.empty((m + 1, dim))
     if family == "constant":
-        value = np.broadcast_to(np.asarray(params.pop("value", 0.0), float), (dim,))
-        if params:
-            raise ParameterError(f"unknown params {sorted(params)} for constant family")
-        out[:] = value
+        out[:] = np.broadcast_to(np.asarray(params.get("value", 0.0), float), (dim,))
         return out
+    rng = _as_generator(seed, LEADER_INIT)
+    start = np.broadcast_to(np.asarray(params.get("start", 0.0), float), (dim,))
+    out[0] = start
     if family == "scaled_brownian":
-        sigma = float(params.pop("sigma", 1.0))
-        start = np.broadcast_to(np.asarray(params.pop("start", 0.0), float), (dim,))
-        if params:
-            raise ParameterError(f"unknown params {sorted(params)} for scaled_brownian")
-        if sigma < 0:
-            raise ParameterError("sigma must be nonnegative")
+        sigma = float(params.get("sigma", 1.0))
         incr = sigma * math.sqrt(grid.h) * rng.standard_normal((m, dim))
-        out[0] = start
         out[1:] = start + np.cumsum(incr, axis=0)
         return out
     # ou_path
-    theta = float(params.pop("theta", 1.0))
-    mean = np.broadcast_to(np.asarray(params.pop("mean", 0.0), float), (dim,))
-    vol = float(params.pop("vol", 1.0))
-    start = np.broadcast_to(np.asarray(params.pop("start", 0.0), float), (dim,))
-    if params:
-        raise ParameterError(f"unknown params {sorted(params)} for ou_path")
-    if theta <= 0:
-        raise ParameterError("theta must be positive")
-    if vol < 0:
-        raise ParameterError("vol must be nonnegative")
+    theta = float(params.get("theta", 1.0))
+    mean = np.broadcast_to(np.asarray(params.get("mean", 0.0), float), (dim,))
+    vol = float(params.get("vol", 1.0))
     decay = math.exp(-theta * grid.h)
     stat_sd = vol * math.sqrt((1.0 - decay * decay) / (2.0 * theta))
-    out[0] = start
     x = np.array(start, dtype=float)
     for k in range(m):
         x = mean + (x - mean) * decay + stat_sd * rng.standard_normal(dim)
@@ -586,24 +605,28 @@ def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed):
     return out
 
 
+def _standard_initial(spec, rng, shape) -> np.ndarray:
+    """Standardized draw of a random follower initial family, before the
+    location and scale are applied."""
+    if spec["family"] == "normal":
+        return rng.standard_normal(shape)
+    return rng.standard_t(float(spec["params"].get("df", 5.0)), size=shape)
+
+
+def _locate(spec, z) -> np.ndarray:
+    params = spec["params"]
+    return params.get("loc", 0.0) + params.get("scale", 1.0) * z
+
+
 def draw_follower_initial(spec: dict, rng, n1: int, size=None):
     """Draw follower initial states; shape (n1,) or (size, n1)."""
-    family = spec.get("family")
-    params = dict(spec.get("params", {}))
+    spec = {"family": spec.get("family"), "params": dict(spec.get("params", {}))}
+    _check_init(spec, _FOLLOWER_INIT_KEYS, "follower initial")
     shape = (n1,) if size is None else (size, n1)
-    if family == "constant":
+    if spec["family"] == "constant":
         return np.broadcast_to(
-            np.asarray(params.get("value", 0.0), float), shape).copy()
-    if family == "normal":
-        return params.get("loc", 0.0) + params.get("scale", 1.0) \
-            * rng.standard_normal(shape)
-    if family == "student_t":
-        df = float(params.get("df", 5.0))
-        if df <= 2:
-            raise ParameterError("student_t needs df > 2")
-        return params.get("loc", 0.0) + params.get("scale", 1.0) \
-            * rng.standard_t(df, size=shape)
-    raise ParameterError(f"unknown follower initial family {family!r}")
+            np.asarray(spec["params"].get("value", 0.0), float), shape).copy()
+    return _locate(spec, _standard_initial(spec, rng, shape))
 
 
 def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
@@ -618,8 +641,8 @@ def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
     if law.kind == "degenerate":
         return np.full(N, law.a)
     if isinstance(seed, SharedNoise):
-        return np.array([float(law.quantile(seed.delay(i).random()))
-                         for i in range(N)])
+        u = np.array([g.random() for g in seed.followers(DELAY, N)])
+        return np.asarray(law.quantile(u), dtype=float)
     rng = _as_generator(seed, DELAY)
     return np.asarray(law.quantile(rng.random(N)), dtype=float)
 
@@ -633,39 +656,83 @@ def snap_delays_to_grid(delays, grid: TimeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simulation
 
-def _leader_draws(model: ModelSpec, noise: SharedNoise, overrides):
+def _leader_draws(model: ModelSpec, noise: SharedNoise):
     """Initial leader segment and forward Euler noise (m, n0), each drawn
-    from its stream unless `overrides` supplies it."""
-    xi0 = overrides.get("leader_init_path")
-    if xi0 is None:
-        init_params = dict(model.leader_init.get("params", {}))
-        init_params.setdefault("dim", model.n0)
-        xi0 = sample_initial_leader_path(
-            model.grid, model.leader_init["family"], init_params,
-            noise.leader_init())
-    zeta0 = overrides.get("leader_noise")
-    if zeta0 is None:
-        zeta0 = noise.leader_noise().standard_normal(
-            (model.grid.forward_steps, model.n0))
+    from its stream."""
+    init_params = dict(model.leader_init.get("params", {}))
+    init_params.setdefault("dim", model.n0)
+    # an integer seed keys the LEADER_INIT stream, derived only if needed
+    xi0 = sample_initial_leader_path(
+        model.grid, model.leader_init["family"], init_params, noise.entropy)
+    zeta0 = noise.leader_noise().standard_normal(
+        (model.grid.forward_steps, model.n0))
     return xi0, zeta0
 
 
-def _follower_draws(model: ModelSpec, noise: SharedNoise, N: int, overrides):
+def _follower_draws(model: ModelSpec, noise: SharedNoise, N: int):
     """Initial states (N, n1) and Euler noise (N, m, n1) of followers
-    0..N-1, each from the follower's own streams unless overridden."""
-    X0 = overrides.get("follower_init")
-    if X0 is None:
-        X0 = np.stack([
-            draw_follower_initial(model.follower_init, noise.follower_init(i),
-                                  model.n1)
-            for i in range(N)])
-    zeta = overrides.get("follower_noise")
-    if zeta is None:
-        zeta = np.stack([
-            noise.follower_noise(i).standard_normal(
-                (model.grid.forward_steps, model.n1))
-            for i in range(N)])
+    0..N-1, each from the follower's own streams."""
+    spec = model.follower_init
+    if spec["family"] == "constant":
+        X0 = draw_follower_initial(spec, None, model.n1, size=N)
+    else:
+        Z = np.empty((N, model.n1))
+        for row, rng in zip(Z, noise.followers(FOLLOWER_INIT, N)):
+            row[:] = _standard_initial(spec, rng, (model.n1,))
+        X0 = _locate(spec, Z)
+    zeta = np.empty((N, model.grid.forward_steps, model.n1))
+    for row, rng in zip(zeta, noise.followers(FOLLOWER_NOISE, N)):
+        rng.standard_normal(out=row)
     return X0, zeta
+
+
+@dataclasses.dataclass(frozen=True)
+class Draws:
+    """Every random input of one replication's simulations.
+
+    leader_init_path (zero_index + 1, n0) and leader_noise (m, n0) drive the
+    leader; follower_init (N, n1), follower_noise (N, m, n1) and delays (N,)
+    drive followers 0..N-1.  ``sample`` derives each stream once, and
+    ``head(n)`` gives the draws of the first n followers: a follower's
+    streams depend on its index only, so they equal what ``sample`` would
+    derive for n followers.  Pass one object to ``simulate_nplayer``,
+    ``simulate_limit_pair`` and ``solve_conditional_law`` to drive them from
+    the same noise without deriving any stream again.
+    """
+
+    leader_init_path: np.ndarray
+    leader_noise: np.ndarray
+    follower_init: np.ndarray
+    follower_noise: np.ndarray
+    delays: np.ndarray
+
+    def __post_init__(self):
+        n = np.shape(self.delays)
+        if len(n) != 1 or np.shape(self.follower_init)[:1] != n \
+                or np.shape(self.follower_noise)[:1] != n:
+            raise DimensionError(
+                "follower_init, follower_noise and delays need one row per "
+                "follower")
+
+    @property
+    def N(self) -> int:
+        return len(self.delays)
+
+    @classmethod
+    def sample(cls, model: ModelSpec, delay_law: DelayLaw, noise: SharedNoise,
+               N: int) -> "Draws":
+        """Draws of followers 0..N-1 from the streams of `noise`."""
+        xi0, zeta0 = _leader_draws(model, noise)
+        X0, zeta = _follower_draws(model, noise, N)
+        return cls(xi0, zeta0, X0, zeta, sample_delays(delay_law, N, noise))
+
+    def head(self, n: int) -> "Draws":
+        """Draws of followers 0..n-1 (views, no copy)."""
+        if not 1 <= n <= self.N:
+            raise ValidationError(f"need 1 <= n <= {self.N}, got {n}")
+        return dataclasses.replace(
+            self, follower_init=self.follower_init[:n],
+            follower_noise=self.follower_noise[:n], delays=self.delays[:n])
 
 
 def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
@@ -729,10 +796,12 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
 
 def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
                      delay_law: DelayLaw, seed,
-                     _noise_overrides: dict | None = None) -> TrajectoryBundle:
+                     draws: Draws | None = None) -> TrajectoryBundle:
     """Explicit Euler simulation of the leader and N delayed followers.
 
-    seed: integer master seed or a SharedNoise.  Increments are
+    seed: integer master seed or a SharedNoise.  draws: the random inputs
+    of exactly these N followers (see ``Draws``); when None they are drawn
+    from the streams of seed.  Increments are
     drift * h + diffusion * sqrt(h) * zeta with left-endpoint coefficients;
     interaction features are recomputed each step, leave-one-out for
     followers and full-population for the leader.
@@ -743,15 +812,14 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
         raise ValidationError(
             f"delay bound {delay_law.b!r} exceeds grid history b={model.grid.b!r}")
     noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
-    ov = _noise_overrides or {}
-    xi0, zeta0 = _leader_draws(model, noise, ov)
-    X0, zeta1 = _follower_draws(model, noise, N, ov)
-    delays = ov.get("delays")
-    if delays is None:
-        delays = sample_delays(delay_law, N, noise)
-    delays = snap_delays_to_grid(delays, model.grid)
+    if draws is None:
+        draws = Draws.sample(model, delay_law, noise, N)
+    elif draws.N != N:
+        raise ValidationError(f"draws hold {draws.N} followers, not N={N}")
+    delays = snap_delays_to_grid(draws.delays, model.grid)
     leader_path, follower_paths, u, v = _euler(
-        model, policies, xi0, X0, zeta0, zeta1, delays)
+        model, policies, draws.leader_init_path, draws.follower_init,
+        draws.leader_noise, draws.follower_noise, delays)
     return TrajectoryBundle(
         grid=model.grid,
         leader_path=leader_path,

@@ -24,6 +24,7 @@ import numpy as np
 from ._rng import SharedNoise
 from .dynamics import (
     DelayLaw,
+    Draws,
     ModelSpec,
     PolicySet,
     TimeGrid,
@@ -186,13 +187,14 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
                           delay_partition, leader_noise_seed: int, K: int,
                           tol: float = 1e-3, max_iter: int = 25,
                           damping: float = 1.0,
-                          _overrides: dict | None = None):
+                          draws: Draws | None = None):
     """Damped Picard iteration for the conditional law flow.
 
     Returns (ConditionalLawFlow, FixedPointReport); non-convergence is
     reported, not raised.  One leader noise realization is fixed by
-    leader_noise_seed; particle initials and noises are drawn once and
-    reused across iterations.
+    leader_noise_seed, or by the leader part of `draws` when given (drawn
+    from SharedNoise(leader_noise_seed) by the caller); particle initials
+    and noises are drawn once and reused across iterations.
     """
     if K < 100:
         raise ParameterError(f"K must be >= 100, got {K}")
@@ -215,7 +217,10 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     n_atoms = atoms.size
     names = model.coefficients.measure_features
 
-    xi0, zeta0 = _leader_draws(model, noise, _overrides or {})
+    if draws is None:
+        xi0, zeta0 = _leader_draws(model, noise)
+    else:
+        xi0, zeta0 = draws.leader_init_path, draws.leader_noise
     X0 = np.stack([
         draw_follower_initial(model.follower_init, noise.flow_init(j),
                               model.n1, size=K)
@@ -278,12 +283,14 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
 
 def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
                         zflow: ConditionalLawFlow, shared_noise: SharedNoise,
-                        delays):
+                        delays, draws: Draws | None = None):
     """Limit leader and follower paths driven by the SAME noise streams as
     an N-player bundle built from shared_noise (synchronous coupling).
 
     Returns (x0 path on [-b, T], x1 paths (N, m+1, n1)).  Coefficient
-    z-arguments are read from zflow.
+    z-arguments are read from zflow.  draws: the leader and follower noise
+    of these N followers, already drawn from shared_noise's streams (its
+    delays are not read); when None they are drawn here.
     """
     if not isinstance(shared_noise, SharedNoise):
         raise ValidationError("shared_noise must be a SharedNoise instance")
@@ -294,10 +301,16 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
     delays = snap_delays_to_grid(np.asarray(delays, dtype=float), model.grid)
     if delays.max(initial=0.0) > model.grid.b + 1e-12:
         raise ValidationError("delay exceeds grid history")
-    xi0, zeta0 = _leader_draws(model, shared_noise, {})
-    X0, zeta = _follower_draws(model, shared_noise, delays.size, {})
+    if draws is None:
+        draws = Draws(*_leader_draws(model, shared_noise),
+                      *_follower_draws(model, shared_noise, delays.size),
+                      delays)
+    elif draws.N != delays.size:
+        raise ValidationError(
+            f"draws hold {draws.N} followers, delays {delays.size}")
     x0_path, x1_paths, _, _ = _euler(
-        model, policies, xi0, X0, zeta0, zeta, delays, zflow.features)
+        model, policies, draws.leader_init_path, draws.follower_init,
+        draws.leader_noise, draws.follower_noise, delays, zflow.features)
     return x0_path, x1_paths
 
 
@@ -363,10 +376,12 @@ def holder_exponent_estimate(model: ModelSpec, policies: PolicySet,
     if reps < 100:
         raise ParameterError("need reps >= 100")
     noise = SharedNoise(zflow.leader_seed)
+    # delays are set per delta below; a degenerate law derives no stream
+    draws = Draws.sample(model, DelayLaw.degenerate(0.0), noise, reps)
     paths = {}
     for d in deltas:
         _, x1 = simulate_limit_pair(
-            model, policies, zflow, noise, np.full(reps, d))
+            model, policies, zflow, noise, np.full(reps, d), draws)
         paths[d] = x1
     dists, gaps = [], []
     for i in range(deltas.size):

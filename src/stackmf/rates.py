@@ -23,13 +23,13 @@ import numpy as np
 from ._rng import REPLICATION, SharedNoise, child_entropy
 from .dynamics import (
     DelayLaw,
+    Draws,
     ModelSpec,
     Policy,
     PolicySet,
     TimeGrid,
     TrajectoryBundle,
     evaluate_costs_nplayer,
-    sample_delays,
     simulate_nplayer,
 )
 from .errors import (
@@ -377,11 +377,13 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
                     rate_quantity: str, measure) -> GapReport:
     """Replication driver shared by the three gap experiments.
 
-    Per replication: fix a leader noise realization, solve the conditional
-    law once per distinct delay partition, and record
-    measure(noise, N, flow) -> one value per curve name for every N.  Means
-    over replications become the curves; the slope is fitted on `quantity`
-    and compared with the prediction for `rate_quantity`.
+    Per replication: fix a leader noise realization, draw the random
+    inputs of max(Ns) followers once (``Draws``), solve the conditional law
+    once per distinct delay partition, and record
+    measure(noise, draws, N, flow) -> one value per curve name for every N;
+    the callback takes the followers it needs from the head of `draws`.
+    Means over replications become the curves; the slope is fitted on
+    `quantity` and compared with the prediction for `rate_quantity`.
     """
     Ns = _check_ns(Ns, min_n)
     if reps < 50:
@@ -391,6 +393,7 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     def one_rep(r):
         ent = child_entropy(int(seed), REPLICATION, r)
         noise = SharedNoise(ent)
+        draws = Draws.sample(model, delay_law, noise, Ns[-1])
         flows = {}
         failed = False
         out = np.empty((len(curve_names), len(Ns)))
@@ -399,10 +402,10 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
             if key not in flows:
                 flow, rep = solve_conditional_law(
                     model, policies, key, ent, K,
-                    tol=tol, max_iter=max_iter, damping=damping)
+                    tol=tol, max_iter=max_iter, damping=damping, draws=draws)
                 flows[key] = flow
                 failed = failed or not rep.converged
-            out[:, j] = measure(noise, N, flows[key])
+            out[:, j] = measure(noise, draws, N, flows[key])
         return out, failed
 
     results = _run_replications(one_rep, int(reps), threads)
@@ -439,9 +442,11 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
     mean, their sum (the fitted quantity), and the time integral of W2^2
     between the leave-one-out limit empirical and the flow.
     """
-    def measure(noise, N, flow):
-        bundle = simulate_nplayer(model, policies, N, delay_law, noise)
-        x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
+    def measure(noise, draws, N, flow):
+        draws = draws.head(N)
+        bundle = simulate_nplayer(model, policies, N, delay_law, noise, draws)
+        x0, x1 = simulate_limit_pair(
+            model, policies, flow, noise, bundle.delays, draws)
         lead = float(_sup_sq_gap(bundle.leader_path, x0))
         fol = _atom_sup_mean(
             _sup_sq_gap(bundle.follower_paths, x1), bundle.delays)
@@ -471,9 +476,10 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
     i.i.d. delays; smaller N reuse the leading follower streams of larger N,
     which correlates curve points without biasing any of them.
     """
-    def measure(noise, N, flow):
-        delays = sample_delays(delay_law, N - 1, noise)
-        _, x1 = simulate_limit_pair(model, policies, flow, noise, delays)
+    def measure(noise, draws, N, flow):
+        draws = draws.head(N - 1)
+        _, x1 = simulate_limit_pair(
+            model, policies, flow, noise, draws.delays, draws)
         return (_w2_time_integral(x1, flow, noise.subsample()),)
 
     # the W2^2 term carries one power of f(N-1)
@@ -498,9 +504,11 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
     and not Monte-Carlo noise.  The fitted quantity is the mean absolute
     follower cost gap.
     """
-    def measure(noise, N, flow):
-        bundle = simulate_nplayer(model, policies, N, delay_law, noise)
-        x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
+    def measure(noise, draws, N, flow):
+        draws = draws.head(N)
+        bundle = simulate_nplayer(model, policies, N, delay_law, noise, draws)
+        x0, x1 = simulate_limit_pair(
+            model, policies, flow, noise, bundle.delays, draws)
         j0n, jin = evaluate_costs_nplayer(bundle, model)
         j0l, jil = evaluate_costs_limit(
             model, policies, flow, x0, x1, bundle.delays)
@@ -642,16 +650,14 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
     def one_rep(r):
         ent = child_entropy(int(seed), REPLICATION, r)
         noise = SharedNoise(ent)
-        delays = sample_delays(delay_law, N, noise)
+        draws = Draws.sample(model, delay_law, noise, N)
         j0 = np.empty(len(arms))
         j1 = np.empty(len(arms))
         dev_energy = np.empty(len(arms))
         lead_energy = np.empty(len(arms))
         delta0 = 0.0
         for a, (_, pols) in enumerate(arms):
-            bundle = simulate_nplayer(
-                model, pols, N, delay_law, noise,
-                _noise_overrides={"delays": delays})
+            bundle = simulate_nplayer(model, pols, N, delay_law, noise, draws)
             j0n, jin = evaluate_costs_nplayer(bundle, model)
             j0[a] = j0n
             j1[a] = jin[0]
@@ -751,12 +757,13 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     def one_path(r):
         ent = child_entropy(int(seed), REPLICATION, r)
         part = _partition_for(delay_law, model, N, "auto")
+        noise = SharedNoise(ent)
+        draws = Draws.sample(model, delay_law, noise, P)
         flow, rep = solve_conditional_law(
             model, policies, part, ent, K,
-            tol=tol, max_iter=max_iter, damping=damping)
-        noise = SharedNoise(ent)
-        delays = sample_delays(delay_law, P, noise)
-        _, x1 = simulate_limit_pair(model, policies, flow, noise, delays)
+            tol=tol, max_iter=max_iter, damping=damping, draws=draws)
+        _, x1 = simulate_limit_pair(
+            model, policies, flow, noise, draws.delays, draws)
         vals = x1[:, s, :]
         if kernel == "tanh_mean":
             vals = np.tanh(vals)

@@ -133,6 +133,22 @@ class TestValidation:
             assert main(["validate", str(path)]) == 2
             assert key in capsys.readouterr().err
 
+    def test_unknown_initial_condition_parameters_rejected(self, tmp_path,
+                                                           capsys):
+        # a misspelt follower key used to run silently with the default,
+        # a misspelt leader key used to pass validate and fail run
+        cfg = presets()["two-atom-delay-n1-1"]
+        bad_follower = dataclasses.replace(cfg, follower_init={
+            "family": "normal", "params": {"scael": 0.6}})
+        bad_leader = dataclasses.replace(cfg, leader_init={
+            "family": "ou_path", "params": {"thetaa": 1.0}})
+        for bad, key in ((bad_follower, "scael"), (bad_leader, "thetaa")):
+            assert any(key in e for e in validate_config(bad)), key
+            path = tmp_path / f"{key}.json"
+            save_config(bad, path)
+            assert main(["validate", str(path)]) == 2
+            assert key in capsys.readouterr().err
+
     def test_single_population_kinds(self):
         cfg = presets()["epsilon-nash-n16"]
         assert any("single population" in e for e in validate_config(
@@ -205,6 +221,26 @@ class TestRunExperiment:
         assert rc == 0
         assert (tmp_path / "t3" / "results.csv").read_bytes() \
             == (out / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, fields, model", [
+        ("linear-in-measure-cost-n1-1",
+         {"Ns": [4, 8, 16], "reps": 50, "K": 128}, {"T": 0.25}),
+        ("eta-orthogonality-n64",
+         {"Ns": [16], "K": 128,
+          "extras": {"panels": 40, "leader_paths": 2}}, {}),
+    ])
+    def test_one_and_two_threads_write_same_bytes(self, tmp_path, name,
+                                                  fields, model):
+        cfg = presets()[name]
+        cfg = dataclasses.replace(cfg, model=dict(cfg.model, **model),
+                                  **fields)
+        for threads in (1, 2):
+            assert run_experiment(cfg, out_dir=tmp_path / str(threads),
+                                  threads=threads,
+                                  stream=io.StringIO()) == 0
+        for fname in ("results.csv", "report.json"):
+            assert (tmp_path / "1" / fname).read_bytes() \
+                == (tmp_path / "2" / fname).read_bytes()
 
     def test_seed_override_changes_numbers(self, small_run, tmp_path):
         _, out, _ = small_run

@@ -1,4 +1,5 @@
 """SDE engine: grids, delay laws, coefficients, simulation, costs."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from stackmf._rng import SharedNoise
 from stackmf.dynamics import (
     CoefficientSet,
     DelayLaw,
+    Draws,
     ModelSpec,
     Policy,
     PolicySet,
@@ -242,6 +244,79 @@ class TestFollowerInitials:
                                   np.random.default_rng(2), 1)
 
 
+class TestModelSpecInitialConditions:
+    @pytest.mark.parametrize("kw, key", [
+        ({"follower_init": {"family": "normal", "params": {"scael": 0.6}}},
+         "scael"),
+        ({"leader_init": {"family": "ou_path", "params": {"thetaa": 1.0}}},
+         "thetaa"),
+        ({"follower_init": {"family": "student_t", "params": {"df": 2.0}}},
+         "df > 2"),
+        ({"leader_init": {"family": "ou_path", "params": {"theta": -1.0}}},
+         "theta"),
+        ({"leader_init": {"family": "brownian", "params": {}}}, "brownian"),
+    ])
+    def test_rejected_at_construction(self, kw, key):
+        with pytest.raises(ParameterError, match=key):
+            make_model(**kw)
+
+    def test_every_documented_key_accepted(self):
+        make_model(
+            leader_init={"family": "ou_path", "params": {
+                "theta": 1.0, "mean": 0.1, "vol": 0.2, "start": 0.3,
+                "dim": 1}},
+            follower_init={"family": "student_t", "params": {
+                "loc": 0.1, "scale": 0.5, "df": 4.5}})
+
+
+class TestDraws:
+    def model(self):
+        return make_model(
+            leader_init={"family": "scaled_brownian", "params": {"sigma": 0.5}},
+            follower_init={"family": "student_t",
+                           "params": {"df": 4.5, "scale": 0.5}})
+
+    def test_head_equals_smaller_sample(self):
+        # a follower's streams depend on its index only
+        model, law = self.model(), DelayLaw.uniform(0.0, 0.125)
+        big = Draws.sample(model, law, SharedNoise(5), 12).head(7)
+        small = Draws.sample(model, law, SharedNoise(5), 7)
+        for field in ("leader_init_path", "leader_noise", "follower_init",
+                      "follower_noise", "delays"):
+            assert np.array_equal(getattr(big, field), getattr(small, field))
+
+    def test_rows_match_single_streams(self):
+        model, law = self.model(), DelayLaw.uniform(0.0, 0.125)
+        d = Draws.sample(model, law, SharedNoise(5), 4)
+        for i in range(4):
+            z = _rng.generator(5, _rng.FOLLOWER_INIT, i).standard_t(4.5, 1)
+            assert np.array_equal(d.follower_init[i], 0.5 * z)
+            noise = _rng.generator(5, _rng.FOLLOWER_NOISE, i).standard_normal(
+                d.follower_noise[i].shape)
+            assert np.array_equal(d.follower_noise[i], noise)
+            u = _rng.generator(5, _rng.DELAY, i).random()
+            assert d.delays[i] == law.quantile(u)
+
+    def test_simulate_nplayer_same_with_and_without_draws(self):
+        model, law = self.model(), DelayLaw.uniform(0.0, 0.125)
+        noise = SharedNoise(9)
+        d = Draws.sample(model, law, noise, 6)
+        a = simulate_nplayer(model, ZERO_POLICIES, 6, law, noise)
+        b = simulate_nplayer(model, ZERO_POLICIES, 6, law, noise, d)
+        assert np.array_equal(a.follower_paths, b.follower_paths)
+        assert np.array_equal(a.leader_path, b.leader_path)
+        with pytest.raises(ValidationError):
+            simulate_nplayer(model, ZERO_POLICIES, 5, law, noise, d)
+
+    def test_shapes_checked(self):
+        d = Draws.sample(self.model(), DelayLaw.degenerate(0.0),
+                         SharedNoise(1), 3)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(d, delays=np.zeros(2))
+        with pytest.raises(ValidationError):
+            d.head(4)
+
+
 class TestCoefficientSet:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
@@ -418,14 +493,11 @@ class TestSimulateNPlayer:
                 h = T / steps
                 zeta = dwf.reshape(N, steps, s, 1).sum(axis=2) / math.sqrt(h)
                 model = make_model(grid=TimeGrid(0.0, T, h), params=params)
-                b = simulate_nplayer(
-                    model, ZERO_POLICIES, N, law, 0,
-                    _noise_overrides={
-                        "follower_noise": zeta,
-                        "leader_noise": np.zeros((steps, 1)),
-                        "follower_init": x_init,
-                        "delays": np.zeros(N),
-                    })
+                draws = Draws(leader_init_path=np.zeros((1, 1)),
+                              leader_noise=np.zeros((steps, 1)),
+                              follower_init=x_init, follower_noise=zeta,
+                              delays=np.zeros(N))
+                b = simulate_nplayer(model, ZERO_POLICIES, N, law, 0, draws)
                 paths[steps] = b.follower_paths
             for coarse, fine in pairs:
                 s = fine // coarse

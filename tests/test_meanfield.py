@@ -1,4 +1,5 @@
 """Conditional-law flow solver, delay partitions, limit-pair coupling."""
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from stackmf._rng import SharedNoise
 from stackmf.dynamics import (
     CoefficientSet,
     DelayLaw,
+    Draws,
     ModelSpec,
     Policy,
     PolicySet,
@@ -178,11 +180,13 @@ class TestSolveConditionalLaw:
         zeta_b = zeta_a.copy()
         cut = m // 2
         zeta_b[cut:] += 1.0
+        base = Draws.sample(model, DelayLaw.degenerate(0.125),
+                            SharedNoise(17), 1)
         flows = []
         for zeta in (zeta_a, zeta_b):
             flow, _ = solve_conditional_law(
                 model, policies, [(0.125, 1.0)], leader_noise_seed=17, K=150,
-                _overrides={"leader_noise": zeta})
+                draws=dataclasses.replace(base, leader_noise=zeta))
             flows.append(flow)
         a, b = flows
         assert np.array_equal(a.particles[:, :, :cut + 1, :],
@@ -226,6 +230,32 @@ class TestSimulateLimitPair:
         x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
         assert np.array_equal(x0, bundle.leader_path)
         assert np.array_equal(x1, bundle.follower_paths)
+
+    def test_relabeling_permutes_limit_paths_exactly(self):
+        # follower i of the relabeled run draws the streams of perm[i]
+        # and reads the prescribed flow, so its path is x1[perm[i]]
+        model = make_model(params={"a1": -0.6, "k1": 0.5, "s1": 0.3,
+                                   "s1_x": 0.2, "a0": -0.4, "s0": 0.2},
+                           feats=("mean",),
+                           leader_init={"family": "scaled_brownian",
+                                        "params": {"sigma": 0.4}},
+                           follower_init={"family": "normal", "params": {}})
+        policies = PolicySet(Policy("affine", {"gain": 0.1}),
+                             Policy("affine", {"gain": -0.2,
+                                               "gain_lead": 0.7}))
+        law = DelayLaw.uniform(0.0, 0.125)
+        flow, _ = solve_conditional_law(
+            model, policies, partition_delay_law(law, 2), 31, K=100)
+        delays = simulate_nplayer(model, policies, 8, law, 31).delays
+        perm = [5, 3, 7, 1, 0, 6, 2, 4]
+        x0, x1 = simulate_limit_pair(model, policies, flow, SharedNoise(31),
+                                     delays)
+        y0, y1 = simulate_limit_pair(model, policies, flow,
+                                     SharedNoise(31).permuted(perm),
+                                     delays[perm])
+        assert np.array_equal(y0, x0)
+        assert np.array_equal(y1, x1[perm])
+        assert not np.array_equal(y1, x1)
 
     def test_seed_mismatch_rejected(self):
         model = make_model(params={"s1": 0.3},

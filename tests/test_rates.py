@@ -1,9 +1,11 @@
 """Gap experiments, slope fitting, exponent table, epsilon certification."""
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from stackmf import _rng, dynamics
 from stackmf._rng import REPLICATION, SharedNoise, child_entropy
 from stackmf.dynamics import (
     CoefficientSet,
@@ -309,6 +311,37 @@ class TestCostGapExperiment:
         assert rep.verdict == "pass"
         assert abs(rep.slope + 0.5) <= 0.25
         assert rep.predicted_rate == "N^(-1/2)"
+
+
+class TestStreamBudget:
+    def test_cost_gap_derives_each_follower_stream_once(self, monkeypatch):
+        # per replication: one batch of max(Ns) rows per follower tag, each
+        # (tag, follower) key derived once, plus a constant number of single
+        # streams (leader, Picard clouds, batch guards); deriving per N and
+        # per simulator would take about 5 * sum(Ns) = 300
+        Ns = [4, 8, 16, 32]
+        rows = collections.defaultdict(collections.Counter)
+        singles = collections.Counter()
+        real_streams, real_generator = _rng.streams, _rng.generator
+
+        def counting_streams(entropy, tag, indices):
+            rows[entropy].update((tag, int(i)) for i in indices)
+            return real_streams(entropy, tag, indices)
+
+        def counting_generator(entropy, *key):
+            singles[entropy] += 1
+            return real_generator(entropy, *key)
+
+        monkeypatch.setattr(_rng, "streams", counting_streams)
+        monkeypatch.setattr(_rng, "generator", counting_generator)
+        monkeypatch.setattr(dynamics, "generator", counting_generator)
+        model = linear_measure_model(grid=TimeGrid(-0.125, 0.25, 1.0 / 16))
+        cost_gap_experiment(model, TRACKING, TWO_ATOM, Ns, 50, 128, 3)
+        assert len(rows) == 50
+        for entropy, keys in rows.items():
+            assert max(keys.values()) == 1
+            assert len(keys) == 3 * max(Ns)
+            assert len(keys) + singles[entropy] <= 3 * max(Ns) + 12
 
 
 class TestCouplingProperties:
