@@ -7,10 +7,13 @@ A scenario is a JSON document with the following top-level keys (see
   kind           one of state_gap | wasserstein_gap | cost_gap |
                  epsilon_nash | eta_orthogonality
   model          {"family", "params", "L", "features", "n0", "n1",
-                  "d0", "d1", "p0", "p1", "T", "h", "b"}
+                  "d0", "d1", "p0", "p1", "T", "h", "b"}: coefficient
+                 family and params, Lipschitz constant L, measure features,
+                 state/noise/control dimensions (d0 = n0, d1 = n1), horizon
+                 T, step h and lag span b; no other key is accepted
   delay_law      {"family": "degenerate", "a": ...} |
                  {"family": "discrete", "atoms": [...], "weights": [...]} |
-                 {"family": "uniform", "lo": ..., "hi": ...}
+                 {"family": "uniform", "lo": ..., "hi": ...}, nothing else
   leader_init    initial-condition family for the leader, or null
   follower_init  initial-condition family for the followers, or null
   q              moment order of the initial data
@@ -56,13 +59,16 @@ from .dynamics import (
     Policy,
     PolicySet,
     TimeGrid,
+    check_initial,
 )
 from .errors import (
     ConfigError,
     ExperimentInvalidError,
+    ParameterError,
     StackmfError,
 )
 from .rates import (
+    _REGIMES,
     EpsilonReport,
     EtaReport,
     GapReport,
@@ -76,12 +82,6 @@ from .rates import (
 _KINDS = ("state_gap", "wasserstein_gap", "cost_gap", "epsilon_nash",
           "eta_orthogonality")
 _GAP_KINDS = ("state_gap", "wasserstein_gap", "cost_gap")
-_REGIMES = ("degenerate_delta", "discrete_delta", "general",
-            "sigma0_control_free", "linear_in_measure")
-_POLICY_FAMILIES = ("zero", "constant", "affine")
-_LEADER_INIT_FAMILIES = ("constant", "ou_path", "scaled_brownian")
-_FOLLOWER_INIT_FAMILIES = ("constant", "normal", "student_t")
-_COEFF_FAMILIES = ("linear_quadratic", "smooth_nonlinear", "linear_in_measure")
 _EXTRA_KEYS = {
     "state_gap": ("slope_tol", "partition_level", "max_iter", "damping"),
     "wasserstein_gap": ("slope_tol", "partition_level", "max_iter", "damping"),
@@ -184,7 +184,8 @@ def load_config(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: the object constructors hold every rule about one object; the
+# rules below are about the config's shape, across objects, or per kind
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) \
@@ -195,120 +196,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _divides(small: float, big: float) -> bool:
-    if small <= 0:
-        return False
-    k = round(big / small)
-    return k >= 0 and abs(big - k * small) <= 1e-9 * max(1.0, abs(big))
-
-
-def _check_policy(d, label, out):
-    if not isinstance(d, dict) or "family" not in d:
-        out.append(f"{label}: expected {{'family', 'params'}}")
-        return
-    if d["family"] not in _POLICY_FAMILIES:
-        out.append(f"{label}: family must be one of {_POLICY_FAMILIES}, "
-                   f"got {d['family']!r}")
-    params = d.get("params", {})
-    if not isinstance(params, dict) or \
-            any(not _is_num(v) for v in params.values()):
-        out.append(f"{label}: params must map names to finite numbers")
-
-
-def _check_init(d, label, families, out):
-    if d is None:
-        return
-    if not isinstance(d, dict) or d.get("family") not in families:
-        out.append(f"{label}: family must be one of {families}")
-        return
-    params = d.get("params", {})
-    if not isinstance(params, dict) or \
-            any(not _is_num(v) for v in params.values()):
-        out.append(f"{label}: params must map names to finite numbers")
-
-
-def validate_config(config: ScenarioConfig) -> list:
-    """All violations as strings; empty list means the config is valid."""
-    out = []
-    if not isinstance(config.name, str) or not config.name:
-        out.append("name: must be a nonempty string")
-    if config.kind not in _KINDS:
-        out.append(f"kind: must be one of {_KINDS}, got {config.kind!r}")
-
+def _cross_object_rules(config: ScenarioConfig, objects: dict, out) -> None:
     m = config.model
-    family = m.get("family")
-    if family not in _COEFF_FAMILIES:
-        out.append(f"model.family: must be one of {_COEFF_FAMILIES}")
-    if not isinstance(m.get("params", {}), dict):
-        out.append("model.params: must be an object")
-    if not _is_num(m.get("L")) or m.get("L", 0) <= 0:
-        out.append("model.L: must be a positive finite number")
-    T, h, b = m.get("T"), m.get("h"), m.get("b")
-    for key, val in (("T", T), ("h", h)):
-        if not _is_num(val) or val <= 0:
-            out.append(f"model.{key}: must be a positive finite number")
-    if not _is_num(b) or b < 0:
-        out.append("model.b: must be a nonnegative finite number")
-    if _is_num(h) and h > 0:
-        if _is_num(b) and not _divides(h, b):
-            out.append(f"model.h: h = {h!r} does not divide the lag span "
-                       f"b = {b!r}")
-        if _is_num(T) and T > 0 and not _divides(h, T):
-            out.append(f"model.h: h = {h!r} does not divide the horizon "
-                       f"T = {T!r}")
-    dims = {k: m.get(k, 1) for k in ("n0", "n1", "p0", "p1")}
-    for key, val in dims.items():
-        if not _is_int(val) or val < 1:
-            out.append(f"model.{key}: must be an integer >= 1")
-    # diffusions are square in this implementation
-    if _is_int(m.get("d0", dims["n0"])) and m.get("d0", dims["n0"]) != dims["n0"]:
-        out.append("model.d0: must equal n0 (square leader diffusion)")
-    if _is_int(m.get("d1", dims["n1"])) and m.get("d1", dims["n1"]) != dims["n1"]:
-        out.append("model.d1: must equal n1 (square follower diffusion)")
-    feats = m.get("features", ())
-    if not isinstance(feats, tuple) or \
-            any(not isinstance(f, str) for f in feats):
-        out.append("model.features: must be a list of feature names")
-
-    law = config.delay_law
-    lf = law.get("family")
-    if lf == "degenerate":
-        a = law.get("a")
-        if not _is_num(a) or a < 0:
-            out.append("delay_law.a: must be a nonnegative finite number")
-        elif _is_num(b) and a > b + 1e-12:
-            out.append(f"delay_law.a: atom {a!r} exceeds the lag span {b!r}")
-    elif lf == "discrete":
-        atoms = law.get("atoms", ())
-        weights = law.get("weights", ())
-        if not atoms or len(atoms) != len(weights):
-            out.append("delay_law: atoms and weights must be nonempty and "
-                       "of equal length")
-        else:
-            if any(not _is_num(a) or a < 0 for a in atoms):
-                out.append("delay_law.atoms: must be nonnegative numbers")
-            elif _is_num(b) and max(atoms) > b + 1e-12:
-                out.append("delay_law.atoms: largest atom exceeds the lag span")
-            if any(not _is_num(w) or w <= 0 for w in weights) or \
-                    abs(sum(weights) - 1.0) > 1e-9:
-                out.append("delay_law.weights: must be positive and sum to 1")
-    elif lf == "uniform":
-        lo, hi = law.get("lo"), law.get("hi")
-        if not (_is_num(lo) and _is_num(hi) and 0 <= lo < hi):
-            out.append("delay_law: uniform needs 0 <= lo < hi")
-        elif _is_num(b) and hi > b + 1e-12:
-            out.append("delay_law.hi: exceeds the lag span")
-    else:
-        out.append("delay_law.family: must be degenerate, discrete or uniform")
-
-    _check_init(config.leader_init, "leader_init", _LEADER_INIT_FAMILIES, out)
-    _check_init(config.follower_init, "follower_init",
-                _FOLLOWER_INIT_FAMILIES, out)
-
-    if not _is_num(config.q) or config.q < 2:
-        out.append("q: must be a finite number >= 2")
-    elif config.kind in _GAP_KINDS and config.rate_assertions \
-            and config.q <= 4:
+    if _is_num(config.q) and config.kind in _GAP_KINDS \
+            and config.rate_assertions and config.q <= 4:
         out.append(f"q: rate predictions need more than 4 finite moments of "
                    f"the initial data, got q = {config.q!r} (set "
                    f"rate_assertions to false to run anyway)")
@@ -318,35 +209,37 @@ def validate_config(config: ScenarioConfig) -> list:
         if _is_num(config.q) and _is_num(df) and config.q >= df:
             out.append(f"q: student_t initial data has moments only below "
                        f"df = {df!r}, got q = {config.q!r}")
+    grid, law = objects.get("grid"), objects.get("delay_law")
+    if grid is not None and law is not None and law.b > grid.b + 1e-12:
+        out.append(f"delay_law: delay support reaches {law.b!r}, beyond the "
+                   f"lag span b = {grid.b!r}")
+    # diffusions are square in this implementation
+    for d, n in (("d0", "n0"), ("d1", "n1")):
+        if _is_int(m.get(d)) and m[d] != m.get(n, 1):
+            out.append(f"model.{d}: must equal {n} (square diffusion)")
 
-    pol = config.policies
-    if not isinstance(pol, dict) or set(pol) != {"leader", "follower"}:
-        out.append("policies: must have exactly the keys leader and follower")
-    else:
-        _check_policy(pol["leader"], "policies.leader", out)
-        _check_policy(pol["follower"], "policies.follower", out)
 
+def _kind_rules(config: ScenarioConfig, out) -> None:
     Ns = config.Ns
     if not Ns or any(not _is_int(n) for n in Ns):
         out.append("Ns: must be a nonempty list of integers")
+    elif config.kind in ("epsilon_nash", "eta_orthogonality"):
+        if len(Ns) != 1:
+            out.append(f"Ns: {config.kind} takes a single population "
+                       f"size, got {len(Ns)}")
+        elif Ns[0] < 2:
+            out.append("Ns: need at least 2 players")
+        elif config.kind == "epsilon_nash" and Ns[0] > 64:
+            out.append("Ns: epsilon_nash is capped at N = 64")
     else:
-        if config.kind in ("epsilon_nash", "eta_orthogonality"):
-            if len(Ns) != 1:
-                out.append(f"Ns: {config.kind} takes a single population "
-                           f"size, got {len(Ns)}")
-            elif Ns[0] < 2:
-                out.append("Ns: need at least 2 players")
-            elif config.kind == "epsilon_nash" and Ns[0] > 64:
-                out.append("Ns: epsilon_nash is capped at N = 64")
-        else:
-            floor = 2 if config.kind == "wasserstein_gap" else 4
-            if any(b1 <= a1 for a1, b1 in zip(Ns, Ns[1:])):
-                out.append("Ns: must be strictly increasing")
-            if Ns[0] < floor:
-                out.append(f"Ns: minimum population for {config.kind} "
-                           f"is {floor}")
-            if len(Ns) < 3:
-                out.append("Ns: need at least 3 sizes to fit a slope")
+        floor = 2 if config.kind == "wasserstein_gap" else 4
+        if any(b1 <= a1 for a1, b1 in zip(Ns, Ns[1:])):
+            out.append("Ns: must be strictly increasing")
+        if Ns[0] < floor:
+            out.append(f"Ns: minimum population for {config.kind} "
+                       f"is {floor}")
+        if len(Ns) < 3:
+            out.append("Ns: need at least 3 sizes to fit a slope")
 
     if not _is_int(config.reps) or config.reps < 1:
         out.append("reps: must be an integer >= 1")
@@ -389,11 +282,6 @@ def validate_config(config: ScenarioConfig) -> list:
                         set(dev) - {"leader", "follower"}:
                     out.append(f"extras.deviations[{k}]: expected keys "
                                f"leader and/or follower")
-                    continue
-                for role in ("leader", "follower"):
-                    if dev.get(role) is not None:
-                        _check_policy(dev[role],
-                                      f"extras.deviations[{k}].{role}", out)
         for cap in ("kappa", "gamma"):
             if ex.get(cap) is not None and (not _is_num(ex[cap])
                                             or ex[cap] <= 0):
@@ -408,52 +296,109 @@ def validate_config(config: ScenarioConfig) -> list:
 
     if config.out_dir is not None and not isinstance(config.out_dir, str):
         out.append("out_dir: must be null or a string")
-    if not out:
-        # the constructors hold the remaining rules (parameter names, ...)
-        try:
-            _, policies, _ = build_objects(config)
-            if config.kind == "epsilon_nash":
-                _deviation_library(config, policies)
-        except StackmfError as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
+
+
+def validate_config(config: ScenarioConfig) -> list:
+    """All violations as strings; empty list means the config is valid."""
+    out = []
+    if not isinstance(config.name, str) or not config.name:
+        out.append("name: must be a nonempty string")
+    if config.kind not in _KINDS:
+        out.append(f"kind: must be one of {_KINDS}, got {config.kind!r}")
+    for key in sorted(set(config.model) - set(_MODEL_KEYS)):
+        out.append(f"model.{key}: unknown key; expected one of {_MODEL_KEYS}")
+    law_keys = _DELAY_LAWS.get(config.delay_law.get("family"))
+    if law_keys is not None:
+        for key in sorted(set(config.delay_law) - {"family", *law_keys}):
+            out.append(f"delay_law.{key}: unknown key for the "
+                       f"{config.delay_law['family']} family; expected "
+                       f"{law_keys}")
+    if set(config.policies) != {"leader", "follower"}:
+        out.append("policies: must have exactly the keys leader and follower")
+    objects, errors = _build(config)
+    out.extend(errors)
+    _cross_object_rules(config, objects, out)
+    _kind_rules(config, out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # building runtime objects
 
-def _build_policy(d: dict) -> Policy:
-    return Policy(d["family"], dict(d.get("params", {})))
+_MODEL_KEYS = ("family", "params", "L", "features", "n0", "n1", "d0", "d1",
+               "p0", "p1", "T", "h", "b")
+# config family -> arguments of the DelayLaw constructor of that name
+_DELAY_LAWS = {"degenerate": ("a",), "discrete": ("atoms", "weights"),
+               "uniform": ("lo", "hi")}
+
+
+def _policy(spec) -> Policy:
+    if not isinstance(spec, dict):
+        raise ParameterError(f"expected {{'family', 'params'}}, got {spec!r}")
+    return Policy(spec.get("family"), spec.get("params", {}))
+
+
+def _delay_law(spec: dict) -> DelayLaw:
+    family = spec.get("family")
+    if family not in _DELAY_LAWS:
+        raise ParameterError(f"unknown delay law family {family!r}; choose "
+                             f"from {tuple(_DELAY_LAWS)}")
+    return getattr(DelayLaw, family)(*(spec.get(k) for k in _DELAY_LAWS[family]))
+
+
+def _build(config: ScenarioConfig):
+    """Build every runtime object whose inputs are present.
+
+    Returns (objects, errors): objects maps "grid", "model", "delay_law" and
+    "policies" to what could be built; errors holds one line per
+    constructor error, under the field path of its input."""
+    errors = []
+
+    def attempt(path, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except StackmfError as exc:
+            errors.append(f"{path}: {type(exc).__name__}: {exc}")
+            return None
+
+    m = config.model
+    grid = attempt("model", TimeGrid.over, m.get("b"), m.get("T"), m.get("h"))
+    coeffs = attempt("model", CoefficientSet, m.get("family"),
+                     m.get("params", {}), m.get("L"), m.get("features", ()))
+    objects = {"grid": grid,
+               "delay_law": attempt("delay_law", _delay_law, config.delay_law)}
+    before = len(errors)
+    for role in ("leader", "follower"):
+        spec = getattr(config, f"{role}_init")
+        if spec is not None:
+            attempt(f"{role}_init", check_initial, role, spec)
+    if grid is not None and coeffs is not None and len(errors) == before:
+        objects["model"] = attempt(
+            "model", ModelSpec, coefficients=coeffs, grid=grid,
+            n0=m.get("n0", 1), n1=m.get("n1", 1), p0=m.get("p0", 1),
+            p1=m.get("p1", 1), q=config.q, leader_init=config.leader_init,
+            follower_init=config.follower_init)
+    leader, follower = (
+        attempt(f"policies.{role}", _policy, config.policies.get(role))
+        for role in ("leader", "follower"))
+    if leader is not None and follower is not None:
+        objects["policies"] = PolicySet(leader, follower)
+    devs = config.extras.get("deviations") \
+        if config.kind == "epsilon_nash" else None
+    for k, dev in enumerate(devs if isinstance(devs, tuple) else ()):
+        for role in ("leader", "follower"):
+            if isinstance(dev, dict) and dev.get(role) is not None:
+                attempt(f"extras.deviations[{k}].{role}", _policy, dev[role])
+    return objects, errors
 
 
 def build_objects(config: ScenarioConfig):
-    """(model, policies, delay_law) from a validated config."""
-    m = config.model
-    grid = TimeGrid(-float(m["b"]), float(m["T"]), float(m["h"]))
-    coeffs = CoefficientSet(m["family"], dict(m.get("params", {})),
-                            float(m["L"]), tuple(m.get("features", ())))
-    model = ModelSpec(
-        coefficients=coeffs, grid=grid,
-        n0=int(m.get("n0", 1)), n1=int(m.get("n1", 1)),
-        p0=int(m.get("p0", 1)), p1=int(m.get("p1", 1)),
-        q=float(config.q),
-        leader_init=None if config.leader_init is None
-        else {"family": config.leader_init["family"],
-              "params": dict(config.leader_init.get("params", {}))},
-        follower_init=None if config.follower_init is None
-        else {"family": config.follower_init["family"],
-              "params": dict(config.follower_init.get("params", {}))})
-    policies = PolicySet(_build_policy(config.policies["leader"]),
-                         _build_policy(config.policies["follower"]))
-    law = config.delay_law
-    if law["family"] == "degenerate":
-        delay_law = DelayLaw.degenerate(float(law["a"]))
-    elif law["family"] == "discrete":
-        delay_law = DelayLaw.discrete([float(a) for a in law["atoms"]],
-                                      [float(w) for w in law["weights"]])
-    else:
-        delay_law = DelayLaw.uniform(float(law["lo"]), float(law["hi"]))
-    return model, policies, delay_law
+    """(model, policies, delay_law) from a config; raises ConfigError with
+    every constructor error, each under its field path."""
+    objects, errors = _build(config)
+    if errors:
+        raise ConfigError(errors)
+    return objects["model"], objects["policies"], objects["delay_law"]
 
 
 def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
@@ -464,8 +409,8 @@ def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
         leader = dev.get("leader")
         follower = dev.get("follower")
         library.append(PolicySet(
-            policies.leader if leader is None else _build_policy(leader),
-            policies.follower if follower is None else _build_policy(follower)))
+            policies.leader if leader is None else _policy(leader),
+            policies.follower if follower is None else _policy(follower)))
     return library
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 import numpy as np
@@ -45,6 +47,27 @@ _GRID_TOL = 1e-12
 FEATURE_NAMES = ("mean", "second_moment", "tanh_mean")
 
 
+def _real(name: str, value) -> float:
+    """value as a finite float; bools, strings, None and containers raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
+
+
+def _reals(name: str, values) -> tuple:
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ParameterError(f"{name} must be a list of finite reals, got {values!r}")
+    return tuple(_real(name, v) for v in values)
+
+
+def _params(label: str, params) -> dict:
+    """Copy of a name -> parameter mapping, or ParameterError."""
+    if not isinstance(params, Mapping):
+        raise ParameterError(f"{label} params must be an object, got {params!r}")
+    return dict(params)
+
+
 @dataclasses.dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [-b, T] with step h; hits 0 and T exactly."""
@@ -54,26 +77,29 @@ class TimeGrid:
     h: float
 
     def __post_init__(self):
-        t0 = float(self.t0)
-        t1 = float(self.t1)
-        h = float(self.h)
-        if not (np.isfinite(t0) and np.isfinite(t1) and np.isfinite(h)):
-            raise ValidationError("grid endpoints and step must be finite")
+        t0 = _real("t0", self.t0)
+        t1 = _real("t1", self.t1)
+        h = _real("h", self.h)
         if h <= 0:
             raise ValidationError(f"step h must be positive, got {h!r}")
         if t0 > 0:
             raise ValidationError(f"t0 must be <= 0, got {t0!r}")
         if t1 <= 0:
             raise ValidationError(f"t1 must be positive, got {t1!r}")
-        b = -t0
-        for name, span in (("b", b), ("T", t1)):
+        for name, span in (("the lag span b", -t0), ("the horizon T", t1)):
             k = round(span / h)
             if abs(k * h - span) > _GRID_TOL:
                 raise ValidationError(
-                    f"step h={h!r} does not divide {name}={span!r} within {_GRID_TOL}")
+                    f"step h = {h!r} does not divide {name} = {span!r} "
+                    f"within {_GRID_TOL}")
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "h", h)
+
+    @classmethod
+    def over(cls, b, T, h) -> "TimeGrid":
+        """Grid on [-b, T] with step h."""
+        return cls(-_real("b", b), _real("T", T), h)
 
     @property
     def b(self) -> float:
@@ -125,26 +151,27 @@ class DelayLaw:
     name: str = ""
 
     def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
-        if not (np.isfinite(a) and np.isfinite(b)) or a < 0 or b < a:
+        a = _real("a", self.a)
+        b = _real("b", self.b)
+        if a < 0 or b < a:
             raise ValidationError(f"delay bounds must satisfy 0 <= a <= b, got ({a!r}, {b!r})")
         if self.kind == "degenerate":
             if a != b:
                 raise ValidationError("degenerate law needs a == b")
         elif self.kind == "discrete":
-            atoms = tuple(float(x) for x in self.atoms)
-            probs = tuple(float(p) for p in self.probs)
+            atoms = _reals("atoms", self.atoms)
+            probs = _reals("weights", self.probs)
             if len(atoms) == 0 or len(atoms) != len(probs):
-                raise ValidationError("discrete law needs matching atoms and probs")
+                raise ValidationError("discrete law needs nonempty atoms and weights "
+                                      "of equal length")
             if any(x2 <= x1 for x1, x2 in zip(atoms, atoms[1:])):
                 raise ValidationError("atoms must be strictly increasing")
             if atoms[0] < a - _GRID_TOL or atoms[-1] > b + _GRID_TOL:
                 raise ValidationError("atoms must lie within [a, b]")
-            if any(p < 0 for p in probs):
-                raise ValidationError("probs must be nonnegative")
+            if any(p <= 0 for p in probs):
+                raise ValidationError(f"weights must be positive, got {probs!r}")
             if abs(sum(probs) - 1.0) > 1e-12:
-                raise ValidationError(f"probs sum to {sum(probs)!r}, not 1")
+                raise ValidationError(f"weights sum to {sum(probs)!r}, not 1")
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "probs", probs)
         elif self.kind == "continuous":
@@ -163,14 +190,14 @@ class DelayLaw:
 
     @classmethod
     def discrete(cls, atoms, probs, bounds=None) -> "DelayLaw":
-        atoms = tuple(float(x) for x in atoms)
+        atoms = _reals("atoms", atoms)
         if bounds is None:
-            bounds = (min(atoms), max(atoms))
-        return cls("discrete", bounds[0], bounds[1], atoms=atoms, probs=tuple(probs))
+            bounds = (min(atoms, default=0.0), max(atoms, default=0.0))
+        return cls("discrete", bounds[0], bounds[1], atoms=atoms, probs=probs)
 
     @classmethod
-    def uniform(cls, a: float, b: float) -> "DelayLaw":
-        return cls("continuous", a, b, name="uniform")
+    def uniform(cls, lo: float, hi: float) -> "DelayLaw":
+        return cls("continuous", _real("lo", lo), _real("hi", hi), name="uniform")
 
     def cdf(self, x):
         """Exact CDF evaluated at x (vectorized)."""
@@ -244,24 +271,25 @@ class CoefficientSet:
     measure_features: tuple = ()
 
     def __post_init__(self):
-        if self.family not in _FAMILY_KEYS:
-            raise ParameterError(f"unknown coefficient family {self.family!r}")
-        params = dict(self.params)
+        if not isinstance(self.family, str) or self.family not in _FAMILY_KEYS:
+            raise ParameterError(f"unknown coefficient family {self.family!r}; "
+                                 f"choose from {sorted(_FAMILY_KEYS)}")
+        params = _params("coefficient", self.params)
         unknown = set(params) - _FAMILY_KEYS[self.family]
         if unknown:
             raise ParameterError(
                 f"unknown parameters for family {self.family!r}: {sorted(unknown)}")
         for key, val in params.items():
-            if key == "kernel":
-                continue
-            val = float(val)
-            if not np.isfinite(val):
-                raise ParameterError(f"parameter {key!r} must be finite")
-            params[key] = val
-        L = float(self.lipschitz_L)
-        if not np.isfinite(L) or L <= 0:
+            if key != "kernel":
+                params[key] = _real(f"parameter {key!r}", val)
+        L = _real("lipschitz_L", self.lipschitz_L)
+        if L <= 0:
             raise ParameterError(f"lipschitz_L must be positive, got {L!r}")
-        feats = tuple(self.measure_features)
+        feats = self.measure_features
+        if not isinstance(feats, (list, tuple)):
+            raise ParameterError(f"measure_features must be a list of feature names, "
+                                 f"got {feats!r}")
+        feats = tuple(feats)
         for name in feats:
             if name not in FEATURE_NAMES:
                 raise ParameterError(f"unknown measure feature {name!r}")
@@ -385,112 +413,123 @@ def features_of_measure(mu: DiscreteMeasure, names):
 # ---------------------------------------------------------------------------
 # policies
 
-_POLICY_FAMILIES = ("zero", "constant", "affine", "custom")
+# allowed parameter names of each policy family
+_POLICY_KEYS = {
+    "zero": set(),
+    "constant": {"value"},
+    "affine": {"gain", "gain_lead", "offset"},
+}
 
 
 @dataclasses.dataclass(frozen=True)
 class Policy:
-    """One control law from a named family.
+    """One control law from a named family: zero, constant or affine.
 
+    constant: v = value.
     affine leader: v0 = gain * x0 + offset.
     affine follower: v1 = gain * x1 + gain_lead * x0(t - delta) + offset.
-    custom carries a callable under params["fn"] (tests only, not
-    serializable).
     """
 
     family: str
     params: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _POLICY_FAMILIES:
-            raise ParameterError(f"unknown policy family {self.family!r}")
-        params = dict(self.params)
-        if self.family == "custom" and not callable(params.get("fn")):
-            raise ParameterError("custom policy needs a callable under params['fn']")
-        allowed = {
-            "zero": set(),
-            "constant": {"value"},
-            "affine": {"gain", "gain_lead", "offset"},
-            "custom": {"fn"},
-        }[self.family]
-        unknown = set(params) - allowed
+        if not isinstance(self.family, str) or self.family not in _POLICY_KEYS:
+            raise ParameterError(f"unknown policy family {self.family!r}; "
+                                 f"choose from {sorted(_POLICY_KEYS)}")
+        params = _params("policy", self.params)
+        unknown = set(params) - _POLICY_KEYS[self.family]
         if unknown:
             raise ParameterError(
                 f"unknown parameters for policy family {self.family!r}: {sorted(unknown)}")
+        for key, val in params.items():
+            params[key] = _real(f"policy parameter {key!r}", val)
         object.__setattr__(self, "params", MappingProxyType(params))
+
+
+def _follower_control(pol: Policy, x1, x0_delayed, p1):
+    if pol.family == "zero":
+        return np.zeros(x1.shape[:-1] + (p1,))
+    if pol.family == "constant":
+        return np.full(x1.shape[:-1] + (p1,), pol.params["value"])
+    return (pol.params.get("gain", 0.0) * x1
+            + pol.params.get("gain_lead", 0.0) * x0_delayed
+            + pol.params.get("offset", 0.0))
 
 
 @dataclasses.dataclass(frozen=True)
 class PolicySet:
-    """Leader and follower control laws plus the declared delay-Holder
-    constant of the follower law."""
+    """Leader and follower control laws.
+
+    With a deviant, follower 0 plays it and every other follower plays
+    `follower`: the unilateral deviation of the epsilon-Nash certificate.
+    """
 
     leader: Policy
     follower: Policy
-    holder_l: float = 1.0
+    deviant: Policy | None = None
 
-    def __post_init__(self):
-        if not np.isfinite(float(self.holder_l)) or float(self.holder_l) < 0:
-            raise ParameterError("holder_l must be a nonnegative real")
-
-    def leader_value(self, t, x0, feats, p0):
+    def leader_value(self, x0, p0):
         pol = self.leader
         if pol.family == "zero":
             return np.zeros(p0)
         if pol.family == "constant":
-            return np.full(p0, float(pol.params["value"]))
-        if pol.family == "affine":
-            return pol.params.get("gain", 0.0) * x0 + pol.params.get("offset", 0.0)
-        return np.asarray(pol.params["fn"](t, x0, feats), dtype=float)
+            return np.full(p0, pol.params["value"])
+        return pol.params.get("gain", 0.0) * x0 + pol.params.get("offset", 0.0)
 
-    def follower_value(self, t, x1, feats, x0_delayed, deltas, p1):
-        pol = self.follower
-        lead_shape = x1.shape[:-1] + (p1,)
-        if pol.family == "zero":
-            return np.zeros(lead_shape)
-        if pol.family == "constant":
-            return np.full(lead_shape, float(pol.params["value"]))
-        if pol.family == "affine":
-            return (pol.params.get("gain", 0.0) * x1
-                    + pol.params.get("gain_lead", 0.0) * x0_delayed
-                    + pol.params.get("offset", 0.0))
-        return np.asarray(pol.params["fn"](t, x1, feats, x0_delayed, deltas),
-                          dtype=float)
+    def follower_value(self, x1, x0_delayed, p1):
+        """Controls of the followers with states x1 (P, n1) that read the
+        leader states x0_delayed (P, n0); one row per follower."""
+        v = _follower_control(self.follower, x1, x0_delayed, p1)
+        if self.deviant is None:
+            return v
+        v = np.array(np.broadcast_to(v, x1.shape[:-1] + (p1,)))
+        v[0] = _follower_control(self.deviant, x1[0], x0_delayed[0], p1)
+        return v
 
 
 # ---------------------------------------------------------------------------
 # model
 
-# allowed parameter names of each initial-condition family
-_LEADER_INIT_KEYS = {
-    "constant": {"value", "dim"},
-    "ou_path": {"theta", "mean", "vol", "start", "dim"},
-    "scaled_brownian": {"sigma", "start", "dim"},
-}
-_FOLLOWER_INIT_KEYS = {
-    "constant": {"value"},
-    "normal": {"loc", "scale"},
-    "student_t": {"loc", "scale", "df"},
+# allowed parameter names of each initial-condition family, per role
+_INIT_KEYS = {
+    "leader": {
+        "constant": {"value", "dim"},
+        "ou_path": {"theta", "mean", "vol", "start", "dim"},
+        "scaled_brownian": {"sigma", "start", "dim"},
+    },
+    "follower": {
+        "constant": {"value"},
+        "normal": {"loc", "scale"},
+        "student_t": {"loc", "scale", "df"},
+    },
 }
 
 
-def _check_init(spec, families: dict, label: str) -> None:
-    """Family, parameter names and parameter ranges of an initial-condition
-    spec."""
+def check_initial(role: str, spec) -> None:
+    """Raise ParameterError unless spec = {"family", "params"} is an initial
+    condition of the role: "leader" (a path on [-b, 0]) or "follower"."""
+    families = _INIT_KEYS[role]
+    if not isinstance(spec, Mapping):
+        raise ParameterError(f"{role} initial condition must be an object "
+                             f"{{'family', 'params'}}, got {spec!r}")
     family = spec.get("family")
-    if family not in families:
-        raise ParameterError(f"unknown {label} family {family!r}")
-    params = spec.get("params", {})
+    if not isinstance(family, str) or family not in families:
+        raise ParameterError(f"unknown {role} initial family {family!r}; "
+                             f"choose from {sorted(families)}")
+    params = _params(f"{role} initial", spec.get("params", {}))
     unknown = set(params) - families[family]
     if unknown:
         raise ParameterError(
-            f"unknown params {sorted(unknown)} for {label} family {family!r}")
-    if family == "student_t" and not float(params.get("df", 5.0)) > 2:
+            f"unknown params {sorted(unknown)} for {role} initial family {family!r}")
+    for key, val in params.items():
+        _real(f"{role} initial parameter {key!r}", val)
+    if family == "student_t" and not params.get("df", 5.0) > 2:
         raise ParameterError("student_t needs df > 2")
-    if family == "ou_path" and not float(params.get("theta", 1.0)) > 0:
+    if family == "ou_path" and not params.get("theta", 1.0) > 0:
         raise ParameterError("theta must be positive")
     for key in ("sigma", "vol"):
-        if float(params.get(key, 0.0)) < 0:
+        if params.get(key, 0.0) < 0:
             raise ParameterError(f"{key} must be nonnegative")
 
 
@@ -512,14 +551,16 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("n0", "n1", "p0", "p1"):
             val = getattr(self, name)
-            if not isinstance(val, int) or val < 1:
+            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {val!r}")
-        if not np.isfinite(float(self.q)) or float(self.q) < 2:
-            raise ParameterError(f"q must be >= 2, got {self.q!r}")
+        q = _real("q", self.q)
+        if q < 2:
+            raise ParameterError(f"q must be >= 2, got {q!r}")
         leader_init = self.leader_init or {"family": "constant", "params": {"value": 0.0}}
         follower_init = self.follower_init or {"family": "constant", "params": {"value": 0.0}}
-        _check_init(leader_init, _LEADER_INIT_KEYS, "leader initial-path")
-        _check_init(follower_init, _FOLLOWER_INIT_KEYS, "follower initial")
+        check_initial("leader", leader_init)
+        check_initial("follower", follower_init)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "leader_init", MappingProxyType(dict(leader_init)))
         object.__setattr__(self, "follower_init", MappingProxyType(dict(follower_init)))
 
@@ -573,8 +614,7 @@ def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed):
     volatility gives the exact exponential decay), scaled_brownian
     (increment variance sigma^2 h per step by construction).
     """
-    _check_init({"family": family, "params": params}, _LEADER_INIT_KEYS,
-                "initial-path")
+    check_initial("leader", {"family": family, "params": params})
     params = dict(params)
     dim = int(params.get("dim", 1))
     if dim < 1:
@@ -620,8 +660,8 @@ def _locate(spec, z) -> np.ndarray:
 
 def draw_follower_initial(spec: dict, rng, n1: int, size=None):
     """Draw follower initial states; shape (n1,) or (size, n1)."""
-    spec = {"family": spec.get("family"), "params": dict(spec.get("params", {}))}
-    _check_init(spec, _FOLLOWER_INIT_KEYS, "follower initial")
+    check_initial("follower", spec)
+    spec = {"family": spec["family"], "params": dict(spec.get("params", {}))}
     shape = (n1,) if size is None else (size, n1)
     if spec["family"] == "constant":
         return np.broadcast_to(
@@ -774,10 +814,9 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
             else:
                 full = loo = {name: arr[k] for name, arr in flow_features.items()}
             x0_delayed = leader_path[g - lags, :]
-            u0 = np.asarray(policies.leader_value(t, x0, full, model.p0), dtype=float)
-            v1 = np.asarray(
-                policies.follower_value(t, X, loo, x0_delayed, delays, model.p1),
-                dtype=float)
+            u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
+            v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
+                            dtype=float)
             if v1.shape != (P, model.p1):
                 v1 = np.broadcast_to(v1, (P, model.p1)).copy()
             controls_leader[k] = u0

@@ -330,16 +330,14 @@ def evaluate_costs_limit(model: ModelSpec, policies: PolicySet,
     J0 = 0.0
     Ji = np.zeros(N)
     for k in range(m):
-        t = grid.times[z0 + k]
         feats = zflow.features_at(k)
         x0 = x0_path[z0 + k]
-        u0 = np.asarray(policies.leader_value(t, x0, feats, model.p0), dtype=float)
+        u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
         J0 += float(coeffs.f0(x0, feats, u0)) * h
         X = x1_paths[:, k, :]
         x0_delayed = x0_path[z0 + k - lags, :]
-        v1 = np.asarray(
-            policies.follower_value(t, X, feats, x0_delayed, delays, model.p1),
-            dtype=float)
+        v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
+                        dtype=float)
         if v1.shape != (N, model.p1):
             v1 = np.broadcast_to(v1, (N, model.p1)).copy()
         Ji += np.asarray(coeffs.f1(X, feats, v1), dtype=float) * h

@@ -574,28 +574,6 @@ def _policies_equal(a: Policy, b: Policy) -> bool:
     return a.family == b.family and dict(a.params) == dict(b.params)
 
 
-def _deviant_follower_policy(profile: PolicySet, deviation: Policy,
-                             p1: int, index: int = 0) -> Policy:
-    """Follower policy equal to the profile except that follower `index`
-    plays the deviation."""
-    dev_set = PolicySet(profile.leader, deviation)
-
-    def fn(t, x1, feats, x0_delayed, deltas):
-        base = np.asarray(
-            profile.follower_value(t, x1, feats, x0_delayed, deltas, p1),
-            dtype=float)
-        if base.shape != x1.shape[:-1] + (p1,):
-            base = np.broadcast_to(base, x1.shape[:-1] + (p1,)).copy()
-        row = dev_set.follower_value(
-            t, x1[index:index + 1], feats, x0_delayed[index:index + 1],
-            deltas[index:index + 1], p1)
-        base = np.array(base)
-        base[index] = np.asarray(row, float).reshape(-1)[:p1]
-        return base
-
-    return Policy("custom", {"fn": fn})
-
-
 def _control_energy(controls, h) -> np.ndarray:
     """Rectangle-rule integral of |v_t|^2 per player; controls (..., m, p)."""
     sq = np.sum(np.asarray(controls, float) ** 2, axis=-1)
@@ -639,13 +617,10 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
 
     arms = [("profile", profile)]
     for k, pol in follower_devs:
-        mixed = PolicySet(
-            profile.leader, _deviant_follower_policy(profile, pol, model.p1),
-            holder_l=profile.holder_l)
-        arms.append((f"follower_dev_{k}", mixed))
+        arms.append((f"follower_dev_{k}",
+                     PolicySet(profile.leader, profile.follower, deviant=pol)))
     for k, pol in leader_devs:
-        arms.append((f"leader_dev_{k}",
-                     PolicySet(pol, profile.follower, holder_l=profile.holder_l)))
+        arms.append((f"leader_dev_{k}", PolicySet(pol, profile.follower)))
 
     def one_rep(r):
         ent = child_entropy(int(seed), REPLICATION, r)

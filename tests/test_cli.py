@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackmf.cli import (
     CSV_COLUMNS,
@@ -21,7 +23,7 @@ from stackmf.cli import (
     save_config,
     validate_config,
 )
-from stackmf.errors import ConfigError, ExperimentInvalidError
+from stackmf.errors import ConfigError, ExperimentInvalidError, StackmfError
 from stackmf.rates import eta_orthogonality_check
 
 
@@ -358,3 +360,127 @@ class TestMain:
         assert main(["run", "two-atom-delay-n1-1", "--dry-run",
                      "--out", str(tmp_path / "o")]) == 0
         assert "scenario two-atom-delay-n1-1" in capsys.readouterr().out
+
+
+_LAWS = (
+    {"family": "degenerate", "a": 0.125},
+    {"family": "discrete", "atoms": [0.0625, 0.125], "weights": [0.5, 0.5]},
+    {"family": "uniform", "lo": 0.0625, "hi": 0.125},
+)
+_BAD_VALUES = (True, "0.5", None, [1.0], float("nan"), float("inf"))
+_DELETE = object()
+# required keys: deleting one must be reported like a bad value
+_REQUIRED = {"T", "h", "b", "L", "a", "atoms", "weights", "lo", "hi"}
+
+
+def _numeric_sites(data):
+    """(field path, error path, key) of every numeric field the contract
+    covers; error path is the prefix of the validate line that names it."""
+    sites = [(("model", k), "model", k) for k in ("T", "h", "b", "L")]
+    sites += [(("model", "params", k), "model", k)
+              for k, v in data["model"]["params"].items()
+              if not isinstance(v, str)]
+    for k, v in data["delay_law"].items():
+        if k != "family":
+            sites.append((("delay_law", k), "delay_law", k))
+            if isinstance(v, (list, tuple)):
+                sites += [(("delay_law", k, i), "delay_law", k)
+                          for i in range(len(v))]
+    for key in ("leader_init", "follower_init"):
+        sites += [((key, "params", k), key, k) for k in data[key]["params"]]
+    for role in ("leader", "follower"):
+        sites += [(("policies", role, "params", k), f"policies.{role}", k)
+                  for k in data["policies"][role]["params"]]
+    return sites
+
+
+def _mutated(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return config_from_dict(data)
+
+
+class TestOneValidator:
+    """validate and build_objects read the same per-object rules, from the
+    constructors."""
+
+    def base(self, law):
+        return config_to_dict(dataclasses.replace(
+            presets()["linear-in-measure-n1-1"], delay_law=law))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_validate_agrees_with_build(self, data):
+        base = self.base(data.draw(st.sampled_from(_LAWS)))
+        path, where, key = data.draw(st.sampled_from(_numeric_sites(base)))
+        value = data.draw(st.sampled_from(_BAD_VALUES + (_DELETE,)))
+        if value is _DELETE and isinstance(path[-1], int):
+            value = None    # a list keeps its length; blank the element
+        cfg = _mutated(base, path, value)
+        errs = validate_config(cfg)
+        try:
+            build_objects(cfg)
+            built = True
+        except StackmfError:
+            built = False
+        assert (errs == []) == built, (path, value, errs)
+        if value is not _DELETE or key in _REQUIRED:
+            assert not built
+            assert any(e.startswith(f"{where}: ") and key in e
+                       for e in errs), (path, value, errs)
+
+    def test_every_object_error_in_one_pass(self):
+        cfg = small_state_gap()
+        bad = dataclasses.replace(
+            cfg, model=dict(cfg.model, L=-1.0),
+            delay_law={"family": "discrete", "atoms": [0.1, 0.3],
+                       "weights": [0.0, 1.0]},
+            follower_init={"family": "normal", "params": {"scale": "0.6"}},
+            policies={"leader": {"family": "custom", "params": {}},
+                      "follower": {"family": "affine",
+                                   "params": {"gain": True}}})
+        with pytest.raises(ConfigError) as err:
+            build_objects(bad)
+        paths = [v.split(":")[0] for v in err.value.violations]
+        assert paths == ["model", "delay_law", "follower_init",
+                         "policies.leader", "policies.follower"]
+        assert all(v in validate_config(bad) for v in err.value.violations)
+
+    def test_deviation_errors_name_their_entry(self):
+        cfg = presets()["epsilon-nash-n16"]
+        devs = list(cfg.extras["deviations"])
+        devs[1] = {"leader": {"family": "constant",
+                              "params": {"value": "0.5"}}}
+        bad = dataclasses.replace(cfg, extras=dict(cfg.extras,
+                                                   deviations=devs))
+        assert any(e.startswith("extras.deviations[1].leader: ")
+                   for e in validate_config(bad))
+
+    def test_integer_model_fields(self):
+        cfg = small_state_gap()
+        for value in (2.0, True):
+            bad = dataclasses.replace(cfg, model=dict(cfg.model, n1=value))
+            assert any(e.startswith("model: ") and "n1" in e
+                       for e in validate_config(bad)), value
+            with pytest.raises(ConfigError):
+                build_objects(bad)
+
+    @pytest.mark.parametrize("section, key", [
+        ("model", "n_1"), ("model", "featurez"), ("delay_law", "wieghts")])
+    def test_unknown_model_and_delay_keys_rejected(self, tmp_path, capsys,
+                                                   section, key):
+        cfg = presets()["two-atom-delay-n1-1"]
+        value = 2 if key == "n_1" else ["mean"]
+        bad = dataclasses.replace(
+            cfg, **{section: dict(getattr(cfg, section), **{key: value})})
+        assert any(f"{section}.{key}" in e for e in validate_config(bad))
+        path = tmp_path / f"{key}.json"
+        save_config(bad, path)
+        assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err

@@ -558,3 +558,88 @@ class TestCosts:
                            follower_init={"family": "normal", "params": {}})
         b = simulate_nplayer(model, ZERO_POLICIES, 5, DelayLaw.degenerate(0.0), 3)
         assert evaluate_costs_nplayer(b, model) == evaluate_costs_nplayer(b, model)
+
+
+class TestConstructorContracts:
+    """Every per-object rule lives in the constructor, and a constructor
+    answers any JSON value with a StackmfError."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: TimeGrid("-0.5", "1", "0.25"),
+        lambda: TimeGrid(-0.5, True, 0.25),
+        lambda: TimeGrid.over(None, 1.0, 0.25),
+        lambda: TimeGrid.over(0.5, [1.0], 0.25),
+        lambda: TimeGrid.over(0.5, 1.0, math.nan),
+        lambda: DelayLaw.degenerate(math.inf),
+        lambda: DelayLaw.uniform("0.1", 0.5),
+        lambda: DelayLaw.discrete(None, [1.0]),
+        lambda: DelayLaw.discrete([], []),
+        lambda: DelayLaw.discrete([0.1, 0.3], [0.0, 1.0]),
+        lambda: DelayLaw.discrete([0.1, 0.3], [True, 0.0]),
+        lambda: CoefficientSet("linear_quadratic", {"a1": "0.5"}, 1.0),
+        lambda: CoefficientSet("linear_quadratic", {"a1": True}, 1.0),
+        lambda: CoefficientSet("linear_quadratic", [1.0], 1.0),
+        lambda: CoefficientSet(["linear_quadratic"], {}, 1.0),
+        lambda: CoefficientSet("linear_quadratic", {}, None),
+        lambda: CoefficientSet("linear_quadratic", {}, 1.0, None),
+        lambda: Policy("affine", {"gain": "x"}),
+        lambda: Policy("constant", {"value": None}),
+        lambda: Policy("affine", [0.1]),
+        lambda: Policy(None),
+        lambda: make_model(n1=True),
+        lambda: make_model(n1=2.0),
+        lambda: make_model(q="6"),
+        lambda: make_model(follower_init={"family": "normal",
+                                          "params": {"scale": "0.5"}}),
+        lambda: make_model(leader_init={"family": "ou_path",
+                                        "params": {"vol": math.nan}}),
+        lambda: make_model(leader_init={"family": "ou_path", "params": [1]}),
+        lambda: make_model(follower_init=[("family", "normal")]),
+    ])
+    def test_bad_values_raise_validation_errors(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_step_must_divide_the_named_spans(self):
+        with pytest.raises(ValidationError, match="the lag span b"):
+            TimeGrid.over(0.1, 1.0, 0.25)
+        with pytest.raises(ValidationError, match="the horizon T"):
+            TimeGrid.over(0.25, 0.9, 0.25)
+
+    def test_values_normalized_to_floats(self):
+        assert TimeGrid.over(1, 2, 1) == TimeGrid(-1.0, 2.0, 1.0)
+        assert Policy("constant", {"value": 1}).params["value"] == 1.0
+        assert isinstance(make_model(q=6).q, float)
+
+    def test_custom_family_is_gone(self):
+        with pytest.raises(ParameterError):
+            Policy("custom", {"fn": lambda *a: 0.0})
+
+
+class TestDeviantPolicy:
+    @pytest.mark.parametrize("deviant", [
+        Policy("zero"),
+        Policy("constant", {"value": 0.7}),
+        Policy("affine", {"gain": -0.4, "gain_lead": 0.9, "offset": 0.1}),
+    ])
+    @pytest.mark.parametrize("follower", [
+        Policy("zero"),
+        Policy("constant", {"value": -0.2}),
+        Policy("affine", {"gain": 0.3, "gain_lead": -0.5}),
+    ])
+    def test_follower_zero_plays_the_deviant(self, deviant, follower):
+        rng = np.random.default_rng(0)
+        x1, x0_delayed = rng.normal(size=(5, 1)), rng.normal(size=(5, 1))
+        profile = PolicySet(Policy("zero"), follower)
+        mixed = PolicySet(Policy("zero"), follower, deviant=deviant)
+        alone = PolicySet(Policy("zero"), deviant)
+        v = mixed.follower_value(x1, x0_delayed, 1)
+        base = np.broadcast_to(profile.follower_value(x1, x0_delayed, 1),
+                               (5, 1))
+        assert v.shape == (5, 1)
+        assert np.array_equal(v[1:], base[1:])
+        assert np.array_equal(
+            v[0], np.broadcast_to(alone.follower_value(x1, x0_delayed, 1),
+                                  (5, 1))[0])
+        assert np.array_equal(mixed.leader_value(x1[0], 1),
+                              profile.leader_value(x1[0], 1))
