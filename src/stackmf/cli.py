@@ -60,6 +60,7 @@ from .dynamics import (
     PolicySet,
     TimeGrid,
     check_initial,
+    family_spec,
 )
 from .errors import (
     ConfigError,
@@ -137,6 +138,12 @@ class ScenarioConfig:
         object.__setattr__(self, "extras", _freeze(dict(self.extras)))
 
 
+# JSON types of the values ScenarioConfig copies into containers
+_SHAPES = {"model": dict, "delay_law": dict, "policies": dict, "extras": dict,
+           "leader_init": (dict, type(None)),
+           "follower_init": (dict, type(None)), "Ns": (list, tuple)}
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
     return dataclasses.asdict(config)
 
@@ -154,6 +161,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                      is dataclasses.MISSING)
     if missing:
         raise ConfigError([f"missing required key {k!r}" for k in missing])
+    wrong = [f"{k}: must be a JSON {'array' if k == 'Ns' else 'object'}, "
+             f"got {v!r}" for k, v in data.items()
+             if k in _SHAPES and not isinstance(v, _SHAPES[k])]
+    if wrong:
+        raise ConfigError(wrong)
     return ScenarioConfig(**data)
 
 
@@ -333,9 +345,7 @@ _DELAY_LAWS = {"degenerate": ("a",), "discrete": ("atoms", "weights"),
 
 
 def _policy(spec) -> Policy:
-    if not isinstance(spec, dict):
-        raise ParameterError(f"expected {{'family', 'params'}}, got {spec!r}")
-    return Policy(spec.get("family"), spec.get("params", {}))
+    return Policy(*family_spec("policy", spec))
 
 
 def _delay_law(spec: dict) -> DelayLaw:

@@ -68,6 +68,19 @@ def _params(label: str, params) -> dict:
     return dict(params)
 
 
+def family_spec(label: str, spec):
+    """(family, params) of a {"family", "params"} object; any other key is a
+    ParameterError."""
+    if not isinstance(spec, Mapping):
+        raise ParameterError(f"{label} must be an object "
+                             f"{{'family', 'params'}}, got {spec!r}")
+    unknown = sorted(set(spec) - {"family", "params"})
+    if unknown:
+        raise ParameterError(f"unknown keys {unknown} in {label}; expected "
+                             f"'family' and 'params'")
+    return spec.get("family"), spec.get("params", {})
+
+
 @dataclasses.dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [-b, T] with step h; hits 0 and T exactly."""
@@ -510,14 +523,11 @@ def check_initial(role: str, spec) -> None:
     """Raise ParameterError unless spec = {"family", "params"} is an initial
     condition of the role: "leader" (a path on [-b, 0]) or "follower"."""
     families = _INIT_KEYS[role]
-    if not isinstance(spec, Mapping):
-        raise ParameterError(f"{role} initial condition must be an object "
-                             f"{{'family', 'params'}}, got {spec!r}")
-    family = spec.get("family")
+    family, params = family_spec(f"{role} initial condition", spec)
     if not isinstance(family, str) or family not in families:
         raise ParameterError(f"unknown {role} initial family {family!r}; "
                              f"choose from {sorted(families)}")
-    params = _params(f"{role} initial", spec.get("params", {}))
+    params = _params(f"{role} initial", params)
     unknown = set(params) - families[family]
     if unknown:
         raise ParameterError(

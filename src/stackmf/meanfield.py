@@ -174,13 +174,9 @@ def _cloud_w2(points_a, points_b, idx_a, idx_b):
     """Exact W2 between uniform clouds after index subsampling."""
     a = points_a[idx_a] if idx_a is not None else points_a
     b = points_b[idx_b] if idx_b is not None else points_b
-    if a.shape[1] == 1:
-        mu = DiscreteMeasure(a, np.full(len(a), 1.0 / len(a)))
-        nu = DiscreteMeasure(b, np.full(len(b), 1.0 / len(b)))
-        return w2_exact_1d(mu, nu)
     mu = DiscreteMeasure(a, np.full(len(a), 1.0 / len(a)))
     nu = DiscreteMeasure(b, np.full(len(b), 1.0 / len(b)))
-    return w2_exact_lp(mu, nu)[0]
+    return w2_exact_1d(mu, nu) if a.shape[1] == 1 else w2_exact_lp(mu, nu)[0]
 
 
 def solve_conditional_law(model: ModelSpec, policies: PolicySet,

@@ -45,7 +45,7 @@ from .meanfield import (
     simulate_limit_pair,
     solve_conditional_law,
 )
-from .measures import DiscreteMeasure, w2_exact_1d, w2_exact_lp
+from .measures import DiscreteMeasure, _w2sq_integral, w2_exact_lp
 
 _SUPPORT_CAP = 512
 _SDE_SLOPE_TOL = 0.25       # path-gap slopes carry more Monte-Carlo noise
@@ -294,16 +294,6 @@ def _flow_support(flow: ConditionalLawFlow, cap: int, rng):
     return flat[idx], np.full(cap, 1.0 / cap)
 
 
-def _w2sq_to_flow(points, zpoints, zweights) -> float:
-    emp = DiscreteMeasure(points, np.full(len(points), 1.0 / len(points)))
-    zmu = DiscreteMeasure(zpoints, zweights)
-    if points.shape[1] == 1:
-        val = w2_exact_1d(emp, zmu)
-    else:
-        val = w2_exact_lp(emp, zmu)[0]
-    return val * val
-
-
 def _w2_time_integral(paths, flow: ConditionalLawFlow, rng,
                       cap: int = _SUPPORT_CAP) -> float:
     """Rectangle-rule integral over [0, T] of W2^2 between the empirical
@@ -311,18 +301,17 @@ def _w2_time_integral(paths, flow: ConditionalLawFlow, rng,
 
     Both supports are capped at `cap` points with the supplied generator;
     the subsample is drawn once and reused at every time index, and its
-    noise is part of the reported spread.
+    noise is part of the reported spread.  When n1 = 1 and the flow support
+    is exactly uniform (subsampled to the cap, or atom weights that give
+    exactly 1/len), all forward steps go through one uniform-core call;
+    weighted supports and n1 > 1 are measured step by step.
     """
-    grid = flow.grid
-    m = grid.forward_steps
     zflat, zw = _flow_support(flow, cap, rng)
     if paths.shape[0] > cap:
         idx = np.sort(rng.choice(paths.shape[0], cap, replace=False))
         paths = paths[idx]
-    total = 0.0
-    for k in range(m):
-        total += _w2sq_to_flow(paths[:, k, :], zflat[:, k, :], zw) * grid.h
-    return total
+    return _w2sq_integral(paths, zflat, zw, flow.grid.h,
+                          flow.grid.forward_steps)
 
 
 def _sup_sq_gap(a, b):
@@ -536,13 +525,8 @@ def synchronous_dominance_check(grid: TimeGrid, y_paths, x_paths):
     x = np.asarray(x_paths, float)
     if y.shape != x.shape or y.ndim != 3:
         raise ValidationError("paths must be matching (P, m+1, d) arrays")
-    P = y.shape[0]
-    lhs = 0.0
-    for k in range(grid.forward_steps):
-        mu = DiscreteMeasure(y[:, k, :], np.full(P, 1.0 / P))
-        nu = DiscreteMeasure(x[:, k, :], np.full(P, 1.0 / P))
-        val = w2_exact_1d(mu, nu) if y.shape[2] == 1 else w2_exact_lp(mu, nu)[0]
-        lhs += val * val * grid.h
+    lhs = _w2sq_integral(y, x, np.full(y.shape[0], 1.0 / y.shape[0]),
+                         grid.h, grid.forward_steps)
     rhs = grid.T * float(np.mean(_sup_sq_gap(y, x)))
     return lhs, rhs
 

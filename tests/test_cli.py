@@ -484,3 +484,51 @@ class TestOneValidator:
         save_config(bad, path)
         assert main(["validate", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+
+class TestSectionShapes:
+    """A section of the wrong JSON type, or an unknown key inside a policy
+    or initial-condition spec, is a config error naming its field."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("model", [1, 2]), ("leader_init", 5), ("delay_law", None),
+        ("policies", "affine"), ("extras", [0]), ("Ns", 16)])
+    def test_non_object_sections_exit_two(self, tmp_path, capsys, key, value):
+        data = config_to_dict(presets()["two-atom-delay-n1-1"])
+        data[key] = value
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert [v.split(":")[0] for v in err.value.violations] == [key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert f"invalid-config: {key}: " in capsys.readouterr().err
+
+    def test_null_initial_conditions_still_accepted(self):
+        data = config_to_dict(presets()["two-atom-delay-n1-1"])
+        data["leader_init"] = data["follower_init"] = None
+        assert config_from_dict(data).leader_init is None
+
+    @pytest.mark.parametrize("field, spec, key", [
+        ("policies.follower", {"family": "affine", "parms": {"gain": 1.0}},
+         "parms"),
+        ("follower_init", {"family": "normal", "param": {"scale": 0.6}},
+         "param"),
+        ("leader_init", {"family": "constant", "params": {}, "dims": 1},
+         "dims")])
+    def test_unknown_spec_keys_rejected(self, tmp_path, capsys, field, spec,
+                                        key):
+        cfg = presets()["two-atom-delay-n1-1"]
+        if field.startswith("policies."):
+            bad = dataclasses.replace(cfg, policies=dict(
+                cfg.policies, follower=spec))
+        else:
+            bad = dataclasses.replace(cfg, **{field: spec})
+        assert any(e.startswith(f"{field}: ") and repr(key) in e
+                   for e in validate_config(bad)), validate_config(bad)
+        with pytest.raises(ConfigError):
+            build_objects(bad)
+        path = tmp_path / f"{key}.json"
+        save_config(bad, path)
+        assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err

@@ -8,7 +8,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+
+from stackmf import measures
 
 from stackmf.errors import (
     CapacityError,
@@ -379,3 +383,63 @@ class TestEmpiricalRateCurve:
         a = empirical_rate_curve(2, [8, 16], reps=5, seed=9)[0]
         b = empirical_rate_curve(2, [8, 16], reps=5, seed=9)[0]
         assert np.array_equal(a, b)
+
+
+class TestUniformCore:
+    """The cached-grid core for uniform 1-D clouds gives the bytes of the
+    general quantile route, slice by slice."""
+
+    @staticmethod
+    def clouds(rng, T, n, spacing):
+        pts = rng.standard_normal((T, n))
+        if spacing:
+            # rounding makes ties, and -0.0 from small negative values
+            pts = np.round(pts / spacing) * spacing
+        zeros = rng.random((T, n)) < 0.1
+        pts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        return pts
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 600), m=st.integers(1, 600),
+           T=st.integers(1, 20), same=st.booleans(),
+           spacing=st.sampled_from([None, 1.0, 0.25]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_core_matches_general_route(self, n, m, T, same, spacing, seed):
+        m = n if same else m
+        rng = np.random.default_rng(seed)
+        a = self.clouds(rng, T, n, spacing)
+        b = self.clouds(rng, T, m, spacing)
+        core = measures._w2sq_uniform_1d(a, b)
+        assert core.shape == (T,)
+        wa, wb = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        for t in range(T):
+            ref = np.float64(measures._w2sq_weighted(a[t], wa, b[t], wb))
+            routed = np.float64(measures._w2sq_quantile(a[t], wa, b[t], wb))
+            assert core[t].tobytes() == ref.tobytes() == routed.tobytes()
+
+    def test_uniform_weights_take_the_core(self, monkeypatch):
+        def general(*args):
+            raise AssertionError("general route taken")
+        monkeypatch.setattr(measures, "_w2sq_weighted", general)
+        x = np.array([0.3, -1.0, 2.0])
+        assert measures._w2sq_quantile(x, np.full(3, 1 / 3), x[:2],
+                                       np.full(2, 0.5)) >= 0
+
+    @pytest.mark.parametrize("wx", [
+        [0.2, 0.3, 0.5],
+        [1 / 3, 1 / 3, 1 - 2 / 3],       # sums to 1 but is not exactly 1/3
+    ])
+    def test_other_weights_take_the_general_route(self, monkeypatch, wx):
+        def core(*args):
+            raise AssertionError("uniform core taken")
+        monkeypatch.setattr(measures, "_w2sq_uniform_1d", core)
+        x = np.array([0.3, -1.0, 2.0])
+        assert measures._w2sq_quantile(x, np.array(wx), x,
+                                       np.full(3, 1 / 3)) >= 0
+
+    def test_grid_is_cached_and_read_only(self):
+        grid = measures._uniform_grid(7, 12)
+        assert measures._uniform_grid(7, 12) is grid
+        for arr in grid:
+            with pytest.raises(ValueError):
+                arr[0] = 0

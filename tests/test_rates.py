@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stackmf import _rng, dynamics
+from stackmf import _rng, dynamics, measures, rates
 from stackmf._rng import REPLICATION, SharedNoise, child_entropy
 from stackmf.dynamics import (
     CoefficientSet,
@@ -22,7 +22,12 @@ from stackmf.errors import (
     ParameterError,
     ValidationError,
 )
-from stackmf.meanfield import simulate_limit_pair, solve_conditional_law
+from stackmf.meanfield import (
+    ConditionalLawFlow,
+    simulate_limit_pair,
+    solve_conditional_law,
+)
+from stackmf.measures import DiscreteMeasure, w2_exact_1d
 from stackmf.rates import (
     EpsilonReport,
     GapReport,
@@ -342,6 +347,70 @@ class TestStreamBudget:
             assert max(keys.values()) == 1
             assert len(keys) == 3 * max(Ns)
             assert len(keys) + singles[entropy] <= 3 * max(Ns) + 12
+
+
+def _step_by_step(a, b, wb, h, m):
+    """Rectangle rule with one w2_exact_1d call per step: the reference the
+    batched uniform route must match bit for bit."""
+    total = 0.0
+    for k in range(m):
+        val = w2_exact_1d(
+            DiscreteMeasure(a[:, k, :], np.full(a.shape[0], 1.0 / a.shape[0])),
+            DiscreteMeasure(b[:, k, :], wb))
+        total += val * val * h
+    return total
+
+
+class TestW2TimeIntegral:
+    grid = TimeGrid(-0.125, 0.5, 1.0 / 16)
+
+    def flow(self, weights, K=40, seed=3):
+        rng = np.random.default_rng(seed)
+        m = self.grid.forward_steps
+        atoms = [0.0625, 0.125][:len(weights)]
+        return ConditionalLawFlow(
+            grid=self.grid, atoms=np.array(atoms), weights=np.array(weights),
+            particles=rng.standard_normal((len(atoms), K, m + 1, 1)),
+            leader_path=np.zeros((m + 1, 1)), leader_seed=0, features={})
+
+    @pytest.mark.parametrize("weights, cap, uniform", [
+        ([1.0], 512, True),            # 1/K weights, exactly uniform
+        ([0.5, 0.5], 64, True),        # subsampled to the cap
+        ([0.3, 0.7], 512, False),      # weighted support, per step
+    ])
+    def test_equals_per_step_loop(self, monkeypatch, weights, cap, uniform):
+        flow = self.flow(weights)
+        paths = np.random.default_rng(9).standard_normal(
+            (12, self.grid.forward_steps + 1, 1))
+        paths[3] = paths[5]                              # a tie
+        calls = []
+        core = measures._w2sq_uniform_1d
+        monkeypatch.setattr(measures, "_w2sq_uniform_1d",
+                            lambda *a: calls.append(1) or core(*a))
+        got = rates._w2_time_integral(paths, flow,
+                                      np.random.default_rng(4), cap)
+        assert len(calls) == int(uniform)      # one call for all steps
+        zflat, zw = rates._flow_support(flow, cap, np.random.default_rng(4))
+        ref = _step_by_step(paths, zflat, zw, self.grid.h,
+                            self.grid.forward_steps)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    def test_non_finite_path_raises(self):
+        paths = np.zeros((6, self.grid.forward_steps + 1, 1))
+        paths[2, 3, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            rates._w2_time_integral(paths, self.flow([1.0]),
+                                    np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="non-finite"):
+            synchronous_dominance_check(self.grid, paths, np.zeros_like(paths))
+
+    def test_synchronous_dominance_equals_per_step_loop(self):
+        rng = np.random.default_rng(11)
+        y, x = rng.standard_normal((2, 9, self.grid.forward_steps + 1, 1))
+        lhs, _ = synchronous_dominance_check(self.grid, y, x)
+        ref = _step_by_step(y, x, np.full(9, 1.0 / 9), self.grid.h,
+                            self.grid.forward_steps)
+        assert np.float64(lhs).tobytes() == np.float64(ref).tobytes()
 
 
 class TestCouplingProperties:
