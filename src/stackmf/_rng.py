@@ -190,11 +190,6 @@ class SharedNoise:
         self.entropy = int(entropy)
         self._table = None
 
-    @property
-    def provenance(self) -> tuple:
-        """Seed record stored in trajectory bundles."""
-        return ("shared_noise", self.entropy)
-
     def leader_noise(self) -> np.random.Generator:
         return generator(self.entropy, LEADER_NOISE)
 

@@ -425,20 +425,23 @@ def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
 
 
 def resolve_threads(threads=None) -> int:
-    """--threads flag, then STACKMF_THREADS, then 1.
+    """--threads flag, then STACKMF_THREADS, then 1; a count below 1 from
+    either source is a ConfigError.
 
     Replications make many small numpy calls under the GIL, so more threads
     are often slower; the serial path is the default."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("STACKMF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                [f"STACKMF_THREADS must be an integer, got {env!r}"])
-    return 1
+    source, env = "--threads", os.environ.get("STACKMF_THREADS")
+    if threads is None:
+        if not env:
+            return 1
+        source, threads = "STACKMF_THREADS", env
+    try:
+        count = int(threads)
+    except ValueError:
+        raise ConfigError([f"{source} must be an integer, got {threads!r}"])
+    if count < 1:
+        raise ConfigError([f"{source} must be at least 1, got {threads!r}"])
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ left-endpoint coefficient evaluation; delays are snapped to the grid so the
 delayed lookup is an exact array index.
 
 One stepper, ``_euler``, advances the leader and its followers for every
-simulation in the package.  Only the measure argument differs: the N-player
-game reads the empirical features of the current states, leave-one-out for
-followers and over the full population for the leader; the limit twin and
-the Picard particle solver in ``meanfield`` read a prescribed feature flow.
+simulation in the package, for a block of independent replications at
+once.  Only the measure argument differs: the N-player game reads the
+empirical features of the current states, leave-one-out for followers and
+over the full population for the leader; the limit twin and the Picard
+particle solver in ``meanfield`` read a prescribed feature flow.
 """
 from __future__ import annotations
 
@@ -400,17 +401,18 @@ def _phi_block(name, X):
 def follower_feature_arrays(X, names):
     """Full and leave-one-out empirical feature averages.
 
-    X: (N, n1) current follower states.  Returns (full, loo) dicts,
-    full[name]: (k,), loo[name]: (N, k).  Totals are accumulated through a
-    sorted sum so they are bit-identical under follower relabeling.
+    X: (..., N, n1) current follower states, N per leading index.  Returns
+    (full, loo) dicts, full[name]: (..., k), loo[name]: (..., N, k).  Totals
+    are accumulated through a sorted sum along the follower axis, so they
+    are bit-identical under follower relabeling.
     """
-    N = X.shape[0]
+    N = X.shape[-2]
     full, loo = {}, {}
     for name in names:
         phi = _phi_block(name, X)
-        total = exact_sum(phi, axis=0)
+        total = exact_sum(phi, axis=-2)
         full[name] = total / N
-        loo[name] = (total[None, :] - phi) / (N - 1)
+        loo[name] = (total[..., None, :] - phi) / (N - 1)
     return full, loo
 
 
@@ -483,21 +485,23 @@ class PolicySet:
     deviant: Policy | None = None
 
     def leader_value(self, x0, p0):
+        """Controls (..., p0) of the leaders with states x0 (..., n0)."""
         pol = self.leader
         if pol.family == "zero":
-            return np.zeros(p0)
+            return np.zeros(np.shape(x0)[:-1] + (p0,))
         if pol.family == "constant":
-            return np.full(p0, pol.params["value"])
+            return np.full(np.shape(x0)[:-1] + (p0,), pol.params["value"])
         return pol.params.get("gain", 0.0) * x0 + pol.params.get("offset", 0.0)
 
     def follower_value(self, x1, x0_delayed, p1):
-        """Controls of the followers with states x1 (P, n1) that read the
-        leader states x0_delayed (P, n0); one row per follower."""
+        """Controls of the followers with states x1 (..., P, n1) that read
+        the leader states x0_delayed (..., P, n0); one row per follower."""
         v = _follower_control(self.follower, x1, x0_delayed, p1)
         if self.deviant is None:
             return v
         v = np.array(np.broadcast_to(v, x1.shape[:-1] + (p1,)))
-        v[0] = _follower_control(self.deviant, x1[0], x0_delayed[0], p1)
+        v[..., 0, :] = _follower_control(self.deviant, x1[..., 0, :],
+                                         x0_delayed[..., 0, :], p1)
         return v
 
 
@@ -578,26 +582,27 @@ class ModelSpec:
 @dataclasses.dataclass(frozen=True)
 class TrajectoryBundle:
     """One N-player replication: leader path on [-b, T], follower paths on
-    [0, T], applied delays, controls, and seed provenance."""
+    [0, T], applied delays and controls; a bundle of R replications has a
+    leading axis R on every array."""
 
     grid: TimeGrid
     leader_path: np.ndarray
     follower_paths: np.ndarray
     delays: np.ndarray
-    noise_seeds: tuple
     controls_applied: dict
 
     def __post_init__(self):
         lead = np.asarray(self.leader_path, dtype=float)
         fol = np.asarray(self.follower_paths, dtype=float)
-        if lead.ndim != 2 or lead.shape[0] != self.grid.n_steps + 1:
+        if lead.ndim not in (2, 3) or lead.shape[-2] != self.grid.n_steps + 1:
             raise DimensionError(f"leader path shape {lead.shape}")
-        if fol.ndim != 3 or fol.shape[1] != self.grid.forward_steps + 1:
+        if fol.shape[:-3] != lead.shape[:-2] or fol.ndim != lead.ndim + 1 \
+                or fol.shape[-2] != self.grid.forward_steps + 1:
             raise DimensionError(f"follower paths shape {fol.shape}")
         if not np.all(np.isfinite(lead)) or not np.all(np.isfinite(fol)):
             raise ValidationError("non-finite state in trajectory bundle")
         delays = np.asarray(self.delays, dtype=float)
-        if delays.shape != (fol.shape[0],):
+        if delays.shape != fol.shape[:-2]:
             raise DimensionError("one delay per follower required")
         object.__setattr__(self, "leader_path", lead)
         object.__setattr__(self, "follower_paths", fol)
@@ -605,7 +610,7 @@ class TrajectoryBundle:
 
     @property
     def N(self) -> int:
-        return self.follower_paths.shape[0]
+        return self.follower_paths.shape[-3]
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +752,8 @@ class Draws:
     streams depend on its index only, so they equal what ``sample`` would
     derive for n followers.  Pass one object to ``simulate_nplayer``,
     ``simulate_limit_pair`` and ``solve_conditional_law`` to drive them from
-    the same noise without deriving any stream again.
+    the same noise without deriving any stream again.  ``stack`` puts the
+    draws of R replications along a leading axis R of every array.
     """
 
     leader_init_path: np.ndarray
@@ -758,15 +764,32 @@ class Draws:
 
     def __post_init__(self):
         n = np.shape(self.delays)
-        if len(n) != 1 or np.shape(self.follower_init)[:1] != n \
-                or np.shape(self.follower_noise)[:1] != n:
+        if len(n) not in (1, 2) or np.shape(self.follower_init)[:len(n)] != n \
+                or np.shape(self.follower_noise)[:len(n)] != n:
             raise DimensionError(
                 "follower_init, follower_noise and delays need one row per "
                 "follower")
 
     @property
     def N(self) -> int:
-        return len(self.delays)
+        return np.shape(self.delays)[-1]
+
+    @property
+    def stacked(self) -> bool:
+        """True for the draws of several replications (``stack``)."""
+        return np.ndim(self.delays) == 2
+
+    @classmethod
+    def stack(cls, draws) -> "Draws":
+        """The draws of R replications of N followers each, in order along
+        a leading axis R of every array (delays (R, N) and so on); one
+        replication gives views.  ``head(n)`` of stacked draws keeps the
+        first n followers of every replication."""
+        draws = list(draws)
+        join = (lambda a: np.asarray(a[0])[None]) if len(draws) == 1 \
+            else np.stack
+        return cls(*(join([getattr(d, f.name) for d in draws])
+                     for f in dataclasses.fields(cls)))
 
     @classmethod
     def sample(cls, model: ModelSpec, delay_law: DelayLaw, noise: SharedNoise,
@@ -781,20 +804,35 @@ class Draws:
         if not 1 <= n <= self.N:
             raise ValidationError(f"need 1 <= n <= {self.N}, got {n}")
         return dataclasses.replace(
-            self, follower_init=self.follower_init[:n],
-            follower_noise=self.follower_noise[:n], delays=self.delays[:n])
+            self, follower_init=self.follower_init[..., :n, :],
+            follower_noise=self.follower_noise[..., :n, :, :],
+            delays=self.delays[..., :n])
+
+
+def _flow_at(flow_features, k):
+    """(leader, follower) feature dicts at forward step k of flow features
+    name -> (..., m+1, dim): shapes (..., dim) and (..., 1, dim)."""
+    return ({name: arr[..., k, :] for name, arr in flow_features.items()},
+            {name: arr[..., k, None, :] for name, arr in flow_features.items()})
 
 
 def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
            delays, flow_features=None):
-    """Explicit Euler for the leader and P followers stepped together.
+    """Explicit Euler for R replications of a leader and P followers.
 
-    Follower p reads the leader lagged by delays[p] (grid multiples).  With
+    Every input leads with the replication axis R (R = 1 for one run):
+    xi0 (R, zero_index + 1, n0), X0 (R, P, n1), zeta0 (R, m, n0), zeta1
+    (R, P, m, n1), delays (R, P) in grid multiples.  Follower p of
+    replication r reads its leader lagged by delays[r, p].  With
     flow_features None the measure argument is the empirical one of the
-    current follower states (full for the leader, leave-one-out for
-    followers); otherwise every player reads flow_features[name][k] at
-    forward step k.  Returns (leader path on [-b, T], follower paths
-    (P, m+1, n1), leader controls (m, p0), follower controls (P, m, p1)).
+    replication's current follower states (full for the leader,
+    leave-one-out for followers); otherwise replication r reads
+    flow_features[name][r, k], (R, m+1, dim), at forward step k.  Row r
+    equals the run of replication r alone, byte for byte.  A non-finite
+    row keeps stepping; at the end SimulationDivergedError names the first
+    non-finite forward step of the earliest such row.  Returns leader paths
+    (R, n_steps + 1, n0), follower paths (R, P, m+1, n1), leader controls
+    (R, m, p0) and follower controls (R, P, m, p1).
     """
     grid = model.grid
     h = grid.h
@@ -804,42 +842,49 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     coeffs = model.coefficients
     names = coeffs.measure_features
     X = np.array(X0, dtype=float)
-    P = X.shape[0]
+    R, P = X.shape[:2]
     lags = np.round(delays / h).astype(int)
-    leader_path = np.empty((grid.n_steps + 1, model.n0))
-    leader_path[:z0 + 1] = xi0
-    follower_paths = np.empty((P, m + 1, model.n1))
-    follower_paths[:, 0, :] = X
-    controls_leader = np.empty((m, model.p0))
-    controls_followers = np.empty((P, m, model.p1))
-    x0 = np.array(leader_path[z0], dtype=float)
+    rows = np.arange(R)[:, None]
+    leader_path = np.empty((R, grid.n_steps + 1, model.n0))
+    leader_path[:, :z0 + 1] = xi0
+    follower_paths = np.empty((R, P, m + 1, model.n1))
+    follower_paths[:, :, 0, :] = X
+    controls_leader = np.empty((R, m, model.p0))
+    controls_followers = np.empty((R, P, m, model.p1))
+    x0 = np.array(leader_path[:, z0], dtype=float)
 
-    # overflow during coefficient evaluation is caught by the explosion guard
+    # a diverging replication overflows; the check after the loop finds it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(m):
             g = z0 + k
-            t = grid.times[g]
             if flow_features is None:
                 full, loo = follower_feature_arrays(X, names)
             else:
-                full = loo = {name: arr[k] for name, arr in flow_features.items()}
-            x0_delayed = leader_path[g - lags, :]
+                full, loo = _flow_at(flow_features, k)
+            x0_delayed = leader_path[rows, g - lags]
             u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
             v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
                             dtype=float)
-            if v1.shape != (P, model.p1):
-                v1 = np.broadcast_to(v1, (P, model.p1)).copy()
-            controls_leader[k] = u0
-            controls_followers[:, k, :] = v1
+            if v1.shape != (R, P, model.p1):
+                v1 = np.broadcast_to(v1, (R, P, model.p1)).copy()
+            controls_leader[:, k] = u0
+            controls_followers[:, :, k, :] = v1
             x0 = x0 + coeffs.g0(x0, full, u0) * h \
-                + coeffs.sigma0(x0, full, u0) * sqrt_h * zeta0[k]
+                + coeffs.sigma0(x0, full, u0) * sqrt_h * zeta0[:, k]
             X = X + coeffs.g1(X, loo, v1) * h \
-                + coeffs.sigma1(X, loo, v1) * sqrt_h * zeta1[:, k, :]
-            if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(X))):
-                raise SimulationDivergedError(
-                    k, f"non-finite state at forward step {k} (t={t!r})")
-            leader_path[g + 1] = x0
-            follower_paths[:, k + 1, :] = X
+                + coeffs.sigma1(X, loo, v1) * sqrt_h * zeta1[:, :, k, :]
+            leader_path[:, g + 1] = x0
+            follower_paths[:, :, k + 1, :] = X
+    # a non-finite state stays non-finite (x + increment), so the last
+    # states show every divergence
+    finite = np.isfinite(x0).all(-1) & np.isfinite(X).all((-2, -1))
+    if not finite.all():
+        r = int(np.argmin(finite))
+        bad = ~(np.isfinite(leader_path[r, z0 + 1:]).all(-1)
+                & np.isfinite(follower_paths[r, :, 1:]).all((0, 2)))
+        k = int(np.argmax(bad))
+        raise SimulationDivergedError(
+            k, f"non-finite state at forward step {k} (t={grid.times[z0 + k]!r})")
     return leader_path, follower_paths, controls_leader, controls_followers
 
 
@@ -850,7 +895,9 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
 
     seed: integer master seed or a SharedNoise.  draws: the random inputs
     of exactly these N followers (see ``Draws``); when None they are drawn
-    from the streams of seed.  Increments are
+    from the streams of seed.  Stacked draws (``Draws.stack``) run R
+    replications in one call and give a bundle with a leading axis R; seed
+    is not read then.  Increments are
     drift * h + diffusion * sqrt(h) * zeta with left-endpoint coefficients;
     interaction features are recomputed each step, leave-one-out for
     followers and full-population for the leader.
@@ -860,27 +907,30 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
     if delay_law.b > model.grid.b + _GRID_TOL:
         raise ValidationError(
             f"delay bound {delay_law.b!r} exceeds grid history b={model.grid.b!r}")
-    noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
     if draws is None:
+        noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
         draws = Draws.sample(model, delay_law, noise, N)
     elif draws.N != N:
         raise ValidationError(f"draws hold {draws.N} followers, not N={N}")
-    delays = snap_delays_to_grid(draws.delays, model.grid)
-    leader_path, follower_paths, u, v = _euler(
-        model, policies, draws.leader_init_path, draws.follower_init,
-        draws.leader_noise, draws.follower_noise, delays)
+    batch = draws if draws.stacked else Draws.stack([draws])
+    delays = snap_delays_to_grid(batch.delays, model.grid)
+    out = _euler(model, policies, batch.leader_init_path, batch.follower_init,
+                 batch.leader_noise, batch.follower_noise, delays)
+    if not draws.stacked:
+        out, delays = [a[0] for a in out], delays[0]
+    leader_path, follower_paths, u, v = out
     return TrajectoryBundle(
         grid=model.grid,
         leader_path=leader_path,
         follower_paths=follower_paths,
         delays=delays,
-        noise_seeds=noise.provenance,
         controls_applied={"leader": u, "followers": v},
     )
 
 
 def evaluate_costs_nplayer(bundle: TrajectoryBundle, model: ModelSpec):
-    """Single-replication cost values (J0N, [JiN for each follower]).
+    """Single-replication cost values (J0N, [JiN for each follower]); for a
+    bundle of R replications, arrays J0N (R,) and JiN (R, N).
 
     Rectangle rule in time (left endpoints) plus terminal costs; follower
     running costs see leave-one-out features, the leader sees the full
@@ -892,21 +942,22 @@ def evaluate_costs_nplayer(bundle: TrajectoryBundle, model: ModelSpec):
     h = grid.h
     m = grid.forward_steps
     z0 = grid.zero_index
-    N = bundle.N
+    lead = bundle.leader_path
     u = bundle.controls_applied["leader"]
     v = bundle.controls_applied["followers"]
-    J0 = 0.0
-    Ji = np.zeros(N)
+    J0 = np.zeros(lead.shape[:-2])
+    Ji = np.zeros(bundle.delays.shape)
     for k in range(m):
-        X = bundle.follower_paths[:, k, :]
+        X = bundle.follower_paths[..., k, :]
         full, loo = follower_feature_arrays(X, names)
-        x0 = bundle.leader_path[z0 + k]
-        J0 += float(coeffs.f0(x0, full, u[k])) * h
-        Ji += np.asarray(coeffs.f1(X, loo, v[:, k, :]), dtype=float) * h
-    X = bundle.follower_paths[:, m, :]
+        J0 += coeffs.f0(lead[..., z0 + k, :], full, u[..., k, :]) * h
+        Ji += coeffs.f1(X, loo, v[..., k, :]) * h
+    X = bundle.follower_paths[..., m, :]
     full, loo = follower_feature_arrays(X, names)
-    J0 += float(coeffs.h0(bundle.leader_path[z0 + m], full))
-    Ji += np.asarray(coeffs.h1(X, loo), dtype=float)
+    J0 += coeffs.h0(lead[..., z0 + m, :], full)
+    Ji += coeffs.h1(X, loo)
+    if lead.ndim == 3:
+        return J0, Ji
     return float(J0), [float(val) for val in Ji]
 
 

@@ -29,6 +29,7 @@ from .dynamics import (
     PolicySet,
     TimeGrid,
     _euler,
+    _flow_at,
     _follower_draws,
     _leader_draws,
     _phi_block,
@@ -91,9 +92,6 @@ class ConditionalLawFlow:
         pts = self.particles[:, :, time_index, :].reshape(-1, self.particles.shape[3])
         w = np.repeat(self.weights / self.K, self.K)
         return DiscreteMeasure(pts, w / w.sum())
-
-    def features_at(self, time_index: int) -> dict:
-        return {name: arr[time_index] for name, arr in self.features.items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,9 +235,10 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
 
     def simulate(feats_seq):
         leader_path, parts, _, _ = _euler(
-            model, policies, xi0, X0.reshape(cloud_size, model.n1), zeta0,
-            zeta, delays, feats_seq)
-        return leader_path, parts.reshape(n_atoms, K, m + 1, model.n1)
+            model, policies, xi0[None], X0.reshape(1, cloud_size, model.n1),
+            zeta0[None], zeta[None], delays[None],
+            {name: arr[None] for name, arr in feats_seq.items()})
+        return leader_path[0], parts.reshape(n_atoms, K, m + 1, model.n1)
 
     # iteration 0: features of the initial clouds, frozen in time
     feats0 = _features_of_clouds(X0[:, :, None, :], weights, names)
@@ -277,6 +276,12 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     return flow, report
 
 
+def _stacked_features(flows):
+    """name -> (R, m+1, dim) feature trajectories of R flows."""
+    return {name: np.stack([f.features[name] for f in flows])
+            for name in flows[0].features}
+
+
 def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
                         zflow: ConditionalLawFlow, shared_noise: SharedNoise,
                         delays, draws: Draws | None = None):
@@ -286,14 +291,21 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
     Returns (x0 path on [-b, T], x1 paths (N, m+1, n1)).  Coefficient
     z-arguments are read from zflow.  draws: the leader and follower noise
     of these N followers, already drawn from shared_noise's streams (its
-    delays are not read); when None they are drawn here.
+    delays are not read); when None they are drawn here.  Stacked draws
+    (``Draws.stack``) run R replications in one call: zflow and
+    shared_noise are then the R flows and SharedNoises in order, delays
+    (R, N), and both paths gain a leading axis R.
     """
-    if not isinstance(shared_noise, SharedNoise):
-        raise ValidationError("shared_noise must be a SharedNoise instance")
-    if zflow.leader_seed != shared_noise.entropy:
-        raise ValidationError(
-            f"flow conditions on leader seed {zflow.leader_seed}, "
-            f"shared noise has entropy {shared_noise.entropy}")
+    stacked = draws is not None and draws.stacked
+    flows, noises = (zflow, shared_noise) if stacked \
+        else ([zflow], [shared_noise])
+    for flow, noise in zip(flows, noises, strict=True):
+        if not isinstance(noise, SharedNoise):
+            raise ValidationError("shared_noise must be a SharedNoise instance")
+        if flow.leader_seed != noise.entropy:
+            raise ValidationError(
+                f"flow conditions on leader seed {flow.leader_seed}, "
+                f"shared noise has entropy {noise.entropy}")
     delays = snap_delays_to_grid(np.asarray(delays, dtype=float), model.grid)
     if delays.max(initial=0.0) > model.grid.b + 1e-12:
         raise ValidationError("delay exceeds grid history")
@@ -301,45 +313,53 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
         draws = Draws(*_leader_draws(model, shared_noise),
                       *_follower_draws(model, shared_noise, delays.size),
                       delays)
-    elif draws.N != delays.size:
+    elif draws.N != delays.shape[-1]:
         raise ValidationError(
-            f"draws hold {draws.N} followers, delays {delays.size}")
+            f"draws hold {draws.N} followers, delays {delays.shape[-1]}")
+    batch = draws if stacked else Draws.stack([draws])
     x0_path, x1_paths, _, _ = _euler(
-        model, policies, draws.leader_init_path, draws.follower_init,
-        draws.leader_noise, draws.follower_noise, delays, zflow.features)
-    return x0_path, x1_paths
+        model, policies, batch.leader_init_path, batch.follower_init,
+        batch.leader_noise, batch.follower_noise,
+        delays.reshape(len(flows), -1), _stacked_features(flows))
+    if stacked:
+        return x0_path, x1_paths
+    return x0_path[0], x1_paths[0]
 
 
 def evaluate_costs_limit(model: ModelSpec, policies: PolicySet,
                          zflow: ConditionalLawFlow, x0_path, x1_paths, delays):
     """Limit-system costs (J0, [Ji]) for trajectories produced by
     simulate_limit_pair; controls are recomputed from the same policies and
-    flow features, so the values are deterministic given the paths."""
+    flow features, so the values are deterministic given the paths.  For
+    stacked paths of R replications, zflow is their R flows and the costs
+    are arrays J0 (R,) and Ji (R, N)."""
     grid = model.grid
     h = grid.h
     m = grid.forward_steps
     z0 = grid.zero_index
     coeffs = model.coefficients
-    delays = np.asarray(delays, dtype=float)
-    lags = np.round(delays / h).astype(int)
-    N = x1_paths.shape[0]
-    J0 = 0.0
-    Ji = np.zeros(N)
+    stacked = np.ndim(x0_path) == 3
+    feats = _stacked_features(zflow) if stacked else zflow.features
+    lags = np.round(np.asarray(delays, dtype=float) / h).astype(int)
+    J0 = np.zeros(np.shape(x0_path)[:-2])
+    Ji = np.zeros(lags.shape)
     for k in range(m):
-        feats = zflow.features_at(k)
-        x0 = x0_path[z0 + k]
+        lead, fol = _flow_at(feats, k)
+        x0 = x0_path[..., z0 + k, :]
         u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
-        J0 += float(coeffs.f0(x0, feats, u0)) * h
-        X = x1_paths[:, k, :]
-        x0_delayed = x0_path[z0 + k - lags, :]
+        J0 += coeffs.f0(x0, lead, u0) * h
+        X = x1_paths[..., k, :]
+        x0_delayed = np.take_along_axis(x0_path, (z0 + k - lags)[..., None],
+                                        axis=-2)
         v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
                         dtype=float)
-        if v1.shape != (N, model.p1):
-            v1 = np.broadcast_to(v1, (N, model.p1)).copy()
-        Ji += np.asarray(coeffs.f1(X, feats, v1), dtype=float) * h
-    feats = zflow.features_at(m)
-    J0 += float(coeffs.h0(x0_path[z0 + m], feats))
-    Ji += np.asarray(coeffs.h1(x1_paths[:, m, :], feats), dtype=float)
+        v1 = np.broadcast_to(v1, lags.shape + (model.p1,))
+        Ji += coeffs.f1(X, fol, v1) * h
+    lead, fol = _flow_at(feats, m)
+    J0 += coeffs.h0(x0_path[..., z0 + m, :], lead)
+    Ji += coeffs.h1(x1_paths[..., m, :], fol)
+    if stacked:
+        return J0, Ji
     return float(J0), [float(v) for v in Ji]
 
 

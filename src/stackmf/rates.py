@@ -9,12 +9,15 @@ log gap against log N, which is then compared to the predicted exponent
 for the scenario's regime.
 
 Replications are independent work units seeded by (master seed, index), so
-thread count never changes the numbers.
+thread count never changes the numbers, nor does the block of replications
+a gap experiment steps them in.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import types
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -35,6 +38,7 @@ from .dynamics import (
 from .errors import (
     ExperimentInvalidError,
     ParameterError,
+    SimulationDivergedError,
     ValidationError,
 )
 from .meanfield import (
@@ -48,6 +52,9 @@ from .meanfield import (
 from .measures import DiscreteMeasure, _w2sq_integral, w2_exact_lp
 
 _SUPPORT_CAP = 512
+# replications a gap experiment steps together; fixed for every workload and
+# thread count.  A block holds a flow per replication, so memory grows with it
+_BLOCK = 8
 _SDE_SLOPE_TOL = 0.25       # path-gap slopes carry more Monte-Carlo noise
 _MEASURE_SLOPE_TOL = 0.15
 _FAIL_FRACTION = 0.05
@@ -128,14 +135,6 @@ class EpsilonReport:
     def __post_init__(self):
         if self.epsilon_hat < 0 or self.epsilon2_hat < 0:
             raise ValidationError("epsilon estimates must be nonnegative")
-
-    @property
-    def best_follower_cost(self):
-        return min(self.follower_costs, default=None)
-
-    @property
-    def best_leader_cost(self):
-        return min(self.leader_costs, default=None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,12 +255,15 @@ def _check_ns(Ns, min_n):
     return tuple(Ns)
 
 
-def _run_replications(fn, reps, threads):
-    """fn(r) for r in range(reps), results in replication order."""
+def _run_replications(fn, units, threads):
+    """fn(i) for i in range(units), results and the first error in order.
+
+    A unit is a replication, or a block of them in the gap experiments;
+    its result depends on its index only, whatever the thread count."""
     if threads is None or int(threads) <= 1:
-        return [fn(r) for r in range(reps)]
+        return [fn(i) for i in range(units)]
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, range(reps)))
+        return list(pool.map(fn, range(units)))
 
 
 def _partition_for(law: DelayLaw, model: ModelSpec, N: int, level):
@@ -363,43 +365,75 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
                     Ns, reps: int, K: int, seed, scenario, regime, tol,
                     max_iter, damping, partition_level, slope_tol, threads,
                     *, min_n: int, curve_names, quantity: str,
-                    rate_quantity: str, measure) -> GapReport:
+                    rate_quantity: str, nplayer: bool, twin_size, measure,
+                    twin_costs: bool = False) -> GapReport:
     """Replication driver shared by the three gap experiments.
 
-    Per replication: fix a leader noise realization, draw the random
-    inputs of max(Ns) followers once (``Draws``), solve the conditional law
-    once per distinct delay partition, and record
-    measure(noise, draws, N, flow) -> one value per curve name for every N;
-    the callback takes the followers it needs from the head of `draws`.
-    Means over replications become the curves; the slope is fitted on
-    `quantity` and compared with the prediction for `rate_quantity`.
+    Per replication: fix a leader noise realization, draw the inputs of
+    max(Ns) followers once and solve the conditional law once per delay
+    partition key.  Blocks of ``_BLOCK`` replications then share stacked
+    calls: per key one limit twin of twin_size(N) followers for the key's
+    largest N (priced too with `twin_costs`), per N one N-player run (with
+    `nplayer`); measure(noises, flows, N, bundle, twin) slices them into
+    one row of curve values per replication.  A key's flows go before the
+    next key is solved.  A block that diverges runs again one replication
+    at a time with a twin per N, to raise the error a serial loop meets
+    first.  Means over replications become the curves; the slope is fitted
+    on `quantity` and compared with the prediction for `rate_quantity`.
     """
     Ns = _check_ns(Ns, min_n)
     if reps < 50:
         raise ValidationError(f"need reps >= 50, got {reps}")
     parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
 
-    def one_rep(r):
-        ent = child_entropy(int(seed), REPLICATION, r)
-        noise = SharedNoise(ent)
-        draws = Draws.sample(model, delay_law, noise, Ns[-1])
-        flows = {}
-        failed = False
-        out = np.empty((len(curve_names), len(Ns)))
-        for j, N in enumerate(Ns):
-            key = parts[N]
-            if key not in flows:
+    def run_block(noises, serial=False):
+        samples = [Draws.sample(model, delay_law, noise, Ns[-1])
+                   for noise in noises]
+        draws = Draws.stack(samples)
+        out = np.empty((len(noises), len(curve_names), len(Ns)))
+        failed = np.zeros(len(noises), dtype=bool)
+        for key, group in itertools.groupby(Ns, parts.get):
+            group = list(group)
+            flows = []
+            for r, noise in enumerate(noises):
                 flow, rep = solve_conditional_law(
-                    model, policies, key, ent, K,
-                    tol=tol, max_iter=max_iter, damping=damping, draws=draws)
-                flows[key] = flow
-                failed = failed or not rep.converged
-            out[:, j] = measure(noise, draws, N, flows[key])
+                    model, policies, key, noise.entropy, K, tol=tol,
+                    max_iter=max_iter, damping=damping, draws=samples[r])
+                # all the twin reads of a flow; the particles can go
+                flows.append(types.SimpleNamespace(
+                    leader_seed=flow.leader_seed, features=flow.features)
+                    if twin_costs else flow)
+                failed[r] |= not rep.converged
+
+            def twin(N):
+                d = draws.head(twin_size(N))
+                x0, x1 = simulate_limit_pair(model, policies, flows, noises,
+                                             d.delays, d)
+                return evaluate_costs_limit(model, policies, flows, x0, x1,
+                                            d.delays) if twin_costs else (x0, x1)
+
+            shared = None if serial else twin(group[-1])
+            for N in group:
+                bundle = simulate_nplayer(
+                    model, policies, N, delay_law, noises,
+                    draws.head(N)) if nplayer else None
+                out[:, :, Ns.index(N)] = measure(
+                    noises, flows, N, bundle, twin(N) if serial else shared)
         return out, failed
 
-    results = _run_replications(one_rep, int(reps), threads)
-    fails = _check_failures([f for _, f in results], reps)
-    stack = np.stack([row for row, _ in results])    # (reps, curves, nN)
+    def one_block(b):
+        noises = [SharedNoise(child_entropy(int(seed), REPLICATION, r))
+                  for r in range(b * _BLOCK, min((b + 1) * _BLOCK, reps))]
+        try:
+            return run_block(noises)
+        except SimulationDivergedError:
+            for noise in noises:
+                run_block([noise], serial=True)
+            raise
+
+    results = _run_replications(one_block, -(-int(reps) // _BLOCK), threads)
+    fails = _check_failures(np.concatenate([f for _, f in results]), reps)
+    stack = np.concatenate([rows for rows, _ in results])  # (reps, curves, nN)
     curves = {name: _aggregate(stack[:, i, :])
               for i, name in enumerate(curve_names)}
     slope, stderr, r2 = _fit_or_undefined(Ns, curves[quantity][0])
@@ -431,16 +465,16 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
     mean, their sum (the fitted quantity), and the time integral of W2^2
     between the leave-one-out limit empirical and the flow.
     """
-    def measure(noise, draws, N, flow):
-        draws = draws.head(N)
-        bundle = simulate_nplayer(model, policies, N, delay_law, noise, draws)
-        x0, x1 = simulate_limit_pair(
-            model, policies, flow, noise, bundle.delays, draws)
-        lead = float(_sup_sq_gap(bundle.leader_path, x0))
-        fol = _atom_sup_mean(
-            _sup_sq_gap(bundle.follower_paths, x1), bundle.delays)
-        return (lead, fol, lead + fol,
-                _w2_time_integral(x1[1:], flow, noise.subsample()))
+    def measure(noises, flows, N, bundle, twin):
+        rows = []
+        for r, (noise, flow) in enumerate(zip(noises, flows)):
+            x1 = twin[1][r, :N]
+            lead = float(_sup_sq_gap(bundle.leader_path[r], twin[0][r]))
+            fol = _atom_sup_mean(_sup_sq_gap(bundle.follower_paths[r], x1),
+                                 bundle.delays[r])
+            rows.append((lead, fol, lead + fol,
+                         _w2_time_integral(x1[1:], flow, noise.subsample())))
+        return rows
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
@@ -448,7 +482,7 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
         curve_names=("leader_sq_gap", "follower_sq_gap", "squared_state_gap",
                      "w2_time_integral"),
         quantity="squared_state_gap", rate_quantity="squared_state_gap",
-        measure=measure)
+        nplayer=True, twin_size=lambda N: N, measure=measure)
 
 
 def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
@@ -465,18 +499,18 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
     i.i.d. delays; smaller N reuse the leading follower streams of larger N,
     which correlates curve points without biasing any of them.
     """
-    def measure(noise, draws, N, flow):
-        draws = draws.head(N - 1)
-        _, x1 = simulate_limit_pair(
-            model, policies, flow, noise, draws.delays, draws)
-        return (_w2_time_integral(x1, flow, noise.subsample()),)
+    def measure(noises, flows, N, bundle, twin):
+        x1s = twin[1]
+        return [(_w2_time_integral(x1s[r, :N - 1], flow, noise.subsample()),)
+                for r, (noise, flow) in enumerate(zip(noises, flows))]
 
     # the W2^2 term carries one power of f(N-1)
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
         max_iter, damping, partition_level, slope_tol, threads, min_n=2,
         curve_names=("w2_time_integral",), quantity="w2_time_integral",
-        rate_quantity="squared_state_gap", measure=measure)
+        rate_quantity="squared_state_gap", nplayer=False,
+        twin_size=lambda N: N - 1, measure=measure)
 
 
 def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
@@ -493,22 +527,20 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
     and not Monte-Carlo noise.  The fitted quantity is the mean absolute
     follower cost gap.
     """
-    def measure(noise, draws, N, flow):
-        draws = draws.head(N)
-        bundle = simulate_nplayer(model, policies, N, delay_law, noise, draws)
-        x0, x1 = simulate_limit_pair(
-            model, policies, flow, noise, bundle.delays, draws)
+    # a twin follower's cost reads the flow, not the other followers
+    def measure(noises, flows, N, bundle, twin):
         j0n, jin = evaluate_costs_nplayer(bundle, model)
-        j0l, jil = evaluate_costs_limit(
-            model, policies, flow, x0, x1, bundle.delays)
-        return (float(np.mean(np.abs(np.array(jin) - np.array(jil)))),
-                abs(j0n - j0l))
+        j0l, jil = twin
+        return [(float(np.mean(np.abs(jin[r] - jil[r, :N]))),
+                 abs(float(j0n[r]) - float(j0l[r])))
+                for r in range(len(noises))]
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
         max_iter, damping, partition_level, slope_tol, threads, min_n=4,
         curve_names=("cost_gap", "leader_cost_gap"), quantity="cost_gap",
-        rate_quantity="cost_gap", measure=measure)
+        rate_quantity="cost_gap", nplayer=True, twin_size=lambda N: N,
+        measure=measure, twin_costs=True)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,28 @@ class TestThreadsResolution:
         monkeypatch.delenv("STACKMF_THREADS", raising=False)
         assert resolve_threads(None) == 1
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_flag_below_one_rejected(self, monkeypatch, threads):
+        monkeypatch.setenv("STACKMF_THREADS", "2")
+        with pytest.raises(ConfigError, match="--threads must be at least 1"):
+            resolve_threads(threads)
+
+    @pytest.mark.parametrize("env", ["0", "-2"])
+    def test_env_below_one_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("STACKMF_THREADS", env)
+        with pytest.raises(ConfigError,
+                           match="STACKMF_THREADS must be at least 1"):
+            resolve_threads(None)
+
+    def test_cli_exits_two_on_threads_below_one(self, monkeypatch, capsys):
+        monkeypatch.delenv("STACKMF_THREADS", raising=False)
+        assert main(["run", "epsilon-nash-n16", "--threads", "-3",
+                     "--dry-run"]) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().out
+        monkeypatch.setenv("STACKMF_THREADS", "0")
+        assert main(["run", "epsilon-nash-n16", "--dry-run"]) == 2
+        assert "STACKMF_THREADS must be at least 1" in capsys.readouterr().out
+
 
 class TestMain:
     def test_presets_list(self, capsys):

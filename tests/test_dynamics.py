@@ -643,3 +643,100 @@ class TestDeviantPolicy:
                                   (5, 1))[0])
         assert np.array_equal(mixed.leader_value(x1[0], 1),
                               profile.leader_value(x1[0], 1))
+
+
+class TestStackedReplications:
+    """Row r of a stacked call equals the call on replication r alone."""
+
+    LAW = DelayLaw.discrete([0.0625, 0.125], [0.5, 0.5])
+    FOLLOWER = Policy("affine", {"gain": -0.2, "gain_lead": 0.4})
+
+    def model(self, n1=1, feats=("mean",), params=None):
+        return make_model(
+            params=params or {
+                "a0": -0.5, "k0": 0.4, "s0": 0.3, "s0_x": 0.1,
+                "a1": -0.8, "k1": 0.5, "s1": 0.3, "s1_x": 0.2,
+                "cost0_state": 0.5, "cost0_track": 0.3, "cost0_terminal": 0.2,
+                "cost1_state": 1.0, "cost1_control": 0.2,
+                "cost1_track": 0.5, "cost1_terminal": 0.7},
+            feats=feats, n0=n1, n1=n1, p0=n1, p1=n1,
+            leader_init={"family": "scaled_brownian", "params": {"sigma": 0.5}},
+            follower_init={"family": "student_t",
+                           "params": {"df": 4.5, "scale": 0.5}})
+
+    @pytest.mark.parametrize("deviant", [None, Policy("constant", {"value": 0.5})])
+    @pytest.mark.parametrize("leader", [
+        Policy("zero"), Policy("constant", {"value": 0.3}),
+        Policy("affine", {"gain": -0.4, "offset": 0.1})])
+    @pytest.mark.parametrize("n1, feats", [
+        (1, ("mean",)), (2, ("mean", "second_moment"))])
+    def test_rows_equal_single_runs(self, leader, deviant, n1, feats):
+        model = self.model(n1, feats)
+        pols = PolicySet(leader, self.FOLLOWER, deviant=deviant)
+        noises = [SharedNoise(s) for s in (3, 7, 11)]
+        draws = [Draws.sample(model, self.LAW, noise, 6) for noise in noises]
+        stacked = simulate_nplayer(model, pols, 6, self.LAW, noises,
+                                   Draws.stack(draws))
+        J0, Ji = evaluate_costs_nplayer(stacked, model)
+        assert stacked.follower_paths.shape[:2] == (3, 6)
+        for r, (noise, d) in enumerate(zip(noises, draws)):
+            one = simulate_nplayer(model, pols, 6, self.LAW, noise, d)
+            assert np.array_equal(stacked.leader_path[r], one.leader_path)
+            assert np.array_equal(stacked.follower_paths[r], one.follower_paths)
+            assert np.array_equal(stacked.delays[r], one.delays)
+            for role in ("leader", "followers"):
+                assert np.array_equal(stacked.controls_applied[role][r],
+                                      one.controls_applied[role])
+            j0, ji = evaluate_costs_nplayer(one, model)
+            assert J0[r] == j0
+            assert Ji[r].tolist() == ji
+
+    def test_head_of_stacked_draws_equals_stacked_heads(self):
+        model = self.model()
+        draws = [Draws.sample(model, self.LAW, SharedNoise(s), 8) for s in (1, 2)]
+        a = Draws.stack(draws).head(5)
+        b = Draws.stack([d.head(5) for d in draws])
+        assert a.N == 5 and a.stacked
+        for field in dataclasses.fields(Draws):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    def test_relabeling_one_replication_permutes_only_its_rows(self):
+        model = self.model()
+        pols = PolicySet(Policy("affine", {"gain": -0.4}), self.FOLLOWER)
+        noises = [SharedNoise(s) for s in (3, 7)]
+        draws = [Draws.sample(model, self.LAW, noise, 6) for noise in noises]
+        perm = np.array([3, 0, 5, 1, 4, 2])
+        d = draws[1]
+        relabeled = Draws(d.leader_init_path, d.leader_noise,
+                          d.follower_init[perm], d.follower_noise[perm],
+                          d.delays[perm])
+        a = simulate_nplayer(model, pols, 6, self.LAW, noises,
+                             Draws.stack(draws))
+        b = simulate_nplayer(model, pols, 6, self.LAW, noises,
+                             Draws.stack([draws[0], relabeled]))
+        assert np.array_equal(a.leader_path, b.leader_path)
+        assert np.array_equal(a.follower_paths[0], b.follower_paths[0])
+        assert np.array_equal(a.follower_paths[1][perm], b.follower_paths[1])
+        Ja, Jb = evaluate_costs_nplayer(a, model), evaluate_costs_nplayer(b, model)
+        assert np.array_equal(Ja[0], Jb[0])
+        assert np.array_equal(Ja[1][1][perm], Jb[1][1])
+        assert np.array_equal(Ja[1][0], Jb[1][0])
+
+    def test_divergence_names_the_earliest_replication(self):
+        # no noise: x grows by (1 + a1 h) per step, so the start sets the
+        # step that overflows; replication 2 overflows first, 1 later
+        model = self.model(params={"a1": 1000.0})
+        m = model.grid.forward_steps
+        rows = []
+        for start in (0.0, 1e300, 1e307):
+            rows.append(Draws(np.zeros((model.grid.zero_index + 1, 1)),
+                              np.zeros((m, 1)), np.full((3, 1), start),
+                              np.zeros((3, m, 1)), np.zeros(3)))
+        with pytest.raises(SimulationDivergedError) as stacked:
+            simulate_nplayer(model, ZERO_POLICIES, 3, self.LAW, [None] * 3,
+                             Draws.stack(rows))
+        with pytest.raises(SimulationDivergedError) as alone:
+            simulate_nplayer(model, ZERO_POLICIES, 3, self.LAW, 0, rows[1])
+        assert stacked.value.step == alone.value.step > 0
+        assert str(stacked.value) == str(alone.value)
+        simulate_nplayer(model, ZERO_POLICIES, 3, self.LAW, 0, rows[0])

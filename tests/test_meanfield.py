@@ -425,3 +425,73 @@ class TestHolderEstimate:
             if 2 * lag in predicted:
                 ratio = predicted[2 * lag] / pred
                 assert ratio == pytest.approx(2 ** r1.exponent, rel=1e-9)
+
+
+class TestStackedLimitTwin:
+    """Row r of a stacked limit twin, and of its costs, equals the call on
+    replication r alone."""
+
+    LAW = DelayLaw.discrete([0.0625, 0.125], [0.5, 0.5])
+
+    def model(self, n1=1, feats=("mean",)):
+        return make_model(
+            params={"a0": -0.5, "k0": 0.4, "s0": 0.3, "a1": -0.8, "k1": 0.5,
+                    "s1": 0.3, "s1_x": 0.2, "cost0_state": 0.5,
+                    "cost0_track": 0.3, "cost1_state": 1.0,
+                    "cost1_control": 0.2, "cost1_track": 0.5,
+                    "cost1_terminal": 0.7},
+            feats=feats, n0=n1, n1=n1, p0=n1, p1=n1,
+            leader_init={"family": "ou_path",
+                         "params": {"theta": 1.0, "vol": 0.4}},
+            follower_init={"family": "normal", "params": {"scale": 0.6}})
+
+    @pytest.mark.parametrize("deviant", [None, Policy("constant", {"value": 0.5})])
+    @pytest.mark.parametrize("leader", [
+        Policy("zero"), Policy("constant", {"value": 0.3}),
+        Policy("affine", {"gain": -0.4, "offset": 0.1})])
+    @pytest.mark.parametrize("n1, feats", [
+        (1, ("mean",)), (2, ("mean", "second_moment"))])
+    def test_rows_equal_single_runs(self, leader, deviant, n1, feats):
+        model = self.model(n1, feats)
+        pols = PolicySet(leader, Policy("affine", {"gain": -0.2,
+                                                   "gain_lead": 0.4}),
+                         deviant=deviant)
+        noises = [SharedNoise(s) for s in (4, 9)]
+        draws = [Draws.sample(model, self.LAW, noise, 5) for noise in noises]
+        flows = [solve_conditional_law(
+            model, pols, [(0.0625, 0.5), (0.125, 0.5)], noise.entropy, 100,
+            draws=d)[0] for noise, d in zip(noises, draws)]
+        batch = Draws.stack(draws)
+        x0s, x1s = simulate_limit_pair(model, pols, flows, noises,
+                                       batch.delays, batch)
+        J0, Ji = evaluate_costs_limit(model, pols, flows, x0s, x1s,
+                                      batch.delays)
+        for r in range(2):
+            x0, x1 = simulate_limit_pair(model, pols, flows[r], noises[r],
+                                         draws[r].delays, draws[r])
+            assert np.array_equal(x0s[r], x0)
+            assert np.array_equal(x1s[r], x1)
+            j0, ji = evaluate_costs_limit(model, pols, flows[r], x0, x1,
+                                          draws[r].delays)
+            assert J0[r] == j0
+            assert Ji[r].tolist() == ji
+
+    def test_head_of_the_twin_equals_the_twin_of_the_head(self):
+        # twin followers read the flow, not each other
+        model = self.model()
+        pols = PolicySet(Policy("affine", {"gain": -0.4}),
+                         Policy("affine", {"gain": -0.2, "gain_lead": 0.4}))
+        noise = SharedNoise(4)
+        draws = Draws.sample(model, self.LAW, noise, 9)
+        flow, _ = solve_conditional_law(
+            model, pols, [(0.0625, 0.5), (0.125, 0.5)], 4, 100, draws=draws)
+        x0, x1 = simulate_limit_pair(model, pols, flow, noise, draws.delays,
+                                     draws)
+        j0, ji = evaluate_costs_limit(model, pols, flow, x0, x1, draws.delays)
+        head = draws.head(4)
+        y0, y1 = simulate_limit_pair(model, pols, flow, noise, head.delays,
+                                     head)
+        assert np.array_equal(x0, y0)
+        assert np.array_equal(x1[:4], y1)
+        assert evaluate_costs_limit(model, pols, flow, y0, y1,
+                                    head.delays) == (j0, ji[:4])

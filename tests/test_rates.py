@@ -1,29 +1,40 @@
 """Gap experiments, slope fitting, exponent table, epsilon certification."""
 import collections
+import dataclasses
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackmf import _rng, dynamics, measures, rates
 from stackmf._rng import REPLICATION, SharedNoise, child_entropy
 from stackmf.dynamics import (
     CoefficientSet,
     DelayLaw,
+    Draws,
     ModelSpec,
     Policy,
     PolicySet,
     TimeGrid,
+    evaluate_costs_nplayer,
     sample_delays,
     simulate_nplayer,
 )
 from stackmf.errors import (
     ExperimentInvalidError,
     ParameterError,
+    SimulationDivergedError,
     ValidationError,
 )
 from stackmf.meanfield import (
     ConditionalLawFlow,
+    evaluate_costs_limit,
     simulate_limit_pair,
     solve_conditional_law,
 )
@@ -561,3 +572,178 @@ class TestGapReportInvariants:
                 follower_gains=(), follower_gain_stderrs=(),
                 epsilon_hat=-0.5, leader_costs=(), leader_gains=(),
                 leader_gain_stderrs=(), epsilon2_hat=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked driver against a per-replication reference loop
+
+_KIND_PRESETS = {"state_gap": "two-atom-delay-n1-1",
+                 "wasserstein_gap": "degenerate-delay-n1-1",
+                 "cost_gap": "linear-in-measure-cost-n1-1"}
+_CURVES = {"state_gap": ("leader_sq_gap", "follower_sq_gap",
+                         "squared_state_gap", "w2_time_integral"),
+           "wasserstein_gap": ("w2_time_integral",),
+           "cost_gap": ("cost_gap", "leader_cost_gap")}
+
+
+def _small_gap_config(kind, Ns, reps, seed, law, params=None, **fields):
+    from stackmf.cli import presets
+    base = presets()[_KIND_PRESETS[kind]]
+    model = dict(base.model, T=0.25)
+    if params:
+        model["params"] = dict(base.model["params"], **params)
+    return dataclasses.replace(
+        base, name=f"small-{kind}", Ns=Ns, reps=reps, K=100, seed=seed,
+        delay_law=law, model=model, regime=None, rate_assertions=False,
+        extras={}, **fields)
+
+
+def _reference_curves(kind, model, pols, law, Ns, reps, K, seed, tol):
+    """The gap curves from single-replication calls, one replication and
+    one N at a time, in the order of a serial loop."""
+    rows = []
+    for r in range(reps):
+        ent = child_entropy(seed, REPLICATION, r)
+        noise = SharedNoise(ent)
+        draws = Draws.sample(model, law, noise, Ns[-1])
+        flows, row = {}, []
+        for N in Ns:
+            key = rates._partition_for(law, model, N, "auto")
+            if key not in flows:
+                flows[key] = solve_conditional_law(
+                    model, pols, key, ent, K, tol=tol, draws=draws)[0]
+            flow = flows[key]
+            if kind == "wasserstein_gap":
+                d = draws.head(N - 1)
+                _, x1 = simulate_limit_pair(model, pols, flow, noise,
+                                            d.delays, d)
+                row.append((rates._w2_time_integral(
+                    x1, flow, noise.subsample()),))
+                continue
+            d = draws.head(N)
+            b = simulate_nplayer(model, pols, N, law, noise, d)
+            x0, x1 = simulate_limit_pair(model, pols, flow, noise, b.delays, d)
+            if kind == "cost_gap":
+                j0n, jin = evaluate_costs_nplayer(b, model)
+                j0l, jil = evaluate_costs_limit(model, pols, flow, x0, x1,
+                                                b.delays)
+                row.append((float(np.mean(np.abs(np.array(jin)
+                                                 - np.array(jil)))),
+                            abs(j0n - j0l)))
+            else:
+                lead = float(rates._sup_sq_gap(b.leader_path, x0))
+                fol = rates._atom_sup_mean(
+                    rates._sup_sq_gap(b.follower_paths, x1), b.delays)
+                row.append((lead, fol, lead + fol, rates._w2_time_integral(
+                    x1[1:], flow, noise.subsample())))
+        rows.append(row)
+    arr = np.asarray(rows)                         # (reps, nN, curves)
+    return {name: rates._aggregate(arr[:, :, i])
+            for i, name in enumerate(_CURVES[kind])}
+
+
+_LAWS = [{"family": "degenerate", "a": 0.125},
+         {"family": "discrete", "atoms": [0.0625, 0.125], "weights": [0.5, 0.5]},
+         {"family": "uniform", "lo": 0.0, "hi": 0.125}]
+
+
+class TestBlockedDriverContract:
+    @pytest.mark.parametrize("kind", sorted(_KIND_PRESETS))
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_threads_and_serial_reference(self, kind, data):
+        from stackmf.cli import build_objects, run_experiment
+        floor = 2 if kind == "wasserstein_gap" else 4
+        Ns = sorted(data.draw(st.sets(st.integers(floor, 11), min_size=3,
+                                      max_size=3), label="Ns"))
+        reps = data.draw(st.sampled_from([50, 53]), label="reps")
+        assert reps % rates._BLOCK     # the last block is partial
+        cfg = _small_gap_config(
+            kind, Ns, reps, data.draw(st.integers(0, 2 ** 20), label="seed"),
+            data.draw(st.sampled_from(_LAWS), label="law"))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = {}
+            for threads in (1, 2):
+                d = Path(tmp, str(threads))
+                assert run_experiment(cfg, threads=threads, out_dir=d,
+                                      stream=io.StringIO()) == 0
+                out[threads] = [(d / f).read_bytes() for f in
+                                ("results.csv", "report.json", "manifest.json")]
+            assert out[1] == out[2]
+            curves = json.loads(out[1][1])["report"]["curves"]
+        model, pols, law = build_objects(cfg)
+        ref = _reference_curves(kind, model, pols, law, cfg.Ns, reps, cfg.K,
+                                cfg.seed, cfg.tol)
+        assert curves == {k: [list(m), list(s)] for k, (m, s) in ref.items()}
+
+
+class TestDivergenceOrder:
+    @pytest.mark.parametrize("seed, params, fields", [
+        # an explosive follower drift: the Picard solve of replication 0
+        # overflows at forward step 3
+        (3, {"a1": 2.0e78, "s1": 3.0}, {}),
+        # a leader pulled hard by the follower mean overflows only where
+        # the empirical mean of a few followers is large: first in the
+        # N-player game of replication 9 (the second block), at step 7
+        (1, {"kernel": "mean", "k0": 1.0e294, "a0": 3168.0},
+         {"follower_init": {"family": "normal", "params": {"scale": 3.0}}}),
+    ])
+    def test_same_error_as_the_serial_reference(self, tmp_path, seed, params,
+                                                fields):
+        from stackmf.cli import build_objects, run_experiment
+        cfg = _small_gap_config("cost_gap", [4, 6, 8], 50, seed, _LAWS[1],
+                                params=params, **fields)
+        model, pols, law = build_objects(cfg)
+        with pytest.raises(SimulationDivergedError) as ref:
+            _reference_curves("cost_gap", model, pols, law, cfg.Ns, cfg.reps,
+                              cfg.K, cfg.seed, cfg.tol)
+        with pytest.raises(SimulationDivergedError) as got:
+            cost_gap_experiment(model, pols, law, cfg.Ns, cfg.reps, cfg.K,
+                                cfg.seed, tol=cfg.tol)
+        assert (got.value.step, str(got.value)) == (ref.value.step,
+                                                    str(ref.value))
+        assert run_experiment(cfg, out_dir=tmp_path, stream=io.StringIO()) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report == {"name": cfg.name, "kind": "cost_gap",
+                          "status": "invalid",
+                          "error_type": "SimulationDivergedError",
+                          "reason": str(ref.value)}
+
+    def test_earliest_replication_then_earliest_stage(self, monkeypatch):
+        # stand-ins that diverge on chosen (replication, stage) pairs, so
+        # the batched order of stages differs from the serial one
+        model = no_interaction_model()
+        ents = [child_entropy(21, REPLICATION, r) for r in range(50)]
+        bad = {("nplayer", ents[5], 8), ("twin", ents[3], 16),
+               ("nplayer", ents[3], 16), ("picard", ents[11], None)}
+
+        def check(stage, noises, n):
+            for noise in noises if isinstance(noises, list) else [noises]:
+                for tag, ent, at in bad:
+                    if (tag, ent) == (stage, noise.entropy) \
+                            and (at is None or n >= at):
+                        raise SimulationDivergedError(
+                            0, f"{stage} of replication {ents.index(ent)}")
+
+        real_np, real_twin = rates.simulate_nplayer, rates.simulate_limit_pair
+        real_solve = rates.solve_conditional_law
+
+        def nplayer(model, pols, N, law, noises, draws):
+            check("nplayer", noises, N)
+            return real_np(model, pols, N, law, noises, draws)
+
+        def twin(model, pols, flows, noises, delays, draws):
+            check("twin", noises, draws.N)
+            return real_twin(model, pols, flows, noises, delays, draws)
+
+        def solve(model, pols, key, ent, *args, **kwargs):
+            check("picard", SharedNoise(ent), None)
+            return real_solve(model, pols, key, ent, *args, **kwargs)
+
+        monkeypatch.setattr(rates, "simulate_nplayer", nplayer)
+        monkeypatch.setattr(rates, "simulate_limit_pair", twin)
+        monkeypatch.setattr(rates, "solve_conditional_law", solve)
+        with pytest.raises(SimulationDivergedError,
+                           match="^nplayer of replication 3$"):
+            state_gap_experiment(model, ZERO_POLICIES, TWO_ATOM, [4, 8, 16],
+                                 50, 100, 21, threads=2)
