@@ -6,9 +6,9 @@ A scenario is a JSON document with the following top-level keys (see
   name           scenario identifier, used in file names and CSV rows
   kind           one of state_gap | wasserstein_gap | cost_gap |
                  epsilon_nash | eta_orthogonality
-  model          {"family", "params", "L", "features", "n0", "n1",
+  model          {"family", "params", "features", "n0", "n1",
                   "d0", "d1", "p0", "p1", "T", "h", "b"}: coefficient
-                 family and params, Lipschitz constant L, measure features,
+                 family and params, measure features,
                  state/noise/control dimensions (d0 = n0, d1 = n1), horizon
                  T, step h and lag span b; no other key is accepted
   delay_law      {"family": "degenerate", "a": ...} |
@@ -33,8 +33,9 @@ A scenario is a JSON document with the following top-level keys (see
 columns scenario, N, reps, gap_mean, gap_stderr, quantity, slope,
 slope_stderr, predicted_exponent, verdict (slope fields only on rows of
 the fitted quantity); ``report.json`` with the full report object; and
-``manifest.json`` with the config hash, the master seed, and library
-versions.  Nothing in the output depends on the thread count.
+``manifest.json`` with the config hash, the master seed, the stream
+layout of the draws (``_rng.STREAM_LAYOUT``), and library versions.
+Nothing in the output depends on the thread count.
 """
 import argparse
 import csv
@@ -52,6 +53,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._rng import STREAM_LAYOUT
 from .dynamics import (
     CoefficientSet,
     DelayLaw,
@@ -60,6 +62,7 @@ from .dynamics import (
     PolicySet,
     TimeGrid,
     check_initial,
+    check_policy,
     family_spec,
 )
 from .errors import (
@@ -337,15 +340,17 @@ def validate_config(config: ScenarioConfig) -> list:
 # ---------------------------------------------------------------------------
 # building runtime objects
 
-_MODEL_KEYS = ("family", "params", "L", "features", "n0", "n1", "d0", "d1",
-               "p0", "p1", "T", "h", "b")
+_MODEL_KEYS = ("family", "params", "features", "n0", "n1", "d0", "d1", "p0",
+               "p1", "T", "h", "b")
 # config family -> arguments of the DelayLaw constructor of that name
 _DELAY_LAWS = {"degenerate": ("a",), "discrete": ("atoms", "weights"),
                "uniform": ("lo", "hi")}
 
 
-def _policy(spec) -> Policy:
-    return Policy(*family_spec("policy", spec))
+def _policy(role: str, spec) -> Policy:
+    pol = Policy(*family_spec("policy", spec))
+    check_policy(role, pol)
+    return pol
 
 
 def _delay_law(spec: dict) -> DelayLaw:
@@ -374,7 +379,7 @@ def _build(config: ScenarioConfig):
     m = config.model
     grid = attempt("model", TimeGrid.over, m.get("b"), m.get("T"), m.get("h"))
     coeffs = attempt("model", CoefficientSet, m.get("family"),
-                     m.get("params", {}), m.get("L"), m.get("features", ()))
+                     m.get("params", {}), m.get("features", ()))
     objects = {"grid": grid,
                "delay_law": attempt("delay_law", _delay_law, config.delay_law)}
     before = len(errors)
@@ -389,7 +394,7 @@ def _build(config: ScenarioConfig):
             p1=m.get("p1", 1), q=config.q, leader_init=config.leader_init,
             follower_init=config.follower_init)
     leader, follower = (
-        attempt(f"policies.{role}", _policy, config.policies.get(role))
+        attempt(f"policies.{role}", _policy, role, config.policies.get(role))
         for role in ("leader", "follower"))
     if leader is not None and follower is not None:
         objects["policies"] = PolicySet(leader, follower)
@@ -398,7 +403,8 @@ def _build(config: ScenarioConfig):
     for k, dev in enumerate(devs if isinstance(devs, tuple) else ()):
         for role in ("leader", "follower"):
             if isinstance(dev, dict) and dev.get(role) is not None:
-                attempt(f"extras.deviations[{k}].{role}", _policy, dev[role])
+                attempt(f"extras.deviations[{k}].{role}", _policy, role,
+                        dev[role])
     return objects, errors
 
 
@@ -419,8 +425,9 @@ def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
         leader = dev.get("leader")
         follower = dev.get("follower")
         library.append(PolicySet(
-            policies.leader if leader is None else _policy(leader),
-            policies.follower if follower is None else _policy(follower)))
+            policies.leader if leader is None else _policy("leader", leader),
+            policies.follower if follower is None
+            else _policy("follower", follower)))
     return library
 
 
@@ -521,6 +528,7 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, seed: int,
     manifest = {
         "config_sha256": config_hash(config),
         "master_seed": int(seed),
+        "stream_layout": STREAM_LAYOUT,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__,
                      "stackmf": __version__},
@@ -641,10 +649,9 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
 # ---------------------------------------------------------------------------
 # preset library
 
-def _gap_model(family, params, L, features, T, h, b):
-    return {"family": family, "params": params, "L": L,
-            "features": features, "n0": 1, "n1": 1, "p0": 1, "p1": 1,
-            "T": T, "h": h, "b": b}
+def _gap_model(family, params, features, T, h, b):
+    return {"family": family, "params": params, "features": features,
+            "n0": 1, "n1": 1, "p0": 1, "p1": 1, "T": T, "h": h, "b": b}
 
 
 def _affine(gain=0.0, gain_lead=0.0):
@@ -665,7 +672,7 @@ def _preset_degenerate() -> ScenarioConfig:
             "smooth_nonlinear",
             {"a1": -0.3, "b1": 0.5, "k1": 0.4, "s1": 0.05, "s1_x": 0.15,
              "t1": 0.1, "a0": -0.5, "b0": 0.4, "s0": 0.35},
-            2.5, ["mean"], 0.25, 1.0 / 64, 0.125),
+            ["mean"], 0.25, 1.0 / 64, 0.125),
         delay_law={"family": "degenerate", "a": 0.125},
         leader_init={"family": "ou_path",
                      "params": {"theta": 1.0, "vol": 0.4}},
@@ -685,7 +692,7 @@ def _preset_two_atom() -> ScenarioConfig:
             "smooth_nonlinear",
             {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
              "a0": -0.5, "b0": 0.4, "k0": 0.4, "s0": 0.3},
-            2.5, ["mean"], 1.0, 1.0 / 40, 0.3),
+            ["mean"], 1.0, 1.0 / 40, 0.3),
         delay_law={"family": "discrete", "atoms": [0.1, 0.3],
                    "weights": [0.5, 0.5]},
         leader_init=None,
@@ -704,7 +711,7 @@ def _preset_uniform() -> ScenarioConfig:
             "smooth_nonlinear",
             {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
              "a0": -0.5, "b0": 0.4, "k0": 0.4, "s0": 0.3},
-            2.5, ["mean"], 1.0, 1.0 / 32, 0.125),
+            ["mean"], 1.0, 1.0 / 32, 0.125),
         delay_law={"family": "uniform", "lo": 0.0625, "hi": 0.125},
         leader_init=None,
         follower_init={"family": "normal", "params": {"scale": 0.6}},
@@ -723,7 +730,7 @@ def _preset_sigma0_control_free() -> ScenarioConfig:
             "smooth_nonlinear",
             {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
              "a0": -0.5, "s0": 0.3},
-            2.5, ["mean"], 0.5, 1.0 / 32, 0.125),
+            ["mean"], 0.5, 1.0 / 32, 0.125),
         delay_law={"family": "uniform", "lo": 0.0625, "hi": 0.125},
         leader_init=None,
         follower_init={"family": "normal", "params": {"scale": 0.6}},
@@ -742,14 +749,14 @@ def _linear_measure_config(name, kind, reps) -> ScenarioConfig:
             {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "k0": 0.4,
              "s0": 0.3, "kernel": "tanh_mean", "cost1_state": 1.0,
              "cost1_track": 0.5, "cost0_state": 0.5, "cost1_control": 0.2},
-            2.0, ["tanh_mean", "mean"], 1.0, 1.0 / 32, 0.125),
+            ["tanh_mean", "mean"], 1.0, 1.0 / 32, 0.125),
         delay_law={"family": "discrete", "atoms": [0.0625, 0.125],
                    "weights": [0.5, 0.5]},
         leader_init={"family": "ou_path",
                      "params": {"theta": 1.0, "vol": 0.4}},
         follower_init={"family": "normal", "params": {"scale": 0.6}},
         q=6.0,
-        policies={"leader": _affine(gain=-0.2, gain_lead=0.4),
+        policies={"leader": _affine(gain=-0.2),
                   "follower": _affine(gain=-0.2, gain_lead=0.4)},
         Ns=[8, 16, 32, 64, 128, 256], reps=reps, K=4096, tol=1e-3, seed=5,
         regime="linear_in_measure")
@@ -763,7 +770,7 @@ def _preset_epsilon_nash() -> ScenarioConfig:
             "linear_quadratic",
             {"a1": -0.8, "s1": 0.3, "a0": -0.5, "s0": 0.25,
              "cost1_control": 1.0, "cost0_control": 1.0},
-            5.0, [], 0.5, 1.0 / 16, 0.125),
+            [], 0.5, 1.0 / 16, 0.125),
         delay_law={"family": "degenerate", "a": 0.125},
         leader_init=None,
         follower_init={"family": "normal", "params": {"scale": 0.5}},
@@ -784,7 +791,7 @@ def _preset_eta() -> ScenarioConfig:
             "linear_in_measure",
             {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "s0": 0.3,
              "kernel": "tanh_mean"},
-            2.0, ["tanh_mean"], 0.5, 1.0 / 32, 0.125),
+            ["tanh_mean"], 0.5, 1.0 / 32, 0.125),
         delay_law={"family": "discrete", "atoms": [0.0625, 0.125],
                    "weights": [0.5, 0.5]},
         leader_init=None,

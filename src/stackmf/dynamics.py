@@ -281,7 +281,6 @@ class CoefficientSet:
 
     family: str
     params: dict
-    lipschitz_L: float
     measure_features: tuple = ()
 
     def __post_init__(self):
@@ -296,9 +295,6 @@ class CoefficientSet:
         for key, val in params.items():
             if key != "kernel":
                 params[key] = _real(f"parameter {key!r}", val)
-        L = _real("lipschitz_L", self.lipschitz_L)
-        if L <= 0:
-            raise ParameterError(f"lipschitz_L must be positive, got {L!r}")
         feats = self.measure_features
         if not isinstance(feats, (list, tuple)):
             raise ParameterError(f"measure_features must be a list of feature names, "
@@ -324,7 +320,6 @@ class CoefficientSet:
                 and "mean" not in feats:
             raise ParameterError("mean feature required when cost tracking is enabled")
         object.__setattr__(self, "params", MappingProxyType(params))
-        object.__setattr__(self, "lipschitz_L", L)
         object.__setattr__(self, "measure_features", feats)
 
     def _p(self, key):
@@ -428,11 +423,13 @@ def features_of_measure(mu: DiscreteMeasure, names):
 # ---------------------------------------------------------------------------
 # policies
 
-# allowed parameter names of each policy family
+# allowed parameter names of each policy family, per role; only a follower
+# reads the delayed leader state (gain_lead)
 _POLICY_KEYS = {
-    "zero": set(),
-    "constant": {"value"},
-    "affine": {"gain", "gain_lead", "offset"},
+    "leader": {"zero": set(), "constant": {"value"},
+               "affine": {"gain", "offset"}},
+    "follower": {"zero": set(), "constant": {"value"},
+                 "affine": {"gain", "gain_lead", "offset"}},
 }
 
 
@@ -443,23 +440,35 @@ class Policy:
     constant: v = value.
     affine leader: v0 = gain * x0 + offset.
     affine follower: v1 = gain * x1 + gain_lead * x0(t - delta) + offset.
+    A Policy accepts the keys of either role; ``check_policy`` holds it to
+    one role.
     """
 
     family: str
     params: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in _POLICY_KEYS:
+        families = _POLICY_KEYS["follower"]
+        if not isinstance(self.family, str) or self.family not in families:
             raise ParameterError(f"unknown policy family {self.family!r}; "
-                                 f"choose from {sorted(_POLICY_KEYS)}")
+                                 f"choose from {sorted(families)}")
         params = _params("policy", self.params)
-        unknown = set(params) - _POLICY_KEYS[self.family]
+        unknown = set(params) - families[self.family]
         if unknown:
             raise ParameterError(
                 f"unknown parameters for policy family {self.family!r}: {sorted(unknown)}")
         for key, val in params.items():
             params[key] = _real(f"policy parameter {key!r}", val)
         object.__setattr__(self, "params", MappingProxyType(params))
+
+
+def check_policy(role: str, pol: Policy) -> None:
+    """Raise ParameterError unless pol sets only keys that the role reads:
+    "leader" or "follower"."""
+    unknown = set(pol.params) - _POLICY_KEYS[role][pol.family]
+    if unknown:
+        raise ParameterError(f"{role} policy family {pol.family!r} does not "
+                             f"read {sorted(unknown)}")
 
 
 def _follower_control(pol: Policy, x1, x0_delayed, p1):
@@ -483,6 +492,9 @@ class PolicySet:
     leader: Policy
     follower: Policy
     deviant: Policy | None = None
+
+    def __post_init__(self):
+        check_policy("leader", self.leader)
 
     def leader_value(self, x0, p0):
         """Controls (..., p0) of the leaders with states x0 (..., n0)."""
@@ -660,35 +672,27 @@ def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed):
     return out
 
 
-def _standard_initial(spec, rng, shape) -> np.ndarray:
-    """Standardized draw of a random follower initial family, before the
-    location and scale are applied."""
-    if spec["family"] == "normal":
-        return rng.standard_normal(shape)
-    return rng.standard_t(float(spec["params"].get("df", 5.0)), size=shape)
-
-
-def _locate(spec, z) -> np.ndarray:
-    params = spec["params"]
-    return params.get("loc", 0.0) + params.get("scale", 1.0) * z
-
-
 def draw_follower_initial(spec: dict, rng, n1: int, size=None):
     """Draw follower initial states; shape (n1,) or (size, n1)."""
     check_initial("follower", spec)
-    spec = {"family": spec["family"], "params": dict(spec.get("params", {}))}
+    params = spec.get("params", {})
     shape = (n1,) if size is None else (size, n1)
     if spec["family"] == "constant":
         return np.broadcast_to(
-            np.asarray(spec["params"].get("value", 0.0), float), shape).copy()
-    return _locate(spec, _standard_initial(spec, rng, shape))
+            np.asarray(params.get("value", 0.0), float), shape).copy()
+    if spec["family"] == "normal":
+        z = rng.standard_normal(shape)
+    else:
+        z = rng.standard_t(float(params.get("df", 5.0)), size=shape)
+    return params.get("loc", 0.0) + params.get("scale", 1.0) * z
 
 
 def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
     """N i.i.d. draws from the delay law.
 
-    With a SharedNoise seed each follower draws from its own stream, which
-    makes the draws permutation-equivariant under relabeling.  A degenerate
+    With a SharedNoise seed follower i takes row i of the DELAY block (see
+    ``SharedNoise.rows``), which makes the draws permutation-equivariant
+    under relabeling; an integer seed draws the same block.  A degenerate
     law needs no randomness and derives no stream.
     """
     if N < 1:
@@ -696,10 +700,10 @@ def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
     if law.kind == "degenerate":
         return np.full(N, law.a)
     if isinstance(seed, SharedNoise):
-        u = np.array([g.random() for g in seed.followers(DELAY, N)])
-        return np.asarray(law.quantile(u), dtype=float)
-    rng = _as_generator(seed, DELAY)
-    return np.asarray(law.quantile(rng.random(N)), dtype=float)
+        u = seed.rows(DELAY, N, lambda rng, n: rng.random(n))
+    else:
+        u = _as_generator(seed, DELAY).random(N)
+    return np.asarray(law.quantile(u), dtype=float)
 
 
 def snap_delays_to_grid(delays, grid: TimeGrid) -> np.ndarray:
@@ -726,18 +730,16 @@ def _leader_draws(model: ModelSpec, noise: SharedNoise):
 
 def _follower_draws(model: ModelSpec, noise: SharedNoise, N: int):
     """Initial states (N, n1) and Euler noise (N, m, n1) of followers
-    0..N-1, each from the follower's own streams."""
+    0..N-1, one block per role with a row per follower."""
     spec = model.follower_init
-    if spec["family"] == "constant":
-        X0 = draw_follower_initial(spec, None, model.n1, size=N)
-    else:
-        Z = np.empty((N, model.n1))
-        for row, rng in zip(Z, noise.followers(FOLLOWER_INIT, N)):
-            row[:] = _standard_initial(spec, rng, (model.n1,))
-        X0 = _locate(spec, Z)
-    zeta = np.empty((N, model.grid.forward_steps, model.n1))
-    for row, rng in zip(zeta, noise.followers(FOLLOWER_NOISE, N)):
-        rng.standard_normal(out=row)
+
+    def initial(rng, n):
+        return draw_follower_initial(spec, rng, model.n1, size=n)
+
+    X0 = initial(None, N) if spec["family"] == "constant" \
+        else noise.rows(FOLLOWER_INIT, N, initial)
+    zeta = noise.rows(FOLLOWER_NOISE, N, lambda rng, n: rng.standard_normal(
+        (n, model.grid.forward_steps, model.n1)))
     return X0, zeta
 
 
@@ -747,10 +749,10 @@ class Draws:
 
     leader_init_path (zero_index + 1, n0) and leader_noise (m, n0) drive the
     leader; follower_init (N, n1), follower_noise (N, m, n1) and delays (N,)
-    drive followers 0..N-1.  ``sample`` derives each stream once, and
-    ``head(n)`` gives the draws of the first n followers: a follower's
-    streams depend on its index only, so they equal what ``sample`` would
-    derive for n followers.  Pass one object to ``simulate_nplayer``,
+    drive followers 0..N-1.  ``sample`` draws one block per follower role,
+    and ``head(n)`` gives the draws of the first n followers: the first n
+    rows of a block equal a block of n rows, so ``sample(N).head(n)`` equals
+    ``sample(n)`` byte for byte.  Pass one object to ``simulate_nplayer``,
     ``simulate_limit_pair`` and ``solve_conditional_law`` to drive them from
     the same noise without deriving any stream again.  ``stack`` puts the
     draws of R replications along a leading axis R of every array.

@@ -226,7 +226,7 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
 
     # fixed subsampling and comparison times for the stopping rule
     sub_times = np.unique(np.linspace(0, m, _DISCREPANCY_SUBGRID).round().astype(int))
-    rng_sub = noise.subsample()
+    rng_sub = noise.subsample(0)
     cloud_size = n_atoms * K
     sub_idx = None
     if cloud_size > _DISCREPANCY_SUPPORT:

@@ -472,8 +472,8 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
             lead = float(_sup_sq_gap(bundle.leader_path[r], twin[0][r]))
             fol = _atom_sup_mean(_sup_sq_gap(bundle.follower_paths[r], x1),
                                  bundle.delays[r])
-            rows.append((lead, fol, lead + fol,
-                         _w2_time_integral(x1[1:], flow, noise.subsample())))
+            w2 = _w2_time_integral(x1[1:], flow, noise.subsample(1, N))
+            rows.append((lead, fol, lead + fol, w2))
         return rows
 
     return _gap_experiment(
@@ -496,12 +496,13 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
     followers and the conditional law, as a curve in N.
 
     The followers share one leader realization per replication and draw
-    i.i.d. delays; smaller N reuse the leading follower streams of larger N,
+    i.i.d. delays; smaller N reuse the leading follower rows of larger N,
     which correlates curve points without biasing any of them.
     """
     def measure(noises, flows, N, bundle, twin):
         x1s = twin[1]
-        return [(_w2_time_integral(x1s[r, :N - 1], flow, noise.subsample()),)
+        return [(_w2_time_integral(x1s[r, :N - 1], flow,
+                                  noise.subsample(1, N)),)
                 for r, (noise, flow) in enumerate(zip(noises, flows))]
 
     # the W2^2 term carries one power of f(N-1)

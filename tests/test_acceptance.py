@@ -226,7 +226,7 @@ def test_09_holder_in_delta(capsys):
     # squared conditional-law gaps scale linearly in the delay spacing
     t0 = time.time()
     grid = TimeGrid(-0.25, 0.5, 1.0 / 32)
-    coeffs = CoefficientSet("linear_quadratic", {"s1_v": 0.6, "s1": 0.1}, 5.0)
+    coeffs = CoefficientSet("linear_quadratic", {"s1_v": 0.6, "s1": 0.1})
     model = ModelSpec(
         coefficients=coeffs, grid=grid,
         leader_init={"family": "scaled_brownian", "params": {"sigma": 0.5}},
@@ -249,7 +249,7 @@ def test_10_epsilon_nash_structure(capsys):
     coeffs = CoefficientSet(
         "linear_quadratic",
         {"a1": -0.8, "s1": 0.3, "a0": -0.5, "s0": 0.25,
-         "cost1_control": 1.0, "cost0_control": 1.0}, 5.0)
+         "cost1_control": 1.0, "cost0_control": 1.0})
     model = ModelSpec(
         coefficients=coeffs, grid=grid,
         follower_init={"family": "normal", "params": {"scale": 0.5}})

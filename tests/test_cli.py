@@ -207,6 +207,11 @@ class TestRunExperiment:
         assert set(manifest["versions"]) == {"python", "numpy", "scipy",
                                              "stackmf"}
 
+    def test_manifest_records_stream_layout(self, small_run):
+        _, out, _ = small_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stream_layout"] == 2
+
     def test_rerun_byte_identical(self, small_run, tmp_path):
         _, out, _ = small_run
         rc = run_experiment(small_state_gap(), out_dir=tmp_path / "b",
@@ -392,13 +397,13 @@ _LAWS = (
 _BAD_VALUES = (True, "0.5", None, [1.0], float("nan"), float("inf"))
 _DELETE = object()
 # required keys: deleting one must be reported like a bad value
-_REQUIRED = {"T", "h", "b", "L", "a", "atoms", "weights", "lo", "hi"}
+_REQUIRED = {"T", "h", "b", "a", "atoms", "weights", "lo", "hi"}
 
 
 def _numeric_sites(data):
     """(field path, error path, key) of every numeric field the contract
     covers; error path is the prefix of the validate line that names it."""
-    sites = [(("model", k), "model", k) for k in ("T", "h", "b", "L")]
+    sites = [(("model", k), "model", k) for k in ("T", "h", "b")]
     sites += [(("model", "params", k), "model", k)
               for k, v in data["model"]["params"].items()
               if not isinstance(v, str)]
@@ -460,7 +465,7 @@ class TestOneValidator:
     def test_every_object_error_in_one_pass(self):
         cfg = small_state_gap()
         bad = dataclasses.replace(
-            cfg, model=dict(cfg.model, L=-1.0),
+            cfg, model=dict(cfg.model, features=["bogus"]),
             delay_law={"family": "discrete", "atoms": [0.1, 0.3],
                        "weights": [0.0, 1.0]},
             follower_init={"family": "normal", "params": {"scale": "0.6"}},
@@ -506,6 +511,38 @@ class TestOneValidator:
         save_config(bad, path)
         assert main(["validate", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_lipschitz_key_is_gone(self, tmp_path, capsys):
+        cfg = presets()["two-atom-delay-n1-1"]
+        bad = dataclasses.replace(cfg, model=dict(cfg.model, L=2.5))
+        assert any(e.startswith("model.L: unknown key")
+                   for e in validate_config(bad))
+        path = tmp_path / "L.json"
+        save_config(bad, path)
+        assert main(["validate", str(path)]) == 2
+        assert "model.L" in capsys.readouterr().err
+
+    def test_leader_gain_lead_rejected(self, tmp_path, capsys):
+        # only followers read the delayed leader state
+        cfg = presets()["linear-in-measure-cost-n1-1"]
+        lead = {"family": "affine", "params": {"gain": -0.2, "gain_lead": 0.4}}
+        bad = dataclasses.replace(
+            cfg, policies=dict(cfg.policies, leader=lead))
+        errs = validate_config(bad)
+        assert any(e.startswith("policies.leader: ParameterError")
+                   and "gain_lead" in e for e in errs), errs
+        with pytest.raises(ConfigError):
+            build_objects(bad)
+        path = tmp_path / "lead.json"
+        save_config(bad, path)
+        assert main(["validate", str(path)]) == 2
+        assert "policies.leader" in capsys.readouterr().err
+        nash = presets()["epsilon-nash-n16"]
+        devs = [{"leader": lead}]
+        bad = dataclasses.replace(nash, extras=dict(nash.extras,
+                                                    deviations=devs))
+        assert any(e.startswith("extras.deviations[0].leader: ")
+                   for e in validate_config(bad))
 
 
 class TestSectionShapes:

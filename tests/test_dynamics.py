@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stackmf import _rng
@@ -34,9 +36,9 @@ from stackmf.measures import DiscreteMeasure
 
 
 def make_model(grid=None, family="linear_quadratic", params=None, feats=(),
-               L=5.0, **kw):
+               **kw):
     grid = grid or TimeGrid(-0.125, 1.0, 1.0 / 32)
-    coeffs = CoefficientSet(family, params or {}, L, feats)
+    coeffs = CoefficientSet(family, params or {}, feats)
     return ModelSpec(coefficients=coeffs, grid=grid, **kw)
 
 
@@ -277,7 +279,7 @@ class TestDraws:
                            "params": {"df": 4.5, "scale": 0.5}})
 
     def test_head_equals_smaller_sample(self):
-        # a follower's streams depend on its index only
+        # a follower's draws are rows of one block per role
         model, law = self.model(), DelayLaw.uniform(0.0, 0.125)
         big = Draws.sample(model, law, SharedNoise(5), 12).head(7)
         small = Draws.sample(model, law, SharedNoise(5), 7)
@@ -285,17 +287,36 @@ class TestDraws:
                       "follower_noise", "delays"):
             assert np.array_equal(getattr(big, field), getattr(small, field))
 
-    def test_rows_match_single_streams(self):
+    @settings(max_examples=25, deadline=None)
+    @given(init=st.sampled_from([
+               {"family": "normal", "params": {"scale": 0.6}},
+               {"family": "student_t", "params": {"df": 4.5, "scale": 0.5}}]),
+           law=st.sampled_from([DelayLaw.uniform(0.0, 0.125),
+                                DelayLaw.discrete([0.0625, 0.125],
+                                                  [0.5, 0.5])]),
+           seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 24),
+           data=st.data())
+    def test_sample_equals_head_of_larger_sample(self, init, law, seed, N,
+                                                 data):
+        # nested N: normal, Student t and uniform blocks are row-major, so
+        # a prefix of a block is the smaller block, bit for bit
+        n = data.draw(st.integers(1, N))
+        model = make_model(follower_init=init)
+        big = Draws.sample(model, law, SharedNoise(seed), N).head(n)
+        small = Draws.sample(model, law, SharedNoise(seed), n)
+        for f in dataclasses.fields(Draws):
+            assert np.array_equal(getattr(big, f.name),
+                                  getattr(small, f.name)), f.name
+
+    def test_permuted_noise_permutes_rows(self):
         model, law = self.model(), DelayLaw.uniform(0.0, 0.125)
-        d = Draws.sample(model, law, SharedNoise(5), 4)
-        for i in range(4):
-            z = _rng.generator(5, _rng.FOLLOWER_INIT, i).standard_t(4.5, 1)
-            assert np.array_equal(d.follower_init[i], 0.5 * z)
-            noise = _rng.generator(5, _rng.FOLLOWER_NOISE, i).standard_normal(
-                d.follower_noise[i].shape)
-            assert np.array_equal(d.follower_noise[i], noise)
-            u = _rng.generator(5, _rng.DELAY, i).random()
-            assert d.delays[i] == law.quantile(u)
+        perm = [4, 2, 0, 5, 1, 3]
+        base = Draws.sample(model, law, SharedNoise(5), 6)
+        view = Draws.sample(model, law, SharedNoise(5).permuted(perm), 6)
+        for name in ("follower_init", "follower_noise", "delays"):
+            assert np.array_equal(getattr(view, name),
+                                  getattr(base, name)[perm])
+        assert np.array_equal(view.leader_noise, base.leader_noise)
 
     def test_simulate_nplayer_same_with_and_without_draws(self):
         model, law = self.model(), DelayLaw.uniform(0.0, 0.125)
@@ -320,27 +341,23 @@ class TestDraws:
 class TestCoefficientSet:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
-            CoefficientSet("bogus", {}, 1.0)
+            CoefficientSet("bogus", {})
 
     def test_unknown_param(self):
         with pytest.raises(ParameterError):
-            CoefficientSet("linear_quadratic", {"zz": 1.0}, 1.0)
+            CoefficientSet("linear_quadratic", {"zz": 1.0})
 
     def test_measure_gain_requires_feature(self):
         with pytest.raises(ParameterError):
-            CoefficientSet("linear_quadratic", {"k1": 0.5}, 1.0, ())
-        CoefficientSet("linear_quadratic", {"k1": 0.5}, 1.0, ("mean",))
+            CoefficientSet("linear_quadratic", {"k1": 0.5}, ())
+        CoefficientSet("linear_quadratic", {"k1": 0.5}, ("mean",))
 
     def test_linear_in_measure_kernel_declared(self):
         with pytest.raises(ParameterError):
             CoefficientSet("linear_in_measure",
-                           {"k1": 0.5, "kernel": "tanh_mean"}, 1.0, ("mean",))
+                           {"k1": 0.5, "kernel": "tanh_mean"}, ("mean",))
         CoefficientSet("linear_in_measure",
-                       {"k1": 0.5, "kernel": "tanh_mean"}, 1.0, ("tanh_mean",))
-
-    def test_nonpositive_L(self):
-        with pytest.raises(ParameterError):
-            CoefficientSet("linear_quadratic", {}, 0.0)
+                       {"k1": 0.5, "kernel": "tanh_mean"}, ("tanh_mean",))
 
 
 class TestLipschitzProbe:
@@ -356,13 +373,13 @@ class TestLipschitzProbe:
         coeffs = CoefficientSet(
             "linear_quadratic",
             {"a1": 0.5, "b1": 0.25, "k1": 0.2, "s1": 0.1},
-            1.0, ("mean",))
+            ("mean",))
         ratio = lipschitz_probe(coefficient_function(coeffs, "g1"), 50, 2.0, 2)
         assert ratio <= 1.0 * 1.01
 
     def test_measure_kernel_ratio_on_diracs(self):
         # 1-Lipschitz mean kernel: measure increments bounded by W2 on Diracs
-        coeffs = CoefficientSet("linear_in_measure", {"k1": 1.0}, 2.0, ("mean",))
+        coeffs = CoefficientSet("linear_in_measure", {"k1": 1.0}, ("mean",))
         g1 = coefficient_function(coeffs, "g1")
         rng = np.random.default_rng(13)
         x = np.zeros(1)
@@ -576,12 +593,12 @@ class TestConstructorContracts:
         lambda: DelayLaw.discrete([], []),
         lambda: DelayLaw.discrete([0.1, 0.3], [0.0, 1.0]),
         lambda: DelayLaw.discrete([0.1, 0.3], [True, 0.0]),
-        lambda: CoefficientSet("linear_quadratic", {"a1": "0.5"}, 1.0),
-        lambda: CoefficientSet("linear_quadratic", {"a1": True}, 1.0),
-        lambda: CoefficientSet("linear_quadratic", [1.0], 1.0),
-        lambda: CoefficientSet(["linear_quadratic"], {}, 1.0),
+        lambda: CoefficientSet("linear_quadratic", {"a1": "0.5"}),
+        lambda: CoefficientSet("linear_quadratic", {"a1": True}),
+        lambda: CoefficientSet("linear_quadratic", [1.0]),
+        lambda: CoefficientSet(["linear_quadratic"], {}),
+        lambda: CoefficientSet("linear_quadratic", {}, "mean"),
         lambda: CoefficientSet("linear_quadratic", {}, None),
-        lambda: CoefficientSet("linear_quadratic", {}, 1.0, None),
         lambda: Policy("affine", {"gain": "x"}),
         lambda: Policy("constant", {"value": None}),
         lambda: Policy("affine", [0.1]),
@@ -614,6 +631,13 @@ class TestConstructorContracts:
     def test_custom_family_is_gone(self):
         with pytest.raises(ParameterError):
             Policy("custom", {"fn": lambda *a: 0.0})
+
+    def test_leader_reads_no_gain_lead(self):
+        lead = Policy("affine", {"gain": 0.1, "gain_lead": 1.0})
+        with pytest.raises(ParameterError, match="gain_lead"):
+            PolicySet(lead, Policy("zero"))
+        PolicySet(Policy("zero"), lead)
+        PolicySet(Policy("zero"), Policy("zero"), deviant=lead)
 
 
 class TestDeviantPolicy:

@@ -37,9 +37,9 @@ ZERO_POLICIES = PolicySet(Policy("zero"), Policy("zero"))
 
 
 def make_model(grid=None, family="linear_quadratic", params=None, feats=(),
-               L=5.0, **kw):
+               **kw):
     grid = grid or TimeGrid(-0.125, 0.5, 1.0 / 16)
-    coeffs = CoefficientSet(family, params or {}, L, feats)
+    coeffs = CoefficientSet(family, params or {}, feats)
     return ModelSpec(coefficients=coeffs, grid=grid, **kw)
 
 

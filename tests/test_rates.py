@@ -55,14 +55,14 @@ from stackmf.rates import (
 )
 
 ZERO_POLICIES = PolicySet(Policy("zero"), Policy("zero"))
-TRACKING = PolicySet(Policy("affine", {"gain": -0.2, "gain_lead": 0.4}),
+TRACKING = PolicySet(Policy("affine", {"gain": -0.2}),
                      Policy("affine", {"gain": -0.2, "gain_lead": 0.4}))
 
 
 def make_model(grid=None, family="linear_quadratic", params=None, feats=(),
-               L=5.0, **kw):
+               **kw):
     grid = grid or TimeGrid(-0.125, 0.5, 1.0 / 16)
-    coeffs = CoefficientSet(family, params or {}, L, feats)
+    coeffs = CoefficientSet(family, params or {}, feats)
     return ModelSpec(coefficients=coeffs, grid=grid, **kw)
 
 
@@ -297,7 +297,7 @@ class TestWassersteinGapCurve:
             params={"a1": -0.3, "b1": 0.5, "k1": 0.4, "s1": 0.05,
                     "s1_x": 0.15, "t1": 0.1, "a0": -0.5, "b0": 0.4,
                     "s0": 0.35},
-            feats=("mean",), L=2.5, q=4.1,
+            feats=("mean",), q=4.1,
             leader_init={"family": "ou_path",
                          "params": {"theta": 1.0, "vol": 0.4}},
             follower_init={"family": "student_t",
@@ -331,33 +331,30 @@ class TestCostGapExperiment:
 
 class TestStreamBudget:
     def test_cost_gap_derives_each_follower_stream_once(self, monkeypatch):
-        # per replication: one batch of max(Ns) rows per follower tag, each
-        # (tag, follower) key derived once, plus a constant number of single
-        # streams (leader, Picard clouds, batch guards); deriving per N and
-        # per simulator would take about 5 * sum(Ns) = 300
-        Ns = [4, 8, 16, 32]
-        rows = collections.defaultdict(collections.Counter)
-        singles = collections.Counter()
-        real_streams, real_generator = _rng.streams, _rng.generator
+        # per replication: one stream per follower role, drawn once for
+        # max(Ns) followers, plus a fixed set of leader and Picard streams;
+        # nothing is derived per N or per follower
+        calls = collections.defaultdict(collections.Counter)
+        real = _rng.generator
 
-        def counting_streams(entropy, tag, indices):
-            rows[entropy].update((tag, int(i)) for i in indices)
-            return real_streams(entropy, tag, indices)
+        def counting(entropy, *key):
+            calls[entropy][key] += 1
+            return real(entropy, *key)
 
-        def counting_generator(entropy, *key):
-            singles[entropy] += 1
-            return real_generator(entropy, *key)
-
-        monkeypatch.setattr(_rng, "streams", counting_streams)
-        monkeypatch.setattr(_rng, "generator", counting_generator)
-        monkeypatch.setattr(dynamics, "generator", counting_generator)
+        monkeypatch.setattr(_rng, "generator", counting)
+        monkeypatch.setattr(dynamics, "generator", counting)
         model = linear_measure_model(grid=TimeGrid(-0.125, 0.25, 1.0 / 16))
-        cost_gap_experiment(model, TRACKING, TWO_ATOM, Ns, 50, 128, 3)
-        assert len(rows) == 50
-        for entropy, keys in rows.items():
-            assert max(keys.values()) == 1
-            assert len(keys) == 3 * max(Ns)
-            assert len(keys) + singles[entropy] <= 3 * max(Ns) + 12
+        totals = []
+        for Ns in ([4, 8, 16], [4, 8, 16, 32, 64]):
+            calls.clear()
+            cost_gap_experiment(model, TRACKING, TWO_ATOM, Ns, 50, 128, 3)
+            assert len(calls) == 50
+            for keys in calls.values():
+                for tag in (_rng.FOLLOWER_INIT, _rng.FOLLOWER_NOISE,
+                            _rng.DELAY):
+                    assert keys[(tag,)] == 1
+            totals.append({sum(keys.values()) for keys in calls.values()})
+        assert len(totals[0]) == 1 and totals[0] == totals[1]
 
 
 def _step_by_step(a, b, wb, h, m):

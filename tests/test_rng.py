@@ -1,101 +1,103 @@
-"""Stream derivation: batched follower streams equal SeedSequence streams."""
+"""Stream layout 2: one block per follower role, a row per follower."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackmf import _rng
-from stackmf._rng import SharedNoise, generator, streams
+from stackmf._rng import SharedNoise, generator
 
-TAGS = (_rng.LEADER_INIT, _rng.LEADER_NOISE, _rng.FOLLOWER_INIT,
-        _rng.FOLLOWER_NOISE, _rng.DELAY, _rng.FLOW_INIT, _rng.FLOW_NOISE,
-        _rng.SUBSAMPLE, _rng.PROBE, _rng.PANEL, _rng.REPLICATION)
-LAST = 2 ** 32 - 1
+FOLLOWER_TAGS = (_rng.FOLLOWER_INIT, _rng.FOLLOWER_NOISE, _rng.DELAY)
 
 entropies = st.integers(min_value=0, max_value=2 ** 64 - 1)
-index_lists = st.lists(
-    st.one_of(st.sampled_from([0, 1, LAST]),
-              st.integers(min_value=0, max_value=LAST)),
-    min_size=1, max_size=8)
+# (name, draw): the three samplers followers draw from, rows of shape (2, 3)
+# for the normal and Student t blocks and scalars for the uniforms
+SAMPLERS = (
+    ("normal", lambda rng, n: rng.standard_normal((n, 2, 3))),
+    ("student_t", lambda rng, n: rng.standard_t(4.5, size=(n, 2))),
+    ("uniform", lambda rng, n: rng.random(n)),
+)
+samplers = st.sampled_from(SAMPLERS)
 
 
-def seed_sequence_key(entropy, tag, i):
-    return np.random.SeedSequence(entropy, spawn_key=(tag, i)).generate_state(
-        2, np.uint64)
+@settings(max_examples=40, deadline=None)
+@given(entropy=entropies, tag=st.sampled_from(FOLLOWER_TAGS),
+       sampler=samplers, N=st.integers(1, 40), data=st.data())
+def test_nested_prefix(entropy, tag, sampler, N, data):
+    # the first n rows of a block of N rows are a block of n rows
+    _, draw = sampler
+    n = data.draw(st.integers(1, N))
+    big = SharedNoise(entropy).rows(tag, N, draw)
+    small = SharedNoise(entropy).rows(tag, n, draw)
+    assert np.array_equal(big[:n], small)
 
 
-@settings(max_examples=60, deadline=None)
-@given(entropy=entropies, tag=st.sampled_from(TAGS), indices=index_lists)
-def test_keys_equal_seed_sequence(entropy, tag, indices):
-    for i, gen in zip(indices, streams(entropy, tag, indices)):
-        key = gen.bit_generator.state["state"]["key"]
-        assert np.array_equal(key, seed_sequence_key(entropy, tag, i))
-
-
-@settings(max_examples=30, deadline=None)
-@given(entropy=entropies, tag=st.sampled_from(TAGS), indices=index_lists,
-       df=st.floats(min_value=2.1, max_value=30.0))
-def test_draws_equal_generator(entropy, tag, indices, df):
-    for i, gen in zip(indices, streams(entropy, tag, indices)):
-        ref = generator(entropy, tag, i)
-        assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
-        assert gen.standard_t(df) == ref.standard_t(df)
-        assert gen.random() == ref.random()
-
-
-def test_large_entropy_beyond_pool():
-    # more than four entropy words take the late mixing path
-    entropy = 2 ** 200 + 12345
-    (gen,) = streams(entropy, 3, [9])
-    assert gen.random() == generator(entropy, 3, 9).random()
-
-
-def test_empty_indices():
-    assert list(streams(5, 3, [])) == []
-
-
-@pytest.mark.parametrize("entropy, tag, indices", [
-    (-1, 0, [0]),
-    (0, 2 ** 32, [0]),
-    (0, -1, [0]),
-    (0, 0, [2 ** 32]),
-    (0, 0, [0, -1]),
-    (0, 0, [[0]]),
-])
-def test_out_of_range_rejected_at_call(entropy, tag, indices):
-    with pytest.raises(ValueError):
-        streams(entropy, tag, indices)
-
-
-def test_guard_catches_wrong_keys(monkeypatch):
-    real = _rng._philox_keys
-    monkeypatch.setattr(_rng, "_philox_keys",
-                        lambda *a: real(*a) + np.uint64(1))
-    with pytest.raises(RuntimeError, match="SeedSequence"):
-        next(streams(11, 3, [0, 1]))
+@settings(max_examples=40, deadline=None)
+@given(entropy=entropies, tag=st.sampled_from(FOLLOWER_TAGS),
+       sampler=samplers, perm=st.permutations(range(9)),
+       N=st.integers(1, 9))
+def test_permuted_view_gathers_rows(entropy, tag, sampler, perm, N):
+    _, draw = sampler
+    base = SharedNoise(entropy).rows(tag, 9, draw)
+    view = SharedNoise(entropy).permuted(perm)
+    assert np.array_equal(view.rows(tag, N, draw), base[perm[:N]])
 
 
 def test_calls_share_no_generator():
-    a = streams(1, 3, [0, 1])
-    b = streams(1, 3, [0, 1])
-    ga, gb = next(a), next(b)
-    assert ga is not gb
-    ga.random()
-    assert gb.random() == generator(1, 3, 0).random()
+    # each call builds its own stream, so interleaved or concurrent calls
+    # on one SharedNoise see the same block
+    noise = SharedNoise(1)
+    seen = []
+
+    def draw(rng, n):
+        seen.append(rng)
+        return rng.random(n)
+
+    a = noise.rows(_rng.DELAY, 3, draw)
+    b = noise.rows(_rng.DELAY, 3, draw)
+    assert seen[0] is not seen[1]
+    assert np.array_equal(a, b)
+
+
+def test_empty_indices():
+    block = SharedNoise(5).rows(_rng.FOLLOWER_NOISE, 0,
+                                lambda rng, n: rng.standard_normal((n, 4)))
+    assert block.shape == (0, 4)
+
+
+def test_large_entropy_beyond_pool():
+    # entropy of more than four 32-bit words still keys one block
+    entropy = 2 ** 200 + 12345
+    got = SharedNoise(entropy).rows(3, 5, lambda rng, n: rng.random(n))
+    assert np.array_equal(got, generator(entropy, 3).random(5))
+
+
+def test_subsample_streams_are_distinct():
+    noise = SharedNoise(8)
+    draws = {key: noise.subsample(*key).random(4)
+             for key in [(0,), (1, 8), (1, 16)]}
+    assert draws[(0,)].tolist() == generator(8, _rng.SUBSAMPLE, 0).random(
+        4).tolist()
+    assert len({tuple(v) for v in draws.values()}) == 3
 
 
 class TestSharedNoiseFollowers:
     def test_identity_layout(self):
-        noise = SharedNoise(21)
-        got = [g.random() for g in noise.followers(_rng.FOLLOWER_NOISE, 4)]
-        assert got == [generator(21, _rng.FOLLOWER_NOISE, i).random()
-                       for i in range(4)]
+        got = SharedNoise(21).rows(_rng.FOLLOWER_NOISE, 4,
+                                   lambda rng, n: rng.random(n))
+        assert np.array_equal(
+            got, generator(21, _rng.FOLLOWER_NOISE).random(4))
 
     def test_permuted_view_permutes_streams(self):
         perm = [2, 0, 3, 1]
-        base = [g.random() for g in SharedNoise(21).followers(_rng.DELAY, 4)]
+        draw = lambda rng, n: rng.random(n)     # noqa: E731
+        base = SharedNoise(21).rows(_rng.DELAY, 4, draw)
         view = SharedNoise(21).permuted(perm)
-        got = [g.random() for g in view.followers(_rng.DELAY, 4)]
-        assert got == [base[p] for p in perm]
+        assert np.array_equal(view.rows(_rng.DELAY, 4, draw), base[perm])
+        # a view draws the block up to the largest row it maps to
+        sizes = []
+        SharedNoise(21).permuted([3, 0, 1]).rows(
+            _rng.DELAY, 2, lambda rng, n: sizes.append(n) or rng.random(n))
+        assert sizes == [4]
         with pytest.raises(IndexError):
-            view.followers(_rng.DELAY, 5)
+            view.rows(_rng.DELAY, 5, draw)
