@@ -422,12 +422,9 @@ def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
     profile's policy."""
     library = []
     for dev in config.extras["deviations"]:
-        leader = dev.get("leader")
-        follower = dev.get("follower")
-        library.append(PolicySet(
-            policies.leader if leader is None else _policy("leader", leader),
-            policies.follower if follower is None
-            else _policy("follower", follower)))
+        library.append(PolicySet(*(
+            getattr(policies, role) if dev.get(role) is None
+            else _policy(role, dev[role]) for role in ("leader", "follower"))))
     return library
 
 

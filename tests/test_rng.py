@@ -21,6 +21,28 @@ samplers = st.sampled_from(SAMPLERS)
 
 
 @settings(max_examples=40, deadline=None)
+@given(entropy=entropies, tag=st.sampled_from(FOLLOWER_TAGS))
+def test_keys_equal_seed_sequence(entropy, tag):
+    # the block of role tag comes from the Philox keyed by
+    # SeedSequence(entropy, spawn_key=(tag,))
+    keys = []
+    SharedNoise(entropy).rows(tag, 2, lambda rng, n: keys.append(
+        rng.bit_generator.state["state"]["key"]) or rng.random(n))
+    expected = np.random.SeedSequence(entropy, spawn_key=(tag,)) \
+        .generate_state(2, np.uint64)
+    assert np.array_equal(keys[0], expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entropy=entropies, tag=st.sampled_from(FOLLOWER_TAGS),
+       sampler=samplers, N=st.integers(0, 20))
+def test_draws_equal_generator(entropy, tag, sampler, N):
+    _, draw = sampler
+    assert np.array_equal(SharedNoise(entropy).rows(tag, N, draw),
+                          draw(generator(entropy, tag), N))
+
+
+@settings(max_examples=40, deadline=None)
 @given(entropy=entropies, tag=st.sampled_from(FOLLOWER_TAGS),
        sampler=samplers, N=st.integers(1, 40), data=st.data())
 def test_nested_prefix(entropy, tag, sampler, N, data):
