@@ -213,8 +213,20 @@ def _is_int(x) -> bool:
 
 def _cross_object_rules(config: ScenarioConfig, objects: dict, out) -> None:
     m = config.model
-    if _is_num(config.q) and config.kind in _GAP_KINDS \
-            and config.rate_assertions and config.q <= 4:
+    grid, law = objects.get("grid"), objects.get("delay_law")
+    low_q = _is_num(config.q) and config.q <= 4
+    # eta, and gap kinds at partition_level "auto", split a uniform law at
+    # the balanced level, which needs q > 4 whatever rate_assertions says
+    balanced = law is not None and law.kind == "continuous" and (
+        config.kind == "eta_orthogonality" or config.kind in _GAP_KINDS
+        and config.extras.get("partition_level", "auto") == "auto")
+    if low_q and balanced:
+        out.append(f"q: the balanced partition level of a uniform delay law "
+                   f"needs q > 4, got q = {config.q!r}")
+    elif low_q and config.kind in _GAP_KINDS and config.regime == "general":
+        out.append(f"q: the general regime's predicted exponent needs q > 4, "
+                   f"got q = {config.q!r}")
+    elif low_q and config.kind in _GAP_KINDS and config.rate_assertions:
         out.append(f"q: rate predictions need more than 4 finite moments of "
                    f"the initial data, got q = {config.q!r} (set "
                    f"rate_assertions to false to run anyway)")
@@ -224,10 +236,14 @@ def _cross_object_rules(config: ScenarioConfig, objects: dict, out) -> None:
         if _is_num(config.q) and _is_num(df) and config.q >= df:
             out.append(f"q: student_t initial data has moments only below "
                        f"df = {df!r}, got q = {config.q!r}")
-    grid, law = objects.get("grid"), objects.get("delay_law")
     if grid is not None and law is not None and law.b > grid.b + 1e-12:
         out.append(f"delay_law: delay support reaches {law.b!r}, beyond the "
                    f"lag span b = {grid.b!r}")
+    ti = config.extras.get("time_index")
+    if config.kind == "eta_orthogonality" and grid is not None \
+            and _is_int(ti) and ti > grid.forward_steps:
+        out.append(f"extras.time_index: {ti} is beyond the last forward "
+                   f"step {grid.forward_steps} of the grid")
     # diffusions are square in this implementation
     for d, n in (("d0", "n0"), ("d1", "n1")):
         if _is_int(m.get(d)) and m[d] != m.get(n, 1):

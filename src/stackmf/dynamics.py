@@ -811,13 +811,6 @@ class Draws:
             delays=self.delays[..., :n])
 
 
-def _flow_at(flow_features, k):
-    """(leader, follower) feature dicts at forward step k of flow features
-    name -> (..., m+1, dim): shapes (..., dim) and (..., 1, dim)."""
-    return ({name: arr[..., k, :] for name, arr in flow_features.items()},
-            {name: arr[..., k, None, :] for name, arr in flow_features.items()})
-
-
 def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
            delays, flow_features=None):
     """Explicit Euler for R replications of a leader and P followers.
@@ -862,7 +855,8 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
             if flow_features is None:
                 full, loo = follower_feature_arrays(X, names)
             else:
-                full, loo = _flow_at(flow_features, k)
+                full = {name: arr[:, k] for name, arr in flow_features.items()}
+                loo = {name: arr[:, None] for name, arr in full.items()}
             x0_delayed = leader_path[rows, g - lags]
             u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
             v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
@@ -930,37 +924,53 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
     )
 
 
+def _rectangle_costs(coeffs: CoefficientSet, h: float, lead, lead_feats, u,
+                     fol, fol_feats, v):
+    """Left-endpoint rectangle rule plus terminal cost, time-major: leaders
+    lead (..., m+1, n0), u (..., m, p0), lead_feats (..., m+1, dim) and
+    followers fol (..., m+1, N, n1), v (..., m, N, p1), fol_feats
+    (..., m+1, N or 1, dim).  A cumulative sum along time adds the steps in
+    order, as a per-step ``+=`` loop does.  Returns (J0, [Ji]) as floats,
+    or arrays (R,) and (R, N) for R replications; a non-finite cumulative
+    cost raises SimulationDivergedError at its first step (m: terminal)."""
+    m = u.shape[-2]
+    # the leader as a population of one, so both roles slice alike
+    roles = ((coeffs.f0, coeffs.h0, lead[..., None, :], u[..., None, :],
+              {name: arr[..., None, :] for name, arr in lead_feats.items()}),
+             (coeffs.f1, coeffs.h1, fol, v, fol_feats))
+    cums = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for running, terminal, x, c, feats in roles:
+            head, tail = ({name: a[..., t, :, :] for name, a in feats.items()}
+                          for t in (slice(m), slice(m, None)))
+            steps = running(x[..., :m, :, :], head, c) * h
+            end = terminal(x[..., m:, :, :], tail)
+            cums.append(np.cumsum(np.concatenate([steps, end], axis=-2), -2))
+    finite = np.logical_and(*(np.isfinite(np.moveaxis(c, -2, 0))
+                              .reshape(m + 1, -1).all(1) for c in cums))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise SimulationDivergedError(k, f"non-finite cost at forward step {k}")
+    J0, Ji = cums[0][..., -1, 0], cums[1][..., -1, :]
+    return (J0, Ji) if lead.ndim == 3 else (float(J0), Ji.tolist())
+
+
 def evaluate_costs_nplayer(bundle: TrajectoryBundle, model: ModelSpec):
     """Single-replication cost values (J0N, [JiN for each follower]); for a
     bundle of R replications, arrays J0N (R,) and JiN (R, N).
 
-    Rectangle rule in time (left endpoints) plus terminal costs; follower
-    running costs see leave-one-out features, the leader sees the full
-    empirical features.
+    ``_rectangle_costs`` adds the running costs in step order, so each
+    total rounds as a per-step ``+=`` loop; followers see leave-one-out
+    features, the leader the full empirical ones and controls are stored.
     """
-    coeffs = model.coefficients
-    names = coeffs.measure_features
     grid = bundle.grid
-    h = grid.h
-    m = grid.forward_steps
-    z0 = grid.zero_index
-    lead = bundle.leader_path
-    u = bundle.controls_applied["leader"]
-    v = bundle.controls_applied["followers"]
-    J0 = np.zeros(lead.shape[:-2])
-    Ji = np.zeros(bundle.delays.shape)
-    for k in range(m):
-        X = bundle.follower_paths[..., k, :]
-        full, loo = follower_feature_arrays(X, names)
-        J0 += coeffs.f0(lead[..., z0 + k, :], full, u[..., k, :]) * h
-        Ji += coeffs.f1(X, loo, v[..., k, :]) * h
-    X = bundle.follower_paths[..., m, :]
-    full, loo = follower_feature_arrays(X, names)
-    J0 += coeffs.h0(lead[..., z0 + m, :], full)
-    Ji += coeffs.h1(X, loo)
-    if lead.ndim == 3:
-        return J0, Ji
-    return float(J0), [float(val) for val in Ji]
+    # contiguous: the sorted follower sums then round as on one time slice
+    fol = np.ascontiguousarray(np.swapaxes(bundle.follower_paths, -3, -2))
+    full, loo = follower_feature_arrays(fol, model.coefficients.measure_features)
+    return _rectangle_costs(
+        model.coefficients, grid.h, bundle.leader_path[..., grid.zero_index:, :],
+        full, bundle.controls_applied["leader"], fol, loo,
+        np.swapaxes(bundle.controls_applied["followers"], -3, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from .dynamics import (
     PolicySet,
     TimeGrid,
     _euler,
-    _flow_at,
     _follower_draws,
     _leader_draws,
     _phi_block,
+    _rectangle_costs,
     draw_follower_initial,
     snap_delays_to_grid,
 )
@@ -329,38 +329,27 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
 def evaluate_costs_limit(model: ModelSpec, policies: PolicySet,
                          zflow: ConditionalLawFlow, x0_path, x1_paths, delays):
     """Limit-system costs (J0, [Ji]) for trajectories produced by
-    simulate_limit_pair; controls are recomputed from the same policies and
-    flow features, so the values are deterministic given the paths.  For
+    simulate_limit_pair; controls are recomputed once for all steps from
+    the same policies and flow features, so the values are deterministic
+    given the paths.  ``dynamics._rectangle_costs`` adds the running costs
+    in step order, so each total rounds as a per-step ``+=`` loop.  For
     stacked paths of R replications, zflow is their R flows and the costs
     are arrays J0 (R,) and Ji (R, N)."""
     grid = model.grid
-    h = grid.h
-    m = grid.forward_steps
-    z0 = grid.zero_index
-    coeffs = model.coefficients
-    stacked = np.ndim(x0_path) == 3
-    feats = _stacked_features(zflow) if stacked else zflow.features
-    lags = np.round(np.asarray(delays, dtype=float) / h).astype(int)
-    J0 = np.zeros(np.shape(x0_path)[:-2])
-    Ji = np.zeros(lags.shape)
-    for k in range(m):
-        lead, fol = _flow_at(feats, k)
-        x0 = x0_path[..., z0 + k, :]
-        u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
-        J0 += coeffs.f0(x0, lead, u0) * h
-        X = x1_paths[..., k, :]
-        x0_delayed = np.take_along_axis(x0_path, (z0 + k - lags)[..., None],
-                                        axis=-2)
-        v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
-                        dtype=float)
-        v1 = np.broadcast_to(v1, lags.shape + (model.p1,))
-        Ji += coeffs.f1(X, fol, v1) * h
-    lead, fol = _flow_at(feats, m)
-    J0 += coeffs.h0(x0_path[..., z0 + m, :], lead)
-    Ji += coeffs.h1(x1_paths[..., m, :], fol)
-    if stacked:
-        return J0, Ji
-    return float(J0), [float(v) for v in Ji]
+    m, z0 = grid.forward_steps, grid.zero_index
+    feats = _stacked_features(zflow) if np.ndim(x0_path) == 3 \
+        else zflow.features
+    lags = np.round(np.asarray(delays, dtype=float) / grid.h).astype(int)
+    lead, fol = x0_path[..., z0:, :], np.swapaxes(x1_paths, -3, -2)
+    idx = z0 + np.arange(m)[:, None] - lags[..., None, :]      # (..., m, N)
+    x0_delayed = np.take_along_axis(x0_path[..., None, :, :], idx[..., None],
+                                    axis=-2)
+    u = policies.leader_value(lead[..., :m, :], model.p0)
+    v = policies.follower_value(fol[..., :m, :, :], x0_delayed, model.p1)
+    return _rectangle_costs(
+        model.coefficients, grid.h, lead, feats, u, fol,
+        {name: arr[..., None, :] for name, arr in feats.items()},
+        np.broadcast_to(v, idx.shape + (model.p1,)))
 
 
 @dataclasses.dataclass(frozen=True)

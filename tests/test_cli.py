@@ -158,6 +158,49 @@ class TestValidation:
         assert any("capped" in e for e in validate_config(
             dataclasses.replace(cfg, Ns=[128])))
 
+    def test_eta_time_index_within_forward_grid(self, tmp_path):
+        cfg = presets()["eta-orthogonality-n64"]
+        m = round(cfg.model["T"] / cfg.model["h"])
+        for ti, valid in ((0, True), (m, True), (m + 1, False),
+                          (999, False)):
+            errs = validate_config(dataclasses.replace(
+                cfg, extras=dict(cfg.extras, time_index=ti)))
+            assert (errs == []) == valid, (ti, errs)
+            assert all(e.startswith("extras.time_index:") for e in errs)
+        buf = io.StringIO()
+        rc = run_experiment(dataclasses.replace(
+            cfg, extras=dict(cfg.extras, time_index=999)),
+            out_dir=tmp_path / "eta", stream=buf)
+        assert rc == 2
+        assert "invalid-config: extras.time_index" in buf.getvalue()
+
+    @pytest.mark.parametrize("name, changes", [
+        ("uniform-delay-n1-1", {}),
+        ("uniform-delay-n1-1", {"rate_assertions": False}),
+        ("uniform-delay-n1-1", {"rate_assertions": False, "regime": None}),
+        ("eta-orthogonality-n64", {"delay_law": {
+            "family": "uniform", "lo": 0.0625, "hi": 0.125}}),
+    ])
+    def test_balanced_partition_level_needs_q_above_four(self, name,
+                                                          changes):
+        # partition_level "auto" (always for eta) would fail at run time
+        cfg = dataclasses.replace(presets()[name], q=3.0, **changes)
+        errs = validate_config(cfg)
+        assert len(errs) == 1, errs
+        assert errs[0].startswith("q:") and "balanced" in errs[0]
+
+    def test_low_q_runs_at_a_fixed_level_without_predictions(self, tmp_path):
+        u = presets()["uniform-delay-n1-1"]
+        cfg = dataclasses.replace(
+            u, q=3.0, rate_assertions=False, Ns=[4, 6, 8], K=100,
+            model=dict(u.model, T=0.25), extras={"partition_level": 2})
+        errs = validate_config(cfg)
+        assert len(errs) == 1 and "general regime" in errs[0]
+        cfg = dataclasses.replace(cfg, regime=None)
+        assert validate_config(cfg) == []
+        buf = io.StringIO()
+        assert run_experiment(cfg, out_dir=tmp_path / "u", stream=buf) == 0
+
 
 class TestPresets:
     def test_regime_coverage(self):
@@ -302,6 +345,21 @@ class TestRunExperiment:
         report = json.loads((tmp_path / "eta" / "report.json").read_text())
         assert report["status"] == "invalid"
         assert report["error_type"] == "ExperimentInvalidError"
+
+    def test_cost_overflow_is_a_typed_divergence(self, tmp_path):
+        # the paths stay finite over T = 0.25, their squared norms do not
+        cfg = presets()["linear-in-measure-cost-n1-1"]
+        cfg = dataclasses.replace(
+            cfg, Ns=[4, 6, 8], reps=50, K=100, seed=3,
+            model=dict(cfg.model, T=0.25,
+                       params=dict(cfg.model["params"], a1=4e39)))
+        buf = io.StringIO()
+        rc = run_experiment(cfg, out_dir=tmp_path / "o", stream=buf)
+        assert rc == 2
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["status"] == "invalid"
+        assert report["error_type"] == "SimulationDivergedError"
+        assert "non-finite cost" in report["reason"]
 
     def test_failed_rate_assertion_exits_one(self, tmp_path):
         cfg = dataclasses.replace(small_state_gap(),
