@@ -44,7 +44,7 @@ def child_entropy(entropy: int, *key: int) -> int:
     """64-bit entropy for an independent child family, e.g. one replication.
 
     Children are a pure function of (entropy, key), so work units seeded this
-    way can run in any order or on any number of threads and still produce
+    way can run in any order or on any number of workers and still produce
     identical numbers.
     """
     seq = np.random.SeedSequence(entropy=int(entropy),

@@ -35,7 +35,7 @@ slope_stderr, predicted_exponent, verdict (slope fields only on rows of
 the fitted quantity); ``report.json`` with the full report object; and
 ``manifest.json`` with the config hash, the master seed, the stream
 layout of the draws (``_rng.STREAM_LAYOUT``), and library versions.
-Nothing in the output depends on the thread count.
+Nothing in the output depends on the worker count.
 """
 import argparse
 import csv
@@ -448,8 +448,9 @@ def resolve_threads(threads=None) -> int:
     """--threads flag, then STACKMF_THREADS, then 1; a count below 1 from
     either source is a ConfigError.
 
-    Replications make many small numpy calls under the GIL, so more threads
-    are often slower; the serial path is the default."""
+    The count is of worker processes.  A run forks at most as many as it
+    has work units and CPUs it may use, and with one it forks none; the
+    serial path is the default."""
     source, env = "--threads", os.environ.get("STACKMF_THREADS")
     if threads is None:
         if not env:

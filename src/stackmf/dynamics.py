@@ -30,7 +30,6 @@ from ._rng import (
     FOLLOWER_INIT,
     FOLLOWER_NOISE,
     LEADER_INIT,
-    PROBE,
     SharedNoise,
     exact_sum,
     generator,
@@ -41,7 +40,6 @@ from .errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from .measures import DiscreteMeasure, w2_exact_lp
 
 _GRID_TOL = 1e-12
 
@@ -409,15 +407,6 @@ def follower_feature_arrays(X, names):
         full[name] = total / N
         loo[name] = (total[..., None, :] - phi) / (N - 1)
     return full, loo
-
-
-def features_of_measure(mu: DiscreteMeasure, names):
-    """Feature averages of a weighted discrete measure."""
-    out = {}
-    for name in names:
-        phi = _phi_block(name, mu.points)
-        out[name] = mu.weights @ phi
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -971,65 +960,3 @@ def evaluate_costs_nplayer(bundle: TrajectoryBundle, model: ModelSpec):
         model.coefficients, grid.h, bundle.leader_path[..., grid.zero_index:, :],
         full, bundle.controls_applied["leader"], fol, loo,
         np.swapaxes(bundle.controls_applied["followers"], -3, -2))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def coefficient_function(coeffs: CoefficientSet, name: str):
-    """Wrap one coefficient as a callable (x, measure, v) -> array, with the
-    measure reduced to the declared features."""
-    fn = getattr(coeffs, name)
-
-    def wrapped(x, mu: DiscreteMeasure, v):
-        feats = features_of_measure(mu, coeffs.measure_features)
-        return np.atleast_1d(np.asarray(fn(np.asarray(x, float), feats,
-                                           np.asarray(v, float)), dtype=float))
-
-    return wrapped
-
-
-def lipschitz_probe(coefficient, trials: int, radius: float, seed, *,
-                    dims=(1, 1, 1)) -> float:
-    """Max observed ratio |df| / (|dx| + W2(z, z') + |dv|) over random probes.
-
-    Each trial also varies one argument at a time so a linear coefficient
-    c * x reports exactly |c|.  The measure argument distance uses the exact
-    LP.
-    """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    if radius <= 0:
-        raise ParameterError("radius must be positive")
-    rng = _as_generator(seed, PROBE)
-    nx, nz, nv = dims
-    best = 0.0
-
-    def out(x, mu, v):
-        return np.asarray(coefficient(x, mu, v), dtype=float).ravel()
-
-    for _ in range(trials):
-        x1 = radius * rng.uniform(-1, 1, nx)
-        x2 = radius * rng.uniform(-1, 1, nx)
-        v1 = radius * rng.uniform(-1, 1, nv)
-        v2 = radius * rng.uniform(-1, 1, nv)
-        natoms = int(rng.integers(1, 6))
-        z1 = DiscreteMeasure(radius * rng.uniform(-1, 1, (natoms, nz)),
-                             rng.dirichlet(np.ones(natoms)))
-        natoms = int(rng.integers(1, 6))
-        z2 = DiscreteMeasure(radius * rng.uniform(-1, 1, (natoms, nz)),
-                             rng.dirichlet(np.ones(natoms)))
-        dx = float(np.linalg.norm(x1 - x2))
-        dv = float(np.linalg.norm(v1 - v2))
-        dz = w2_exact_lp(z1, z2)[0]
-        base = out(x1, z1, v1)
-        if dx > 1e-9:
-            best = max(best, float(np.linalg.norm(out(x2, z1, v1) - base)) / dx)
-        if dz > 1e-9:
-            best = max(best, float(np.linalg.norm(out(x1, z2, v1) - base)) / dz)
-        if dv > 1e-9:
-            best = max(best, float(np.linalg.norm(out(x1, z1, v2) - base)) / dv)
-        denom = dx + dz + dv
-        if denom > 1e-9:
-            best = max(best, float(np.linalg.norm(out(x2, z2, v2) - base)) / denom)
-    return best

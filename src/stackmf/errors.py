@@ -28,6 +28,9 @@ class SimulationDivergedError(StackmfError):
         self.step = step
         super().__init__(message or f"non-finite state at time step {step}")
 
+    def __reduce__(self):
+        return type(self), (self.step, str(self))
+
 
 class ExperimentInvalidError(StackmfError):
     """Too many failed replications to trust the experiment."""
@@ -42,3 +45,6 @@ class ConfigError(ValidationError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in violations))
+
+    def __reduce__(self):
+        return type(self), (self.violations,)

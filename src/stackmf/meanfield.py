@@ -83,16 +83,6 @@ class ConditionalLawFlow:
     def n_atoms(self) -> int:
         return self.atoms.size
 
-    def measure_at(self, time_index: int, atom: int) -> DiscreteMeasure:
-        """Uniform K-point law of delay atom `atom` at grid time index."""
-        pts = self.particles[atom, :, time_index, :]
-        return DiscreteMeasure(pts, np.full(self.K, 1.0 / self.K))
-
-    def mixture_at(self, time_index: int) -> DiscreteMeasure:
-        pts = self.particles[:, :, time_index, :].reshape(-1, self.particles.shape[3])
-        w = np.repeat(self.weights / self.K, self.K)
-        return DiscreteMeasure(pts, w / w.sum())
-
 
 @dataclasses.dataclass(frozen=True)
 class FixedPointReport:

@@ -9,16 +9,18 @@ log gap against log N, which is then compared to the predicted exponent
 for the scenario's regime.
 
 Replications are independent work units seeded by (master seed, index), so
-thread count never changes the numbers, nor does the block of replications
-a gap experiment steps them in.
+the number of worker processes never changes the numbers, nor does the
+block of replications a gap experiment steps them in.  With more than one
+worker, forked processes map the units; there are never more workers than
+units or CPUs this process may use.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import math
+import os
 import types
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +55,7 @@ from .measures import DiscreteMeasure, _w2sq_integral, w2_exact_lp
 
 _SUPPORT_CAP = 512
 # replications a gap experiment steps together; fixed for every workload and
-# thread count.  A block holds a flow per replication, so memory grows with it
+# worker count.  A block holds a flow per replication, so memory grows with it
 _BLOCK = 8
 _SDE_SLOPE_TOL = 0.25       # path-gap slopes carry more Monte-Carlo noise
 _MEASURE_SLOPE_TOL = 0.15
@@ -255,15 +257,46 @@ def _check_ns(Ns, min_n):
     return tuple(Ns)
 
 
+_unit_fn = None     # set in each forked worker only; see _run_replications
+
+
+def _set_unit(fn):
+    global _unit_fn
+    _unit_fn = fn
+
+
+def _call_unit(i):
+    return _unit_fn(i)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_replications(fn, units, threads):
     """fn(i) for i in range(units), results and the first error in order.
 
     A unit is a replication, or a block of them in the gap experiments;
-    its result depends on its index only, whatever the thread count."""
-    if threads is None or int(threads) <= 1:
+    its result depends on its index only, whatever the worker count.
+    `threads` counts worker processes, capped by the units and the CPUs
+    this process may use; one worker runs the units here, with no pool.
+    Units are closures, which do not pickle, so the workers are forked:
+    each inherits `fn` as its initializer argument, unpickled, and maps
+    `_call_unit` over the indices.  A spawned worker would also import
+    numpy and scipy again, which costs as much as a whole small run.  A
+    worker that dies raises BrokenProcessPool."""
+    workers = min(int(threads or 1), units, _usable_cpus())
+    if workers <= 1:
         return [fn(i) for i in range(units)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, range(units)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_unit, initargs=(fn,)) as pool:
+        return list(pool.map(_call_unit, range(units)))
 
 
 def _partition_for(law: DelayLaw, model: ModelSpec, N: int, level):

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,7 @@ class TestRunExperiment:
         ("eta-orthogonality-n64",
          {"Ns": [16], "K": 128,
           "extras": {"panels": 40, "leader_paths": 2}}, {}),
+        ("epsilon-nash-n16", {"reps": 6}, {}),
     ])
     def test_one_and_two_threads_write_same_bytes(self, tmp_path, name,
                                                   fields, model):
@@ -291,6 +293,39 @@ class TestRunExperiment:
         for fname in ("results.csv", "report.json"):
             assert (tmp_path / "1" / fname).read_bytes() \
                 == (tmp_path / "2" / fname).read_bytes()
+
+    def test_one_worker_forks_nothing(self, small_run, tmp_path,
+                                      monkeypatch):
+        # two workers asked for, but one unit, or one usable CPU: the run
+        # stays in this process and writes the serial bytes
+        import concurrent.futures
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
+        eta = dataclasses.replace(
+            presets()["eta-orthogonality-n64"], Ns=[16], K=128,
+            extras={"panels": 40, "leader_paths": 1})
+        for threads in (1, 2):
+            assert run_experiment(eta, out_dir=tmp_path / f"eta{threads}",
+                                  threads=threads, stream=io.StringIO()) == 0
+        assert (tmp_path / "eta1" / "report.json").read_bytes() \
+            == (tmp_path / "eta2" / "report.json").read_bytes()
+
+        if not hasattr(os, "sched_setaffinity"):
+            return
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            assert run_experiment(small_state_gap(), out_dir=tmp_path / "one",
+                                  threads=2, stream=io.StringIO()) == 0
+        finally:
+            os.sched_setaffinity(0, cpus)
+        _, out, _ = small_run
+        for fname in ("results.csv", "report.json"):
+            assert (tmp_path / "one" / fname).read_bytes() \
+                == (out / fname).read_bytes()
 
     def test_seed_override_changes_numbers(self, small_run, tmp_path):
         _, out, _ = small_run

@@ -18,10 +18,10 @@ from stackmf.dynamics import (
     Policy,
     PolicySet,
     TimeGrid,
-    coefficient_function,
+    _as_generator,
+    _phi_block,
     draw_follower_initial,
     evaluate_costs_nplayer,
-    lipschitz_probe,
     sample_delays,
     sample_initial_leader_path,
     simulate_nplayer,
@@ -32,7 +32,67 @@ from stackmf.errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from stackmf.measures import DiscreteMeasure
+from stackmf.measures import DiscreteMeasure, w2_exact_lp
+
+
+def features_of_measure(mu: DiscreteMeasure, names):
+    """Feature averages of a weighted discrete measure."""
+    return {name: mu.weights @ _phi_block(name, mu.points) for name in names}
+
+
+def coefficient_function(coeffs: CoefficientSet, name: str):
+    """Wrap one coefficient as a callable (x, measure, v) -> array, with the
+    measure reduced to the declared features."""
+    fn = getattr(coeffs, name)
+
+    def wrapped(x, mu: DiscreteMeasure, v):
+        feats = features_of_measure(mu, coeffs.measure_features)
+        return np.atleast_1d(np.asarray(fn(np.asarray(x, float), feats,
+                                           np.asarray(v, float)), dtype=float))
+
+    return wrapped
+
+
+def lipschitz_probe(coefficient, trials: int, radius: float, seed, *,
+                    dims=(1, 1, 1)) -> float:
+    """Max observed ratio |df| / (|dx| + W2(z, z') + |dv|) over random probes.
+
+    Each trial also varies one argument at a time so a linear coefficient
+    c * x reports exactly |c|.  The measure argument distance uses the exact
+    LP.
+    """
+    rng = _as_generator(seed, _rng.PROBE)
+    nx, nz, nv = dims
+    best = 0.0
+
+    def out(x, mu, v):
+        return np.asarray(coefficient(x, mu, v), dtype=float).ravel()
+
+    for _ in range(trials):
+        x1 = radius * rng.uniform(-1, 1, nx)
+        x2 = radius * rng.uniform(-1, 1, nx)
+        v1 = radius * rng.uniform(-1, 1, nv)
+        v2 = radius * rng.uniform(-1, 1, nv)
+        natoms = int(rng.integers(1, 6))
+        z1 = DiscreteMeasure(radius * rng.uniform(-1, 1, (natoms, nz)),
+                             rng.dirichlet(np.ones(natoms)))
+        natoms = int(rng.integers(1, 6))
+        z2 = DiscreteMeasure(radius * rng.uniform(-1, 1, (natoms, nz)),
+                             rng.dirichlet(np.ones(natoms)))
+        dx = float(np.linalg.norm(x1 - x2))
+        dv = float(np.linalg.norm(v1 - v2))
+        dz = w2_exact_lp(z1, z2)[0]
+        base = out(x1, z1, v1)
+        if dx > 1e-9:
+            best = max(best, float(np.linalg.norm(out(x2, z1, v1) - base)) / dx)
+        if dz > 1e-9:
+            best = max(best, float(np.linalg.norm(out(x1, z2, v1) - base)) / dz)
+        if dv > 1e-9:
+            best = max(best, float(np.linalg.norm(out(x1, z1, v2) - base)) / dv)
+        denom = dx + dz + dv
+        if denom > 1e-9:
+            best = max(best, float(np.linalg.norm(out(x2, z2, v2) - base)) / denom)
+    return best
 
 
 def make_model(grid=None, family="linear_quadratic", params=None, feats=(),

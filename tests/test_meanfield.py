@@ -31,9 +31,23 @@ from stackmf.meanfield import (
     simulate_limit_pair,
     solve_conditional_law,
 )
-from stackmf.measures import moment
+from stackmf.measures import DiscreteMeasure, moment
 
 ZERO_POLICIES = PolicySet(Policy("zero"), Policy("zero"))
+
+
+def measure_at(flow, time_index, atom):
+    """Uniform K-point law of delay atom `atom` at grid time index."""
+    return DiscreteMeasure(flow.particles[atom, :, time_index, :],
+                           np.full(flow.K, 1.0 / flow.K))
+
+
+def mixture_at(flow, time_index):
+    """Atom-weighted mixture of the per-atom laws at grid time index."""
+    parts = flow.particles
+    w = np.repeat(flow.weights / flow.K, flow.K)
+    return DiscreteMeasure(parts[:, :, time_index, :].reshape(-1, parts.shape[3]),
+                           w / w.sum())
 
 
 def make_model(grid=None, family="linear_quadratic", params=None, feats=(),
@@ -108,7 +122,7 @@ class TestSolveConditionalLaw:
         assert report.converged
         for k in (4, 8):
             t = k * grid.h
-            m2 = moment(flow.measure_at(k, 0), 2) ** 2
+            m2 = moment(measure_at(flow, k, 0), 2) ** 2
             assert abs(m2 - t) < 0.1 * t
 
     def test_contraction_discrepancies_decrease(self):
@@ -132,7 +146,7 @@ class TestSolveConditionalLaw:
             leader_noise_seed=9, K=200)
         assert flow.K == 200
         assert flow.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        mu = flow.measure_at(4, 1)
+        mu = measure_at(flow, 4, 1)
         assert mu.n_points == 200
         assert np.allclose(mu.weights, 1.0 / 200)
 
@@ -143,8 +157,8 @@ class TestSolveConditionalLaw:
             model, ZERO_POLICIES, [(0.0, 0.3), (0.0625, 0.45), (0.125, 0.25)],
             leader_noise_seed=11, K=150)
         for k in (0, 4, 8):
-            mix = moment(flow.mixture_at(k), 2) ** 2
-            per = sum(w * moment(flow.measure_at(k, j), 2) ** 2
+            mix = moment(mixture_at(flow, k), 2) ** 2
+            per = sum(w * moment(measure_at(flow, k, j), 2) ** 2
                       for j, w in enumerate(flow.weights))
             assert mix == pytest.approx(per, abs=1e-12)
 
@@ -158,8 +172,8 @@ class TestSolveConditionalLaw:
             model, ZERO_POLICIES, [(0.0, 0.5), (0.125, 0.5)],
             leader_noise_seed=13, K=300)
         for k in (2, 6):
-            mix = moment(flow.mixture_at(k), 2) ** 2
-            cap = max(moment(flow.measure_at(k, j), 2) ** 2
+            mix = moment(mixture_at(flow, k), 2) ** 2
+            cap = max(moment(measure_at(flow, k, j), 2) ** 2
                       for j in range(flow.n_atoms))
             assert mix <= cap + 1e-12
 

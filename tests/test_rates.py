@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ from stackmf.dynamics import (
     simulate_nplayer,
 )
 from stackmf.errors import (
+    ConfigError,
     ExperimentInvalidError,
     ParameterError,
     SimulationDivergedError,
@@ -672,6 +676,68 @@ class TestBlockedDriverContract:
         ref = _reference_curves(kind, model, pols, law, cfg.Ns, reps, cfg.K,
                                 cfg.seed, cfg.tol)
         assert curves == {k: [list(m), list(s)] for k, (m, s) in ref.items()}
+
+
+class TestProcessDriver:
+    """`_run_replications` over forked workers; `_usable_cpus` is pinned
+    to 2 so the pool runs on any box."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+
+    def test_results_in_index_order_from_workers(self):
+        out = rates._run_replications(lambda i: (i, os.getpid()), 6, 2)
+        assert [i for i, _ in out] == list(range(6))
+        assert os.getpid() not in {pid for _, pid in out}
+
+    def test_first_error_by_index(self):
+        def unit(i):
+            if i == 1:
+                time.sleep(0.5)     # unit 3 fails first in time
+                raise SimulationDivergedError(1, "unit 1")
+            if i == 3:
+                raise ConfigError(["unit 3"])
+            return i
+
+        with pytest.raises(SimulationDivergedError) as got:
+            rates._run_replications(unit, 6, 2)
+        assert (got.value.step, str(got.value)) == (1, "unit 1")
+
+    def test_dead_worker_raises_broken_pool(self):
+        from concurrent.futures.process import BrokenProcessPool
+        raised = []
+
+        def call():
+            try:
+                rates._run_replications(
+                    lambda i: os._exit(1) if i == 2 else i, 6, 2)
+            except BaseException as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "the driver hangs on a dead worker"
+        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+
+    def test_workers_capped_by_units_and_cpus(self, monkeypatch):
+        import concurrent.futures
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                sizes.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        assert rates._run_replications(lambda i: i, 3, 8) == [0, 1, 2]
+        monkeypatch.setattr(rates, "_usable_cpus", lambda: 3)
+        assert rates._run_replications(lambda i: i, 6, 8) == list(range(6))
+        assert rates._run_replications(lambda i: i, 2, 8) == [0, 1]
+        assert sizes == [2, 3, 2]
+        assert rates._unit_fn is None     # set in the workers only
 
 
 class TestDivergenceOrder:
