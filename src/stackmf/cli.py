@@ -67,11 +67,11 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
-    ExperimentInvalidError,
     ParameterError,
     StackmfError,
 )
 from .rates import (
+    _BLOCK,
     _REGIMES,
     EpsilonReport,
     EtaReport,
@@ -81,6 +81,7 @@ from .rates import (
     eta_orthogonality_check,
     state_gap_experiment,
     wasserstein_gap_curve,
+    _workers,
 )
 
 _KINDS = ("state_gap", "wasserstein_gap", "cost_gap", "epsilon_nash",
@@ -280,8 +281,8 @@ def _kind_rules(config: ScenarioConfig, out) -> None:
         out.append("K: need at least 100 particles per delay atom")
     if not _is_num(config.tol) or config.tol <= 0:
         out.append("tol: must be a positive finite number")
-    if not _is_int(config.seed):
-        out.append("seed: must be an integer")
+    if not _is_int(config.seed) or config.seed < 0:
+        out.append("seed: must be an integer >= 0")
 
     if config.regime is not None and config.regime not in _REGIMES:
         out.append(f"regime: must be null or one of {_REGIMES}")
@@ -601,13 +602,15 @@ def _assertions_pass(config: ScenarioConfig, report) -> bool:
 
 def _plan_lines(config: ScenarioConfig, seed: int, threads: int,
                 out_dir: Path) -> list:
-    lines = [f"scenario {config.name} ({config.kind})",
-             f"  Ns={list(config.Ns)} reps={config.reps} K={config.K} "
-             f"seed={seed} threads={threads}",
-             f"  regime={config.regime or '-'} "
-             f"rate_assertions={config.rate_assertions}",
-             f"  outputs: {out_dir}/results.csv, report.json, manifest.json"]
-    return lines
+    # worker processes the run uses, over leader paths or replication blocks
+    units = config.extras["leader_paths"] \
+        if config.kind == "eta_orthogonality" else -(-config.reps // _BLOCK)
+    return [f"scenario {config.name} ({config.kind})",
+            f"  Ns={list(config.Ns)} reps={config.reps} K={config.K} "
+            f"seed={seed} threads={_workers(threads, units)}",
+            f"  regime={config.regime or '-'} "
+            f"rate_assertions={config.rate_assertions}",
+            f"  outputs: {out_dir}/results.csv, report.json, manifest.json"]
 
 
 def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
@@ -626,11 +629,13 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
         return 2
     try:
         threads = resolve_threads(threads)
+        seed = config.seed if seed is None else int(seed)
+        if seed < 0:
+            raise ConfigError([f"--seed must be at least 0, got {seed}"])
     except ConfigError as exc:
         for v in exc.violations:
             print(f"invalid-config: {v}", file=stream)
         return 2
-    seed = config.seed if seed is None else int(seed)
     out = Path(out_dir or config.out_dir or f"stackmf-out-{config.name}")
     if dry_run:
         for line in _plan_lines(config, seed, threads, out):
@@ -638,7 +643,7 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
         return 0
     try:
         report = _dispatch(config, seed, threads)
-    except (ExperimentInvalidError, StackmfError) as exc:
+    except StackmfError as exc:
         _write_outputs(out, config, seed,
                        {"error_type": type(exc).__name__,
                         "reason": str(exc)}, "invalid")

@@ -8,11 +8,11 @@ gaps.  Means over replications feed an ordinary least-squares fit of
 log gap against log N, which is then compared to the predicted exponent
 for the scenario's regime.
 
-Replications are independent work units seeded by (master seed, index), so
-the number of worker processes never changes the numbers, nor does the
-block of replications a gap experiment steps them in.  With more than one
-worker, forked processes map the units; there are never more workers than
-units or CPUs this process may use.
+Replications are independent and seeded by (master seed, index); one
+driver, ``_replicate``, runs them in blocks, and neither the block size nor
+the number of worker processes changes the numbers.  With more than one
+worker, forked processes map the blocks; there are never more workers than
+blocks or CPUs this process may use.
 """
 from __future__ import annotations
 
@@ -54,8 +54,8 @@ from .meanfield import (
 from .measures import DiscreteMeasure, _w2sq_integral, w2_exact_lp
 
 _SUPPORT_CAP = 512
-# replications a gap experiment steps together; fixed for every workload and
-# worker count.  A block holds a flow per replication, so memory grows with it
+# replications a gap or epsilon-Nash block steps together, for any workload
+# and worker count.  A gap block holds a flow per replication
 _BLOCK = 8
 _SDE_SLOPE_TOL = 0.25       # path-gap slopes carry more Monte-Carlo noise
 _MEASURE_SLOPE_TOL = 0.15
@@ -275,19 +275,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(threads, units) -> int:
+    """`threads` capped by the units and the CPUs this process may use."""
+    return min(int(threads or 1), units, _usable_cpus())
+
+
 def _run_replications(fn, units, threads):
     """fn(i) for i in range(units), results and the first error in order.
 
-    A unit is a replication, or a block of them in the gap experiments;
-    its result depends on its index only, whatever the worker count.
-    `threads` counts worker processes, capped by the units and the CPUs
-    this process may use; one worker runs the units here, with no pool.
-    Units are closures, which do not pickle, so the workers are forked:
-    each inherits `fn` as its initializer argument, unpickled, and maps
-    `_call_unit` over the indices.  A spawned worker would also import
+    A unit is a block of replications (``_replicate``); its result depends
+    on its index only.  One worker (``_workers``) runs the units here, with
+    no pool.  Units are closures, which do not pickle, so the workers are
+    forked: each inherits `fn` as its initializer argument, unpickled, and
+    maps `_call_unit` over the indices.  A spawned worker would also import
     numpy and scipy again, which costs as much as a whole small run.  A
     worker that dies raises BrokenProcessPool."""
-    workers = min(int(threads or 1), units, _usable_cpus())
+    workers = _workers(threads, units)
     if workers <= 1:
         return [fn(i) for i in range(units)]
     import multiprocessing
@@ -297,6 +300,26 @@ def _run_replications(fn, units, threads):
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_unit, initargs=(fn,)) as pool:
         return list(pool.map(_call_unit, range(units)))
+
+
+def _replicate(run_block, seed, reps, threads, block=_BLOCK):
+    """run_block(noises) over blocks of `block` replications, replication
+    r on the noise of child_entropy(seed, REPLICATION, r).  run_block
+    returns arrays with a row per replication; they come back joined over
+    all replications.  A block that diverges runs again one replication at
+    a time, to raise the error a serial loop meets first."""
+    def unit(b):
+        noises = [SharedNoise(child_entropy(int(seed), REPLICATION, r))
+                  for r in range(b * block, min((b + 1) * block, reps))]
+        try:
+            return run_block(noises)
+        except SimulationDivergedError:
+            for noise in noises:
+                run_block([noise])
+            raise
+
+    results = _run_replications(unit, -(-int(reps) // block), threads)
+    return tuple(np.concatenate(rows) for rows in zip(*results))
 
 
 def _partition_for(law: DelayLaw, model: ModelSpec, N: int, level):
@@ -400,7 +423,7 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
                     *, min_n: int, curve_names, quantity: str,
                     rate_quantity: str, nplayer: bool, twin_size, measure,
                     twin_costs: bool = False) -> GapReport:
-    """Replication driver shared by the three gap experiments.
+    """Blocks of replications shared by the three gap experiments.
 
     Per replication: fix a leader noise realization, draw the inputs of
     max(Ns) followers once and solve the conditional law once per delay
@@ -409,9 +432,10 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     largest N (priced too with `twin_costs`), per N one N-player run (with
     `nplayer`); measure(noises, flows, N, bundle, twin) slices them into
     one row of curve values per replication.  A key's flows go before the
-    next key is solved.  A block that diverges runs again one replication
-    at a time with a twin per N, to raise the error a serial loop meets
-    first.  Means over replications become the curves; the slope is fitted
+    next key is solved.  A block of one replication, as ``_replicate``
+    reruns a diverging block, steps a twin per N instead, in the order of
+    a serial loop; twin followers do not interact, so the bytes are the
+    same.  Means over replications become the curves; the slope is fitted
     on `quantity` and compared with the prediction for `rate_quantity`.
     """
     Ns = _check_ns(Ns, min_n)
@@ -419,7 +443,7 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
         raise ValidationError(f"need reps >= 50, got {reps}")
     parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
 
-    def run_block(noises, serial=False):
+    def run_block(noises):
         samples = [Draws.sample(model, delay_law, noise, Ns[-1])
                    for noise in noises]
         draws = Draws.stack(samples)
@@ -445,28 +469,18 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
                 return evaluate_costs_limit(model, policies, flows, x0, x1,
                                             d.delays) if twin_costs else (x0, x1)
 
-            shared = None if serial else twin(group[-1])
+            shared = twin(group[-1]) if len(noises) > 1 else None
             for N in group:
                 bundle = simulate_nplayer(
                     model, policies, N, delay_law, noises,
                     draws.head(N)) if nplayer else None
                 out[:, :, Ns.index(N)] = measure(
-                    noises, flows, N, bundle, twin(N) if serial else shared)
+                    noises, flows, N, bundle,
+                    twin(N) if shared is None else shared)
         return out, failed
 
-    def one_block(b):
-        noises = [SharedNoise(child_entropy(int(seed), REPLICATION, r))
-                  for r in range(b * _BLOCK, min((b + 1) * _BLOCK, reps))]
-        try:
-            return run_block(noises)
-        except SimulationDivergedError:
-            for noise in noises:
-                run_block([noise], serial=True)
-            raise
-
-    results = _run_replications(one_block, -(-int(reps) // _BLOCK), threads)
-    fails = _check_failures(np.concatenate([f for _, f in results]), reps)
-    stack = np.concatenate([rows for rows, _ in results])  # (reps, curves, nN)
+    stack, failed = _replicate(run_block, seed, reps, threads)
+    fails = _check_failures(failed, reps)           # stack (reps, curves, nN)
     curves = {name: _aggregate(stack[:, i, :])
               for i, name in enumerate(curve_names)}
     slope, stderr, r2 = _fit_or_undefined(Ns, curves[quantity][0])
@@ -624,10 +638,10 @@ def _policies_equal(a: Policy, b: Policy) -> bool:
     return a.family == b.family and dict(a.params) == dict(b.params)
 
 
-def _control_energy(controls, h) -> np.ndarray:
-    """Rectangle-rule integral of |v_t|^2 per player; controls (..., m, p)."""
-    sq = np.sum(np.asarray(controls, float) ** 2, axis=-1)
-    return sq.sum(axis=-1) * h
+def _control_energy(controls, h) -> list:
+    """Rectangle-rule integral of |v_t|^2 per replication; controls
+    (R, m, p), each replication summed on its own."""
+    return [np.sum(c ** 2, axis=-1).sum() * h for c in controls]
 
 
 def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
@@ -665,40 +679,27 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
         else:
             follower_devs.append((k, dev.follower))
 
-    arms = [("profile", profile)]
-    for k, pol in follower_devs:
-        arms.append((f"follower_dev_{k}",
-                     PolicySet(profile.leader, profile.follower, deviant=pol)))
-    for k, pol in leader_devs:
-        arms.append((f"leader_dev_{k}", PolicySet(pol, profile.follower)))
+    arms = [profile, *(PolicySet(profile.leader, profile.follower, deviant=pol)
+                       for _, pol in follower_devs),
+            *(PolicySet(pol, profile.follower) for _, pol in leader_devs)]
 
-    def one_rep(r):
-        ent = child_entropy(int(seed), REPLICATION, r)
-        noise = SharedNoise(ent)
-        draws = Draws.sample(model, delay_law, noise, N)
-        j0 = np.empty(len(arms))
-        j1 = np.empty(len(arms))
-        dev_energy = np.empty(len(arms))
-        lead_energy = np.empty(len(arms))
-        delta0 = 0.0
-        for a, (_, pols) in enumerate(arms):
-            bundle = simulate_nplayer(model, pols, N, delay_law, noise, draws)
-            j0n, jin = evaluate_costs_nplayer(bundle, model)
-            j0[a] = j0n
-            j1[a] = jin[0]
-            dev_energy[a] = _control_energy(
-                bundle.controls_applied["followers"][0], model.grid.h)
-            lead_energy[a] = _control_energy(
-                bundle.controls_applied["leader"], model.grid.h)
-            delta0 = float(bundle.delays[0])
-        return j0, j1, dev_energy, lead_energy, delta0
+    def run_block(noises):
+        # each arm steps the block's replications in one stacked call
+        draws = Draws.stack([Draws.sample(model, delay_law, noise, N)
+                             for noise in noises])
+        out = np.empty((4, len(noises), len(arms)))
+        for a, pols in enumerate(arms):
+            bundle = simulate_nplayer(model, pols, N, delay_law, noises, draws)
+            out[0, :, a], jin = evaluate_costs_nplayer(bundle, model)
+            out[1, :, a] = jin[:, 0]
+            v = bundle.controls_applied
+            out[2:, :, a] = [_control_energy(c, model.grid.h)
+                             for c in (v["followers"][:, 0], v["leader"])]
+        return (*out, bundle.delays[:, 0])
 
-    results = _run_replications(one_rep, int(reps), threads)
-    j0 = np.stack([r[0] for r in results])           # (reps, arms)
-    j1 = np.stack([r[1] for r in results])
-    denergy = np.stack([r[2] for r in results])
-    lenergy = np.stack([r[3] for r in results])
-    delta0 = np.array([r[4] for r in results])
+    # (reps, arms) costs and control energies; delta0 (reps,)
+    j0, j1, denergy, lenergy, delta0 = _replicate(run_block, seed, int(reps),
+                                                  threads)
 
     # numeric norm-cap checks; follower cap per realized delay of follower 0
     for a, (k, _) in enumerate(follower_devs, start=1):
@@ -715,37 +716,29 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
                 f"deviation {k} violates the leader norm cap: "
                 f"E|v0|^2 = {mean_energy!r} > gamma = {gamma!r}")
 
-    def gain_stats(profile_col, dev_col):
-        gains = profile_col - dev_col
-        mean = float(gains.mean())
-        if gains.size > 1:
-            se = float(gains.std(ddof=1) / math.sqrt(gains.size))
-        else:
-            se = 0.0
-        return mean, se
+    # mean cost, and mean gain over the profile with its standard error
+    def role_stats(j, cols):
+        costs, gains, ses = [], [], []
+        for a in cols:
+            diff = j[:, 0] - j[:, a]
+            costs.append(float(j[:, a].mean()))
+            gains.append(float(diff.mean()))
+            ses.append(float(diff.std(ddof=1) / math.sqrt(diff.size))
+                       if diff.size > 1 else 0.0)
+        return tuple(costs), tuple(gains), tuple(ses)
 
-    f_costs, f_gains, f_ses = [], [], []
-    for a in range(1, off):
-        f_costs.append(float(j1[:, a].mean()))
-        mean, se = gain_stats(j1[:, 0], j1[:, a])
-        f_gains.append(mean)
-        f_ses.append(se)
-    l_costs, l_gains, l_ses = [], [], []
-    for a in range(off, len(arms)):
-        l_costs.append(float(j0[:, a].mean()))
-        mean, se = gain_stats(j0[:, 0], j0[:, a])
-        l_gains.append(mean)
-        l_ses.append(se)
+    f_costs, f_gains, f_ses = role_stats(j1, range(1, off))
+    l_costs, l_gains, l_ses = role_stats(j0, range(off, len(arms)))
 
     return EpsilonReport(
         scenario=scenario, N=int(N), reps=int(reps),
         profile_leader_cost=float(j0[:, 0].mean()),
         profile_follower_cost=float(j1[:, 0].mean()),
-        follower_costs=tuple(f_costs), follower_gains=tuple(f_gains),
-        follower_gain_stderrs=tuple(f_ses),
+        follower_costs=f_costs, follower_gains=f_gains,
+        follower_gain_stderrs=f_ses,
         epsilon_hat=max(0.0, max(f_gains, default=0.0)),
-        leader_costs=tuple(l_costs), leader_gains=tuple(l_gains),
-        leader_gain_stderrs=tuple(l_ses),
+        leader_costs=l_costs, leader_gains=l_gains,
+        leader_gain_stderrs=l_ses,
         epsilon2_hat=max(0.0, max(l_gains, default=0.0)))
 
 
@@ -777,32 +770,32 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     if not 0 <= s <= m:
         raise ValidationError(f"time index {s} outside the forward grid")
     kernel = model.coefficients.params.get("kernel", "mean")
-    P = panels * (N - 1)
 
-    def one_path(r):
-        ent = child_entropy(int(seed), REPLICATION, r)
-        part = _partition_for(delay_law, model, N, "auto")
-        noise = SharedNoise(ent)
-        draws = Draws.sample(model, delay_law, noise, P)
+    part = _partition_for(delay_law, model, N, "auto")
+
+    # one leader path a unit: it already steps panels * (N - 1) followers
+    def run_path(noises):
+        (noise,) = noises
+        draws = Draws.sample(model, delay_law, noise, panels * (N - 1))
         flow, rep = solve_conditional_law(
-            model, policies, part, ent, K,
+            model, policies, part, noise.entropy, K,
             tol=tol, max_iter=max_iter, damping=damping, draws=draws)
         _, x1 = simulate_limit_pair(
             model, policies, flow, noise, draws.delays, draws)
         vals = x1[:, s, :]
         if kernel == "tanh_mean":
             vals = np.tanh(vals)
-        eta = vals - vals.mean(axis=0)
-        eta = eta.reshape(panels, N - 1, -1)
+        eta = (vals - vals.mean(axis=0)).reshape(panels, N - 1, -1)
         lhs_rows = np.sum(eta.mean(axis=1) ** 2, axis=1)
         rhs_rows = np.sum(eta ** 2, axis=2).mean(axis=1)
-        return float(lhs_rows.sum()), float(rhs_rows.sum()), not rep.converged
+        return [lhs_rows.sum()], [rhs_rows.sum()], [not rep.converged]
 
-    results = _run_replications(one_path, int(leader_paths), threads)
-    fails = _check_failures([f for _, _, f in results], leader_paths)
+    lhs_paths, rhs_paths, failed = _replicate(
+        run_path, seed, int(leader_paths), threads, block=1)
+    fails = _check_failures(failed, leader_paths)
     total = leader_paths * panels
-    lhs = sum(a for a, _, _ in results) / total
-    rhs = sum(b for _, b, _ in results) / total / (N - 1)
+    lhs = float(sum(lhs_paths)) / total
+    rhs = float(sum(rhs_paths)) / total / (N - 1)
     return EtaReport(scenario=scenario, N=int(N), panels=int(panels),
                      leader_paths=int(leader_paths), time_index=s,
                      lhs=lhs, rhs=rhs, fixed_point_failures=fails)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackmf import rates
 from stackmf.cli import (
     CSV_COLUMNS,
     ScenarioConfig,
@@ -151,6 +152,12 @@ class TestValidation:
             save_config(bad, path)
             assert main(["validate", str(path)]) == 2
             assert key in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self):
+        assert validate_config(dataclasses.replace(small_state_gap(),
+                                                   seed=0)) == []
+        assert "seed: must be an integer >= 0" in validate_config(
+            dataclasses.replace(small_state_gap(), seed=-1))
 
     def test_single_population_kinds(self):
         cfg = presets()["epsilon-nash-n16"]
@@ -345,6 +352,32 @@ class TestRunExperiment:
         assert not out.exists()
         assert "scenario two-atom-delay-n1-1" in buf.getvalue()
 
+    def test_dry_run_prints_the_workers_it_uses(self, monkeypatch):
+        # one unit per eta leader path, per block of 8 replications else
+        monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+        eta = dataclasses.replace(
+            presets()["eta-orthogonality-n64"],
+            extras={"panels": 500, "leader_paths": 1})
+        for cfg, threads, used in [(eta, 2, 1), (small_state_gap(), 2, 2),
+                                   (small_state_gap(), 8, 2),
+                                   (small_state_gap(), 1, 1),
+                                   (presets()["epsilon-nash-n16"], 2, 2),
+                                   (dataclasses.replace(
+                                       presets()["epsilon-nash-n16"],
+                                       reps=8), 2, 1)]:
+            buf = io.StringIO()
+            assert run_experiment(cfg, threads=threads, dry_run=True,
+                                  stream=buf) == 0
+            assert f" threads={used}\n" in buf.getvalue(), (cfg.name, threads)
+
+    def test_negative_seed_override_exits_two(self, tmp_path):
+        buf = io.StringIO()
+        assert run_experiment(small_state_gap(), out_dir=tmp_path / "x",
+                              seed=-3, stream=buf) == 2
+        assert buf.getvalue() == "invalid-config: --seed must be at least 0, " \
+                                 "got -3\n"
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_config_exits_two(self, tmp_path):
         cfg = dataclasses.replace(small_state_gap(), q=3.0)
         buf = io.StringIO()
@@ -475,6 +508,14 @@ class TestMain:
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
         assert "invalid-config" in capsys.readouterr().err
+
+    def test_run_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "epsilon-nash-n16", "--seed", "-3",
+                     "--out", str(out)]) == 2
+        assert "invalid-config: --seed must be at least 0" \
+            in capsys.readouterr().out
+        assert not out.exists()
 
     def test_run_dry_run_via_main(self, tmp_path, capsys):
         assert main(["run", "two-atom-delay-n1-1", "--dry-run",

@@ -810,3 +810,78 @@ class TestDivergenceOrder:
                            match="^nplayer of replication 3$"):
             state_gap_experiment(model, ZERO_POLICIES, TWO_ATOM, [4, 8, 16],
                                  50, 100, 21, threads=2)
+
+    def test_epsilon_nash_earliest_replication_then_earliest_arm(
+            self, monkeypatch):
+        # a stand-in that diverges on chosen (replication, arm) pairs: the
+        # block of replications 0-7 steps arm 0 of replication 5 before arm
+        # 2 of replication 3, a serial loop the other way round
+        monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+        ents = [child_entropy(21, REPLICATION, r) for r in range(16)]
+        bad = {(ents[5], 0), (ents[3], 2), (ents[9], 0)}
+        arms = []
+        real = rates.simulate_nplayer
+
+        def nplayer(model, pols, N, law, noises, draws):
+            if pols not in arms:
+                arms.append(pols)
+            for noise in noises:
+                if (noise.entropy, arms.index(pols)) in bad:
+                    raise SimulationDivergedError(
+                        0, f"replication {ents.index(noise.entropy)}")
+            return real(model, pols, N, law, noises, draws)
+
+        monkeypatch.setattr(rates, "simulate_nplayer", nplayer)
+        library = [
+            PolicySet(Policy("zero"), Policy("constant", {"value": 0.7})),
+            PolicySet(Policy("constant", {"value": 0.5}), Policy("zero"))]
+        for threads in (1, 2):
+            with pytest.raises(SimulationDivergedError,
+                               match="^replication 3$"):
+                epsilon_nash_certify(nash_model(), ZERO_POLICIES, library, 8,
+                                     16, 21, delay_law=TWO_ATOM,
+                                     threads=threads)
+
+
+class TestOneDriverForEveryKind:
+    """epsilon-Nash and the eta check write the same bytes with one and two
+    worker processes; `_usable_cpus` is pinned to 2 so the pool runs on any
+    box."""
+
+    @staticmethod
+    def _run_both(cfg):
+        from stackmf.cli import run_experiment
+        with tempfile.TemporaryDirectory() as tmp:
+            out = {}
+            for threads in (1, 2):
+                d = Path(tmp, str(threads))
+                assert run_experiment(cfg, threads=threads, out_dir=d,
+                                      stream=io.StringIO()) == 0
+                out[threads] = [(d / f).read_bytes() for f in
+                                ("results.csv", "report.json", "manifest.json")]
+        assert out[1] == out[2]
+
+    @settings(max_examples=6, deadline=None)
+    @given(N=st.integers(2, 12), reps=st.sampled_from([9, 13, 19]),
+           seed=st.integers(0, 2 ** 20))
+    def test_epsilon_nash_one_and_two_workers(self, N, reps, seed):
+        from stackmf.cli import presets
+        assert reps % rates._BLOCK     # the last block is partial
+        cfg = dataclasses.replace(presets()["epsilon-nash-n16"], Ns=[N],
+                                  reps=reps, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "_usable_cpus", lambda: 2)
+            self._run_both(cfg)
+
+    @settings(max_examples=4, deadline=None)
+    @given(N=st.integers(2, 12), paths=st.integers(2, 3),
+           panels=st.integers(2, 20), seed=st.integers(0, 2 ** 20))
+    def test_eta_one_and_two_workers(self, N, paths, panels, seed):
+        from stackmf.cli import presets
+        base = presets()["eta-orthogonality-n64"]
+        cfg = dataclasses.replace(
+            base, Ns=[N], K=100, seed=seed, model=dict(base.model, T=0.25),
+            extras={"panels": panels, "leader_paths": paths})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "_usable_cpus", lambda: 2)
+            self._run_both(cfg)
