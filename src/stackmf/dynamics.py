@@ -267,6 +267,23 @@ def _sqnorm(x):
     return np.sum(np.asarray(x, float) ** 2, axis=-1)
 
 
+def _live_sum(terms, shape):
+    """Left-to-right sum of gain * value over the (gain, value) terms whose
+    gain is not exactly 0.0, as a new array of `shape`; a callable value is
+    called only then.  A skipped term adds 0.0 * value, +-0.0 for a finite
+    value, so skipping it can change only the sign of a zero."""
+    out = None
+    for gain, value in terms:
+        if gain != 0.0:
+            term = gain * (value() if callable(value) else value)
+            out = term if out is None else out + term
+    if getattr(out, "shape", None) == shape:
+        return out
+    full = np.empty(shape)
+    full[...] = 0.0 if out is None else out
+    return full
+
+
 @dataclasses.dataclass(frozen=True)
 class CoefficientSet:
     """Drift/diffusion/cost coefficients of one of three named families.
@@ -323,41 +340,45 @@ class CoefficientSet:
     def _p(self, key):
         return self.params.get(key, 0.0)
 
-    def _measure_term(self, feats, gain_key):
-        gain = self._p(gain_key)
-        if gain == 0.0:
-            return 0.0
+    def _kernel(self, feats):
+        """The measure feature that the k and ks gains multiply."""
         if self.family == "linear_in_measure":
-            return gain * feats[self.params["kernel"]]
+            return feats[self.params["kernel"]]
         if self.family == "smooth_nonlinear":
-            return gain * np.tanh(feats["mean"])
-        return gain * feats["mean"]
+            return np.tanh(feats["mean"])
+        return feats["mean"]
+
+    @functools.cached_property
+    def _gains(self):
+        """Term gains, 0.0 where unset, of g (x, v, kernel, tanh x) and sigma
+        (1, state, v, kernel); t* and ks* exist in one family each."""
+        keys = {"g0": "a0 b0 k0 t0", "g1": "a1 b1 k1 t1",
+                "sigma0": "s0 s0_x s0_v ks0", "sigma1": "s1 s1_x s1_v ks1"}
+        return {name: tuple(map(self._p, row.split())) for name, row in keys.items()}
+
+    def _drift(self, name, x, feats, v):
+        a, b, k, t = self._gains[name]
+        return _live_sum(((a, x), (b, v), (k, lambda: self._kernel(feats)),
+                          (t, lambda: np.tanh(x))), np.shape(x))
+
+    def _diffusion(self, name, x, feats, v):
+        s, sx, sv, ks = self._gains[name]
+        smooth = self.family == "smooth_nonlinear"
+        return _live_sum(((s, 1.0), (sx, lambda: np.tanh(x) if smooth else x),
+                          (sv, v), (ks, lambda: self._kernel(feats))),
+                         np.shape(x))
 
     def g0(self, x0, feats, v0):
-        out = self._p("a0") * x0 + self._p("b0") * v0 + self._measure_term(feats, "k0")
-        if self.family == "smooth_nonlinear":
-            out = out + self._p("t0") * np.tanh(x0)
-        return out
+        return self._drift("g0", x0, feats, v0)
 
     def sigma0(self, x0, feats, v0):
-        state = np.tanh(x0) if self.family == "smooth_nonlinear" else x0
-        out = self._p("s0") + self._p("s0_x") * state + self._p("s0_v") * v0
-        if self.family == "linear_in_measure":
-            out = out + self._measure_term(feats, "ks0")
-        return out * np.ones_like(x0)
+        return self._diffusion("sigma0", x0, feats, v0)
 
     def g1(self, x1, feats, v1):
-        out = self._p("a1") * x1 + self._p("b1") * v1 + self._measure_term(feats, "k1")
-        if self.family == "smooth_nonlinear":
-            out = out + self._p("t1") * np.tanh(x1)
-        return out
+        return self._drift("g1", x1, feats, v1)
 
     def sigma1(self, x1, feats, v1):
-        state = np.tanh(x1) if self.family == "smooth_nonlinear" else x1
-        out = self._p("s1") + self._p("s1_x") * state + self._p("s1_v") * v1
-        if self.family == "linear_in_measure":
-            out = out + self._measure_term(feats, "ks1")
-        return out * np.ones_like(x1)
+        return self._diffusion("sigma1", x1, feats, v1)
 
     def f0(self, x0, feats, v0):
         out = self._p("cost0_const") + self._p("cost0_state") * _sqnorm(x0) \
@@ -460,14 +481,15 @@ def check_policy(role: str, pol: Policy) -> None:
                              f"read {sorted(unknown)}")
 
 
-def _follower_control(pol: Policy, x1, x0_delayed, p1):
-    if pol.family == "zero":
-        return np.zeros(x1.shape[:-1] + (p1,))
-    if pol.family == "constant":
-        return np.full(x1.shape[:-1] + (p1,), pol.params["value"])
-    return (pol.params.get("gain", 0.0) * x1
-            + pol.params.get("gain_lead", 0.0) * x0_delayed
-            + pol.params.get("offset", 0.0))
+def _control(pol: Policy, shape, x, x0_delayed=None):
+    """Controls of `shape` under pol: zeros, the constant's value, or the
+    live terms of the affine gain * x + gain_lead * x0_delayed + offset."""
+    params = pol.params
+    if pol.family != "affine":
+        return _live_sum(((1.0, params.get("value", 0.0)),), shape)
+    return _live_sum(((params.get("gain", 0.0), x),
+                      (params.get("gain_lead", 0.0), x0_delayed),
+                      (params.get("offset", 0.0), 1.0)), shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -487,22 +509,15 @@ class PolicySet:
 
     def leader_value(self, x0, p0):
         """Controls (..., p0) of the leaders with states x0 (..., n0)."""
-        pol = self.leader
-        if pol.family == "zero":
-            return np.zeros(np.shape(x0)[:-1] + (p0,))
-        if pol.family == "constant":
-            return np.full(np.shape(x0)[:-1] + (p0,), pol.params["value"])
-        return pol.params.get("gain", 0.0) * x0 + pol.params.get("offset", 0.0)
+        return _control(self.leader, np.shape(x0)[:-1] + (p0,), x0)
 
     def follower_value(self, x1, x0_delayed, p1):
         """Controls of the followers with states x1 (..., P, n1) that read
         the leader states x0_delayed (..., P, n0); one row per follower."""
-        v = _follower_control(self.follower, x1, x0_delayed, p1)
-        if self.deviant is None:
-            return v
-        v = np.array(np.broadcast_to(v, x1.shape[:-1] + (p1,)))
-        v[..., 0, :] = _follower_control(self.deviant, x1[..., 0, :],
-                                         x0_delayed[..., 0, :], p1)
+        v = _control(self.follower, x1.shape[:-1] + (p1,), x1, x0_delayed)
+        if self.deviant is not None:
+            v[..., 0, :] = _control(self.deviant, x1.shape[:-2] + (p1,),
+                                    x1[..., 0, :], x0_delayed[..., 0, :])
         return v
 
 
@@ -817,6 +832,7 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     non-finite forward step of the earliest such row.  Returns leader paths
     (R, n_steps + 1, n0), follower paths (R, P, m+1, n1), leader controls
     (R, m, p0) and follower controls (R, P, m, p1).
+    Coefficients and policies evaluate only their terms of nonzero gain.
     """
     grid = model.grid
     h = grid.h
@@ -827,15 +843,17 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     names = coeffs.measure_features
     X = np.array(X0, dtype=float)
     R, P = X.shape[:2]
-    lags = np.round(delays / h).astype(int)
-    rows = np.arange(R)[:, None]
     leader_path = np.empty((R, grid.n_steps + 1, model.n0))
     leader_path[:, :z0 + 1] = xi0
+    # at forward step k follower p of replication r reads row delayed[r, p] + k
+    lead_rows = leader_path.reshape(-1, model.n0)
+    delayed = (np.arange(R)[:, None] * (grid.n_steps + 1) + z0
+               - np.round(delays / h).astype(int))
     follower_paths = np.empty((R, P, m + 1, model.n1))
     follower_paths[:, :, 0, :] = X
     controls_leader = np.empty((R, m, model.p0))
     controls_followers = np.empty((R, P, m, model.p1))
-    x0 = np.array(leader_path[:, z0], dtype=float)
+    x0 = leader_path[:, z0].copy()
 
     # a diverging replication overflows; the check after the loop finds it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -846,12 +864,9 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
             else:
                 full = {name: arr[:, k] for name, arr in flow_features.items()}
                 loo = {name: arr[:, None] for name, arr in full.items()}
-            x0_delayed = leader_path[rows, g - lags]
-            u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
-            v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
-                            dtype=float)
-            if v1.shape != (R, P, model.p1):
-                v1 = np.broadcast_to(v1, (R, P, model.p1)).copy()
+            x0_delayed = lead_rows.take(delayed + k, axis=0)
+            u0 = policies.leader_value(x0, model.p0)
+            v1 = policies.follower_value(X, x0_delayed, model.p1)
             controls_leader[:, k] = u0
             controls_followers[:, :, k, :] = v1
             x0 = x0 + coeffs.g0(x0, full, u0) * h \

@@ -12,7 +12,8 @@ discrepancy can reach machine scale instead of a Monte-Carlo floor.
 Both the Picard solver and the limit twin step through the one Euler
 stepper of ``dynamics`` (``_euler``), fed with the flow's feature
 trajectories in place of empirical features; the Picard solver steps all
-n_atoms * K particles in one call, each with its atom's delay.
+n_atoms * K particles in one call, each with its atom's delay.  The stopping
+rule gathers an iterate's subsampled clouds once, then takes W2 per sub-time.
 """
 from __future__ import annotations
 
@@ -158,15 +159,6 @@ def _features_of_clouds(particles, weights, names):
     return out
 
 
-def _cloud_w2(points_a, points_b, idx_a, idx_b):
-    """Exact W2 between uniform clouds after index subsampling."""
-    a = points_a[idx_a] if idx_a is not None else points_a
-    b = points_b[idx_b] if idx_b is not None else points_b
-    mu = DiscreteMeasure(a, np.full(len(a), 1.0 / len(a)))
-    nu = DiscreteMeasure(b, np.full(len(b), 1.0 / len(b)))
-    return w2_exact_1d(mu, nu) if a.shape[1] == 1 else w2_exact_lp(mu, nu)[0]
-
-
 def solve_conditional_law(model: ModelSpec, policies: PolicySet,
                           delay_partition, leader_noise_seed: int, K: int,
                           tol: float = 1e-3, max_iter: int = 25,
@@ -205,9 +197,11 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         xi0, zeta0 = _leader_draws(model, noise)
     else:
         xi0, zeta0 = draws.leader_init_path, draws.leader_noise
+    # a constant initial law draws nothing, so derives no FLOW_INIT stream
+    init = noise.flow_init if model.follower_init["family"] != "constant" \
+        else (lambda j: None)
     X0 = np.stack([
-        draw_follower_initial(model.follower_init, noise.flow_init(j),
-                              model.n1, size=K)
+        draw_follower_initial(model.follower_init, init(j), model.n1, size=K)
         for j in range(n_atoms)])                      # (n_atoms, K, n1)
     zeta = np.concatenate([
         noise.flow_noise(j).standard_normal((K, m, model.n1))
@@ -218,10 +212,15 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     sub_times = np.unique(np.linspace(0, m, _DISCREPANCY_SUBGRID).round().astype(int))
     rng_sub = noise.subsample(0)
     cloud_size = n_atoms * K
-    sub_idx = None
+    sub_idx = np.arange(cloud_size)
     if cloud_size > _DISCREPANCY_SUPPORT:
         sub_idx = np.sort(rng_sub.choice(cloud_size, _DISCREPANCY_SUPPORT,
                                          replace=False))
+    sub_grid = np.ix_(sub_times, sub_idx)
+    uniform = np.full(sub_idx.size, 1.0 / sub_idx.size)
+
+    def sub_clouds(parts):      # (sub-times, sub_idx, n1)
+        return parts.reshape(cloud_size, m + 1, model.n1).swapaxes(0, 1)[sub_grid]
 
     def simulate(feats_seq):
         leader_path, parts, _, _ = _euler(
@@ -234,6 +233,7 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     feats0 = _features_of_clouds(X0[:, :, None, :], weights, names)
     applied = {name: np.repeat(arr, m + 1, axis=0) for name, arr in feats0.items()}
     leader_path, parts_old = simulate(applied)
+    clouds_old = sub_clouds(parts_old)
 
     discrepancies = []
     converged = False
@@ -243,13 +243,14 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         applied = {name: damping * new_feats[name] + (1.0 - damping) * applied[name]
                    for name in applied}
         leader_path, parts_new = simulate(applied)
+        clouds_new = sub_clouds(parts_new)
         disc = 0.0
-        for k in sub_times:
-            pa = parts_new[:, :, k, :].reshape(cloud_size, model.n1)
-            pb = parts_old[:, :, k, :].reshape(cloud_size, model.n1)
-            disc = max(disc, _cloud_w2(pa, pb, sub_idx, sub_idx))
+        for a, b in zip(clouds_new, clouds_old):
+            mu, nu = DiscreteMeasure(a, uniform), DiscreteMeasure(b, uniform)
+            disc = max(disc, w2_exact_1d(mu, nu) if model.n1 == 1
+                       else w2_exact_lp(mu, nu)[0])
         discrepancies.append(float(disc))
-        parts_old = parts_new
+        parts_old, clouds_old = parts_new, clouds_new
         iterations = it
         if disc <= tol:
             converged = True

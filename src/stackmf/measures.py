@@ -37,9 +37,9 @@ class DiscreteMeasure:
         if pts.shape[0] != w.shape[0]:
             raise ValidationError(
                 f"{pts.shape[0]} points but {w.shape[0]} weights")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
+        if not np.isfinite(pts).all() or not np.isfinite(w).all():
             raise ValidationError("non-finite entries in measure")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValidationError("negative weight")
         if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise ValidationError(f"weights sum to {w.sum()!r}, not 1")
@@ -175,7 +175,7 @@ def _w2sq_quantile(x, wx, y, wy) -> float:
     core and its cached grid; any other weights take the general route.
     """
     x, wx, y, wy = (np.asarray(v, float) for v in (x, wx, y, wy))
-    if np.all(wx == 1.0 / wx.size) and np.all(wy == 1.0 / wy.size):
+    if (wx == 1.0 / wx.size).all() and (wy == 1.0 / wy.size).all():
         return float(_w2sq_uniform_1d(x, y))
     return _w2sq_weighted(x, wx, y, wy)
 

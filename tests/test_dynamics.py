@@ -19,6 +19,7 @@ from stackmf.dynamics import (
     PolicySet,
     TimeGrid,
     _as_generator,
+    _euler,
     _phi_block,
     draw_follower_initial,
     evaluate_costs_nplayer,
@@ -824,3 +825,196 @@ class TestStackedReplications:
         assert stacked.value.step == alone.value.step > 0
         assert str(stacked.value) == str(alone.value)
         simulate_nplayer(model, ZERO_POLICIES, 3, self.LAW, 0, rows[0])
+
+
+# ---------------------------------------------------------------------------
+# reference: the term-by-term coefficients and policies, which evaluate every
+# term whatever its gain
+
+
+class TermByTermCoefficients(CoefficientSet):
+    def _measure_term(self, feats, gain_key):
+        gain = self._p(gain_key)
+        if gain == 0.0:
+            return 0.0
+        if self.family == "linear_in_measure":
+            return gain * feats[self.params["kernel"]]
+        if self.family == "smooth_nonlinear":
+            return gain * np.tanh(feats["mean"])
+        return gain * feats["mean"]
+
+    def g0(self, x0, feats, v0):
+        out = self._p("a0") * x0 + self._p("b0") * v0 + self._measure_term(feats, "k0")
+        if self.family == "smooth_nonlinear":
+            out = out + self._p("t0") * np.tanh(x0)
+        return out
+
+    def sigma0(self, x0, feats, v0):
+        state = np.tanh(x0) if self.family == "smooth_nonlinear" else x0
+        out = self._p("s0") + self._p("s0_x") * state + self._p("s0_v") * v0
+        if self.family == "linear_in_measure":
+            out = out + self._measure_term(feats, "ks0")
+        return out * np.ones_like(x0)
+
+    def g1(self, x1, feats, v1):
+        out = self._p("a1") * x1 + self._p("b1") * v1 + self._measure_term(feats, "k1")
+        if self.family == "smooth_nonlinear":
+            out = out + self._p("t1") * np.tanh(x1)
+        return out
+
+    def sigma1(self, x1, feats, v1):
+        state = np.tanh(x1) if self.family == "smooth_nonlinear" else x1
+        out = self._p("s1") + self._p("s1_x") * state + self._p("s1_v") * v1
+        if self.family == "linear_in_measure":
+            out = out + self._measure_term(feats, "ks1")
+        return out * np.ones_like(x1)
+
+
+def term_by_term_control(pol, x1, x0_delayed, p1):
+    if pol.family == "zero":
+        return np.zeros(x1.shape[:-1] + (p1,))
+    if pol.family == "constant":
+        return np.full(x1.shape[:-1] + (p1,), pol.params["value"])
+    return (pol.params.get("gain", 0.0) * x1
+            + pol.params.get("gain_lead", 0.0) * x0_delayed
+            + pol.params.get("offset", 0.0))
+
+
+class TermByTermPolicies(PolicySet):
+    def leader_value(self, x0, p0):
+        pol = self.leader
+        if pol.family == "zero":
+            return np.zeros(np.shape(x0)[:-1] + (p0,))
+        if pol.family == "constant":
+            return np.full(np.shape(x0)[:-1] + (p0,), pol.params["value"])
+        return pol.params.get("gain", 0.0) * x0 + pol.params.get("offset", 0.0)
+
+    def follower_value(self, x1, x0_delayed, p1):
+        v = term_by_term_control(self.follower, x1, x0_delayed, p1)
+        if self.deviant is None:
+            return v
+        v = np.array(np.broadcast_to(v, x1.shape[:-1] + (p1,)))
+        v[..., 0, :] = term_by_term_control(self.deviant, x1[..., 0, :],
+                                            x0_delayed[..., 0, :], p1)
+        return v
+
+
+class TestLiveTerms:
+    """Coefficients and policies that skip the terms whose gain is exactly
+    0.0 step every path and control as the term-by-term reference does."""
+
+    GRID = TimeGrid(-0.125, 0.5, 1.0 / 16)
+    # exact zeros of both signs, and gains small enough that 8 steps stay
+    # finite
+    GAINS = st.sampled_from([0.0, -0.0, 0.7, -0.45, 1.25])
+    # the drift and diffusion gains of each family
+    DYNAMIC_KEYS = {
+        "linear_quadratic": ["a0", "b0", "k0", "s0", "s0_x", "s0_v",
+                             "a1", "b1", "k1", "s1", "s1_x", "s1_v"],
+        "linear_in_measure": ["a0", "b0", "k0", "s0", "s0_x", "s0_v", "ks0",
+                              "a1", "b1", "k1", "s1", "s1_x", "s1_v", "ks1"],
+        "smooth_nonlinear": ["a0", "b0", "k0", "t0", "s0", "s0_x", "s0_v",
+                             "a1", "b1", "k1", "t1", "s1", "s1_x", "s1_v"],
+    }
+
+    @staticmethod
+    @st.composite
+    def policy(draw, role):
+        family = draw(st.sampled_from(["zero", "constant", "affine"]))
+        if family == "zero":
+            return Policy("zero")
+        if family == "constant":
+            return Policy("constant", {"value": draw(TestLiveTerms.GAINS)})
+        keys = ["gain", "offset"] + (["gain_lead"] if role == "follower" else [])
+        # a key left out reads 0.0 as well
+        return Policy("affine", {k: draw(TestLiveTerms.GAINS) for k in keys
+                                 if draw(st.booleans())})
+
+    @staticmethod
+    def signed_zeros(rng, a):
+        """a with about a third of its entries set to +0.0 or -0.0."""
+        a = np.array(a, dtype=float)
+        hit = rng.random(a.shape) < 1 / 3
+        a[hit] = np.copysign(0.0, rng.standard_normal(int(hit.sum())))
+        return a
+
+    def models(self, family, params, n1, kernel):
+        feats = (kernel,) + (("second_moment",) if n1 == 2 else ())
+        if family == "linear_in_measure":
+            params = dict(params, kernel=kernel)
+        elif kernel != "mean":
+            feats = ("mean",) + feats
+        return [ModelSpec(coefficients=cls(family, params, feats),
+                          grid=self.GRID, n0=n1, n1=n1, p0=n1, p1=n1)
+                for cls in (CoefficientSet, TermByTermCoefficients)]
+
+    def assert_euler_equal(self, family, params, n1, kernel, roles, deviant,
+                           flow, seed):
+        model, reference = self.models(family, params, n1, kernel)
+        pols = PolicySet(*roles, deviant=deviant)
+        ref_pols = TermByTermPolicies(*roles, deviant=deviant)
+        rng = np.random.default_rng(seed)
+        R, P, m, z0 = 2, 4, self.GRID.forward_steps, self.GRID.zero_index
+        inputs = [self.signed_zeros(rng, rng.standard_normal(shape))
+                  for shape in ((R, z0 + 1, n1), (R, P, n1), (R, m, n1),
+                                (R, P, m, n1))]
+        delays = self.GRID.h * rng.integers(0, z0 + 1, (R, P))
+        flow_features = None
+        if flow:
+            dims = {"mean": n1, "tanh_mean": n1, "second_moment": 1}
+            flow_features = {
+                name: self.signed_zeros(
+                    rng, rng.standard_normal((R, m + 1, dims[name])))
+                for name in model.coefficients.measure_features}
+        got = _euler(model, pols, *inputs, delays, flow_features)
+        want = _euler(reference, ref_pols, *inputs, delays, flow_features)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(sorted(DYNAMIC_KEYS)), data=st.data(),
+           n1=st.sampled_from([1, 2]),
+           kernel=st.sampled_from(["mean", "tanh_mean"]),
+           flow=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_euler_equals_term_by_term(self, family, data, n1, kernel, flow,
+                                       seed):
+        params = {k: data.draw(self.GAINS, label=k)
+                  for k in self.DYNAMIC_KEYS[family] if data.draw(st.booleans())}
+        roles = [data.draw(self.policy(role), label=role)
+                 for role in ("leader", "follower", "follower")]
+        deviant = roles[2] if data.draw(st.booleans(), label="deviant") else None
+        self.assert_euler_equal(family, params, n1, kernel, roles[:2],
+                                deviant, flow, seed)
+
+    @pytest.mark.parametrize("flow", [False, True])
+    @pytest.mark.parametrize("family", sorted(DYNAMIC_KEYS))
+    def test_one_zero_gain_at_a_time(self, family, flow):
+        # every other term live, so the order of the live terms shows
+        keys = self.DYNAMIC_KEYS[family]
+        roles = [Policy("affine", {"gain": -0.3, "offset": 0.2}),
+                 Policy("affine", {"gain": -0.2, "gain_lead": 0.4,
+                                   "offset": -0.1})]
+        for i, zero in enumerate(keys):
+            params = {k: 0.0 if k == zero else 0.15 + 0.05 * j
+                      for j, k in enumerate(keys)}
+            self.assert_euler_equal(family, params, 2, "tanh_mean", roles,
+                                    None, flow, i)
+
+    def test_divergence_with_zero_gains_names_the_reference_step(self):
+        # x1 gains a factor of about 3e98 a step and overflows at step 3;
+        # from there the reference adds 0.0 * inf = nan for every zero gain
+        params = {"a1": 1e100, "b1": 0.0, "k1": 0.0, "s1_x": 0.0, "s1": 0.2,
+                  "a0": 0.0}
+        model, reference = self.models("linear_quadratic", params, 1, "mean")
+        follower = Policy("affine", {"gain": 0.0, "gain_lead": 0.0})
+        m, z0 = self.GRID.forward_steps, self.GRID.zero_index
+        inputs = (np.zeros((1, z0 + 1, 1)), np.ones((1, 3, 1)),
+                  np.zeros((1, m, 1)), np.zeros((1, 3, m, 1)),
+                  np.zeros((1, 3)))
+        errors = []
+        for mdl, cls in ((model, PolicySet), (reference, TermByTermPolicies)):
+            with pytest.raises(SimulationDivergedError) as info:
+                _euler(mdl, cls(Policy("zero"), follower), *inputs)
+            errors.append(info.value)
+        assert errors[0].step == errors[1].step == 3
+        assert str(errors[0]) == str(errors[1])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stackmf import _rng, meanfield
 from stackmf._rng import SharedNoise
 from stackmf.dynamics import (
     CoefficientSet,
@@ -31,7 +32,7 @@ from stackmf.meanfield import (
     simulate_limit_pair,
     solve_conditional_law,
 )
-from stackmf.measures import DiscreteMeasure, moment
+from stackmf.measures import DiscreteMeasure, moment, w2_exact_1d, w2_exact_lp
 
 ZERO_POLICIES = PolicySet(Policy("zero"), Policy("zero"))
 
@@ -509,3 +510,100 @@ class TestStackedLimitTwin:
         assert np.array_equal(x1[:4], y1)
         assert evaluate_costs_limit(model, pols, flow, y0, y1,
                                     head.delays) == (j0, ji[:4])
+
+
+# ---------------------------------------------------------------------------
+# reference: the stopping rule one sub-time at a time, each cloud
+# subsampled and weighted on its own
+
+
+def cloud_w2(points_a, points_b, idx_a, idx_b):
+    """Exact W2 between uniform clouds after index subsampling."""
+    a = points_a[idx_a] if idx_a is not None else points_a
+    b = points_b[idx_b] if idx_b is not None else points_b
+    mu = DiscreteMeasure(a, np.full(len(a), 1.0 / len(a)))
+    nu = DiscreteMeasure(b, np.full(len(b), 1.0 / len(b)))
+    return w2_exact_1d(mu, nu) if a.shape[1] == 1 else w2_exact_lp(mu, nu)[0]
+
+
+class TestStoppingRule:
+    """Each Picard discrepancy equals the per-sub-time reference over the
+    iterates the solve steps, and the flow holds the last of them."""
+
+    POLICIES = PolicySet(Policy("affine", {"gain": -0.3}),
+                         Policy("affine", {"gain": -0.2, "gain_lead": 0.4}))
+
+    def model(self, n1, follower_init=None):
+        return make_model(
+            params={"a0": -0.2, "k0": 0.4, "s0": 0.2, "a1": -0.5, "k1": 0.8,
+                    "s1": 0.3},
+            feats=("mean",) + (("second_moment",) if n1 == 2 else ()),
+            n0=n1, n1=n1, p0=n1, p1=n1,
+            leader_init={"family": "ou_path", "params": {"vol": 0.4}},
+            follower_init=follower_init or {"family": "normal",
+                                            "params": {"scale": 0.6}})
+
+    @pytest.mark.parametrize("n1, atoms", [
+        (1, (0.0, 0.0625, 0.125)),   # 300 particles: subsampled to 256
+        (1, (0.0625, 0.125)),        # 200 particles: all of them
+        (2, (0.0625, 0.125)),        # the LP route
+    ])
+    def test_discrepancies_equal_per_sub_time_loop(self, monkeypatch, n1,
+                                                   atoms):
+        model, seed, K = self.model(n1), 13, 100
+        iterates = []
+        stepper = meanfield._euler
+
+        def recording(*args):
+            out = stepper(*args)
+            iterates.append(out[1][0])
+            return out
+
+        monkeypatch.setattr(meanfield, "_euler", recording)
+        flow, report = solve_conditional_law(
+            model, self.POLICIES, [(a, 1 / len(atoms)) for a in atoms], seed,
+            K, tol=1e-6, max_iter=4)
+
+        m, cloud = model.grid.forward_steps, len(atoms) * K
+        sub_times = np.unique(np.linspace(0, m, 16).round().astype(int))
+        idx = None
+        if cloud > 256:
+            idx = np.sort(SharedNoise(seed).subsample(0).choice(
+                cloud, 256, replace=False))
+        want = tuple(
+            float(max(cloud_w2(new[:, k], old[:, k], idx, idx)
+                      for k in sub_times))
+            for new, old in zip(iterates[1:], iterates))
+        assert report.iterations == len(want) >= 2
+        assert report.discrepancies == want
+        assert report.converged == (want[-1] <= 1e-6)
+        assert np.array_equal(flow.particles,
+                              iterates[-1].reshape(flow.particles.shape))
+
+    def test_constant_initial_law_derives_no_flow_init_stream(self,
+                                                              monkeypatch):
+        calls = []
+        real = _rng.generator
+
+        def counting(*key):
+            calls.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(_rng, "generator", counting)
+        partition = [(0.0625, 0.5), (0.125, 0.5)]
+        solves = []
+        # a normal law of scale 0 puts the same states on its FLOW_INIT
+        # draws
+        for spec, streams in (
+                ({"family": "constant", "params": {"value": 0.3}}, 0),
+                ({"family": "normal", "params": {"loc": 0.3, "scale": 0.0}},
+                 len(partition))):
+            calls.clear()
+            solves.append(solve_conditional_law(
+                self.model(1, follower_init=spec), self.POLICIES, partition,
+                5, 100, max_iter=3))
+            assert sum(key[1] == _rng.FLOW_INIT for key in calls) == streams
+        (a, report_a), (b, report_b) = solves
+        assert np.array_equal(a.particles, b.particles)
+        assert np.array_equal(a.leader_path, b.leader_path)
+        assert report_a == report_b
