@@ -5,6 +5,12 @@ Two independent routes compute W2: a hand-built monotone quantile coupling for
 dimension 1 and an exact linear-program route (assignment solver for uniform
 equal-size instances, HiGHS simplex otherwise).  They cross-check each other in
 the test suite.
+
+The assignment solver runs on column-reduced costs (each column less its
+minimum, the opening step of Jonker & Volgenant, Computing 38, 1987): that
+adds one constant to the cost of every permutation, so the optimal
+permutations are the same, and the solver starts nearer its optimum.  Every
+W2 value is priced on the original squared distances.
 """
 from __future__ import annotations
 
@@ -224,6 +230,29 @@ def _w2sq_uniform_1d(a, b) -> np.ndarray:
 # exact W2, LP route
 
 
+def _sq_costs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean costs of two non-empty (n, d) point clouds.  A
+    non-finite entry (non-finite points, or a square that overflows) is a
+    ValidationError here; the column reduction would turn an all-inf
+    column into nan."""
+    if x.shape[0] == 0 or y.shape[0] == 0:
+        raise ValidationError("empty point cloud")
+    cost = cdist(x, y, "sqeuclidean")
+    if not np.isfinite(cost.max()):
+        raise ValidationError(
+            "non-finite squared distance: non-finite points, or points too "
+            "far apart to square")
+    return cost
+
+
+def _assign(cost: np.ndarray):
+    """Optimal assignment (rows, cols) of a finite square cost matrix, which
+    is overwritten with its column reduction (see the module docstring);
+    in place, it needs no second n x n array."""
+    cost -= cost.min(axis=0)
+    return linear_sum_assignment(cost)
+
+
 def _transport_lp(cost: np.ndarray, wp: np.ndarray, wq: np.ndarray) -> np.ndarray:
     n, m = cost.shape
     nm = n * m
@@ -248,8 +277,10 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Exact W2 via the finite transportation problem.
 
     Returns (W2, TransportPlan).  Equal-size uniform instances are routed to
-    the assignment solver, everything else to the HiGHS simplex, whose basic
-    solutions carry machine-precision marginals.
+    the assignment solver, which runs on a column-reduced copy of the costs,
+    everything else to the HiGHS simplex, whose basic solutions carry
+    machine-precision marginals.  The plan is priced on the original costs.
+    Squared distances that overflow are a ValidationError.
     """
     if mu.dim != nu.dim:
         raise DimensionError(f"dimension mismatch {mu.dim} vs {nu.dim}")
@@ -257,12 +288,12 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if n > support_cap or m > support_cap:
         raise CapacityError(
             f"support sizes ({n}, {m}) exceed cap {support_cap}")
-    cost = cdist(mu.points, nu.points, "sqeuclidean")
+    cost = _sq_costs(mu.points, nu.points)
     uniform = (n == m
                and np.abs(mu.weights - 1.0 / n).max() < 1e-12
                and np.abs(nu.weights - 1.0 / n).max() < 1e-12)
     if uniform:
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _assign(cost.copy())
         matrix = np.zeros((n, m))
         matrix[rows, cols] = mu.weights[rows]
     else:
@@ -298,7 +329,11 @@ def w2sq_uniform_samples(x: np.ndarray, y: np.ndarray) -> float:
     """W2^2 between uniform empirical measures of two same-size point clouds.
 
     Assignment shortcut used by the rate experiments; agrees with
-    w2_exact_lp(empirical(x), empirical(y))^2.
+    w2_exact_lp(empirical(x), empirical(y))^2.  The solver runs on the
+    column-reduced cost matrix, reduced in place; the matched pairs are then
+    priced on the original squared distances, by cdist over blocks of pairs,
+    which gives the full matrix's entries bit for bit.  Empty clouds and
+    non-finite squared distances are a ValidationError.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -308,9 +343,11 @@ def w2sq_uniform_samples(x: np.ndarray, y: np.ndarray) -> float:
         y = y[:, None]
     if x.shape != y.shape:
         raise DimensionError("clouds must have identical shapes")
-    cost = cdist(x, y, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    rows, cols = _assign(_sq_costs(x, y))
+    sq = np.concatenate([
+        np.diagonal(cdist(x[rows[i:i + 64]], y[cols[i:i + 64]], "sqeuclidean"))
+        for i in range(0, rows.size, 64)])
+    return float(sq.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +367,8 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     Ledoux, Mem. AMS 2019), sharper than the upper bound in `rate_f`.
 
     reps may be an int or a per-N sequence.  Returns (means, stderrs).
+    dim < 1, an empty Ns, an N < 1 or fewer than 2 replications (no
+    standard error) is a ParameterError.
     """
     Ns = [int(N) for N in Ns]
     if isinstance(reps, int):
@@ -337,6 +376,15 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     reps = [int(r) for r in reps]
     if len(reps) != len(Ns):
         raise ValidationError("need one replication count per N")
+    if dim < 1:
+        raise ParameterError(f"dim must be >= 1, got {dim}")
+    if not Ns:
+        raise ParameterError("Ns is empty")
+    if min(Ns) < 1:
+        raise ParameterError(f"every N must be >= 1, got {min(Ns)}")
+    if min(reps) < 2:
+        raise ParameterError(
+            f"every replication count must be >= 2, got {min(reps)}")
     from ._rng import generator
 
     means, errs = [], []

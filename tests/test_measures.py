@@ -5,11 +5,13 @@ are cross-checked against each other and against a brute-force coupling
 enumeration on tiny instances.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from stackmf import measures
@@ -369,7 +371,96 @@ class TestW2sqUniformSamples:
         assert val == pytest.approx(ref ** 2, abs=1e-12)
 
 
+class TestColumnReducedAssignment:
+    """The solver runs on column-reduced costs; the permutation, the bytes of
+    w2sq_uniform_samples, and the plan and value of w2_exact_lp equal those
+    of the plain solve on the cdist matrix."""
+
+    @staticmethod
+    def assert_same_as_plain_solve(x, y):
+        cost = cdist(x, y, "sqeuclidean")
+        rows, cols = linear_sum_assignment(cost)
+        got_rows, got_cols = measures._assign(cost.copy())
+        assert np.array_equal(got_rows, rows)
+        assert np.array_equal(got_cols, cols)
+        assert (w2sq_uniform_samples(x, y).hex()
+                == float(cost[rows, cols].mean()).hex())
+        return cost, rows, cols
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 9),
+           n=st.integers(2, 300), log_scale=st.floats(-3.0, 3.0))
+    def test_same_plans_and_bytes(self, seed, dim, n, log_scale):
+        rng = np.random.default_rng(seed)
+        x, y = 10.0 ** log_scale * rng.standard_normal((2, n, dim))
+        cost, rows, cols = self.assert_same_as_plain_solve(x, y)
+        matrix = np.zeros((n, n))
+        matrix[rows, cols] = 1.0 / n
+        d, plan = w2_exact_lp(uniform_on(x), uniform_on(y))
+        assert np.array_equal(plan.matrix, matrix)
+        assert d.hex() == float(
+            np.sqrt(max(float(np.sum(matrix * cost)), 0.0))).hex()
+
+    def test_same_plan_and_bytes_at_rate_curve_size(self):
+        rng = np.random.default_rng(1600)
+        self.assert_same_as_plain_solve(rng.standard_normal((1600, 3)),
+                                        rng.standard_normal((1600, 3)))
+
+    def test_no_second_cost_matrix(self):
+        n = 1000
+        x, y = np.random.default_rng(7).standard_normal((2, n, 3))
+        tracemalloc.start()
+        try:
+            w2sq_uniform_samples(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+
+class TestExactW2Errors:
+    """Inputs the solvers cannot take are ValidationErrors, raised before the
+    in-place column reduction (where an all-inf column would become nan)."""
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2)])
+    def test_empty_clouds(self, shape):
+        with pytest.raises(ValidationError, match="empty"):
+            w2sq_uniform_samples(np.empty(shape), np.empty(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_costs_uniform_samples(self, bad, side):
+        clouds = [np.zeros((3, 2)), np.ones((3, 2))]
+        clouds[side][1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            w2sq_uniform_samples(*clouds)
+
+    @pytest.mark.parametrize("m", [3, 2])   # assignment and LP branches
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_overflowing_costs_exact_lp(self, m, side):
+        far = [uniform_on(np.zeros((3, 2))), uniform_on(np.ones((m, 2)))]
+        pts = far[side].points.copy()
+        pts[-1, 0] = 1e200
+        far[side] = uniform_on(pts)
+        with pytest.raises(ValidationError, match="non-finite"):
+            w2_exact_lp(*far)
+
+
 class TestEmpiricalRateCurve:
+    @pytest.mark.parametrize("dim, Ns, reps", [
+        (0, [8, 16], 3),
+        (-1, [8, 16], 3),
+        (2, [], 3),
+        (2, [8, 0], 3),
+        (1, [0], 3),
+        (2, [8, 16], 1),
+        (1, [8, 16], 0),
+        (3, [8, 16], [3, 1]),
+    ])
+    def test_rejects_bad_arguments(self, dim, Ns, reps):
+        with pytest.raises(ParameterError):
+            empirical_rate_curve(dim, Ns, reps, seed=3)
+
     def test_shapes_and_positivity(self):
         means, stderrs = empirical_rate_curve(1, [8, 16], reps=5, seed=3)
         assert means.shape == (2,) and stderrs.shape == (2,)
