@@ -6,11 +6,11 @@ A scenario is a JSON document with the following top-level keys (see
   name           scenario identifier, used in file names and CSV rows
   kind           one of state_gap | wasserstein_gap | cost_gap |
                  epsilon_nash | eta_orthogonality
-  model          {"family", "params", "features", "n0", "n1",
-                  "d0", "d1", "p0", "p1", "T", "h", "b"}: coefficient
-                 family and params, measure features,
-                 state/noise/control dimensions (d0 = n0, d1 = n1), horizon
-                 T, step h and lag span b; no other key is accepted
+  model          {"family", "params", "features", "n1", "T", "h", "b"}:
+                 coefficient family and params, measure features, the
+                 dimension n1 of every state, noise and control (leader
+                 and followers alike), horizon T, step h and lag span b;
+                 no other key is accepted
   delay_law      {"family": "degenerate", "a": ...} |
                  {"family": "discrete", "atoms": [...], "weights": [...]} |
                  {"family": "uniform", "lo": ..., "hi": ...}, nothing else
@@ -76,7 +76,9 @@ from .rates import (
     EpsilonReport,
     EtaReport,
     GapReport,
+    check_eta_family,
     cost_gap_experiment,
+    deviated_role,
     epsilon_nash_certify,
     eta_orthogonality_check,
     state_gap_experiment,
@@ -213,7 +215,6 @@ def _is_int(x) -> bool:
 
 
 def _cross_object_rules(config: ScenarioConfig, objects: dict, out) -> None:
-    m = config.model
     grid, law = objects.get("grid"), objects.get("delay_law")
     low_q = _is_num(config.q) and config.q <= 4
     # eta, and gap kinds at partition_level "auto", split a uniform law at
@@ -245,10 +246,6 @@ def _cross_object_rules(config: ScenarioConfig, objects: dict, out) -> None:
             and _is_int(ti) and ti > grid.forward_steps:
         out.append(f"extras.time_index: {ti} is beyond the last forward "
                    f"step {grid.forward_steps} of the grid")
-    # diffusions are square in this implementation
-    for d, n in (("d0", "n0"), ("d1", "n1")):
-        if _is_int(m.get(d)) and m[d] != m.get(n, 1):
-            out.append(f"model.{d}: must equal {n} (square diffusion)")
 
 
 def _kind_rules(config: ScenarioConfig, out) -> None:
@@ -357,8 +354,7 @@ def validate_config(config: ScenarioConfig) -> list:
 # ---------------------------------------------------------------------------
 # building runtime objects
 
-_MODEL_KEYS = ("family", "params", "features", "n0", "n1", "d0", "d1", "p0",
-               "p1", "T", "h", "b")
+_MODEL_KEYS = ("family", "params", "features", "n1", "T", "h", "b")
 # config family -> arguments of the DelayLaw constructor of that name
 _DELAY_LAWS = {"degenerate": ("a",), "discrete": ("atoms", "weights"),
                "uniform": ("lo", "hi")}
@@ -383,7 +379,7 @@ def _build(config: ScenarioConfig):
 
     Returns (objects, errors): objects maps "grid", "model", "delay_law" and
     "policies" to what could be built; errors holds one line per
-    constructor error, under the field path of its input."""
+    constructor or experiment-rule error, under the field path of its input."""
     errors = []
 
     def attempt(path, make, *args, **kwargs):
@@ -407,21 +403,27 @@ def _build(config: ScenarioConfig):
     if grid is not None and coeffs is not None and len(errors) == before:
         objects["model"] = attempt(
             "model", ModelSpec, coefficients=coeffs, grid=grid,
-            n0=m.get("n0", 1), n1=m.get("n1", 1), p0=m.get("p0", 1),
-            p1=m.get("p1", 1), q=config.q, leader_init=config.leader_init,
+            n1=m.get("n1", 1), q=config.q, leader_init=config.leader_init,
             follower_init=config.follower_init)
     leader, follower = (
         attempt(f"policies.{role}", _policy, role, config.policies.get(role))
         for role in ("leader", "follower"))
     if leader is not None and follower is not None:
         objects["policies"] = PolicySet(leader, follower)
+    if config.kind == "eta_orthogonality":
+        attempt("model.family", check_eta_family, m.get("family"))
     devs = config.extras.get("deviations") \
         if config.kind == "epsilon_nash" else None
+    profile = objects.get("policies")
     for k, dev in enumerate(devs if isinstance(devs, tuple) else ()):
-        for role in ("leader", "follower"):
-            if isinstance(dev, dict) and dev.get(role) is not None:
-                attempt(f"extras.deviations[{k}].{role}", _policy, role,
-                        dev[role])
+        roles = [attempt(f"extras.deviations[{k}].{role}", _policy, role,
+                         dev[role])
+                 if isinstance(dev, dict) and dev.get(role) is not None
+                 else getattr(profile, role, None)
+                 for role in ("leader", "follower")]
+        if profile is not None and None not in roles:
+            attempt(f"extras.deviations[{k}]", deviated_role, k,
+                    PolicySet(*roles), profile)
     return objects, errors
 
 
@@ -670,7 +672,7 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
 
 def _gap_model(family, params, features, T, h, b):
     return {"family": family, "params": params, "features": features,
-            "n0": 1, "n1": 1, "p0": 1, "p1": 1, "T": T, "h": h, "b": b}
+            "n1": 1, "T": T, "h": h, "b": b}
 
 
 def _affine(gain=0.0, gain_lead=0.0):

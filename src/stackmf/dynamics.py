@@ -481,15 +481,15 @@ def check_policy(role: str, pol: Policy) -> None:
                              f"read {sorted(unknown)}")
 
 
-def _control(pol: Policy, shape, x, x0_delayed=None):
-    """Controls of `shape` under pol: zeros, the constant's value, or the
-    live terms of the affine gain * x + gain_lead * x0_delayed + offset."""
+def _control(pol: Policy, x, x0_delayed=None):
+    """Controls under pol, shaped as the states x: zeros, the constant's
+    value, or the live terms of gain * x + gain_lead * x0_delayed + offset."""
     params = pol.params
     if pol.family != "affine":
-        return _live_sum(((1.0, params.get("value", 0.0)),), shape)
+        return _live_sum(((1.0, params.get("value", 0.0)),), np.shape(x))
     return _live_sum(((params.get("gain", 0.0), x),
                       (params.get("gain_lead", 0.0), x0_delayed),
-                      (params.get("offset", 0.0), 1.0)), shape)
+                      (params.get("offset", 0.0), 1.0)), np.shape(x))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -507,17 +507,17 @@ class PolicySet:
     def __post_init__(self):
         check_policy("leader", self.leader)
 
-    def leader_value(self, x0, p0):
-        """Controls (..., p0) of the leaders with states x0 (..., n0)."""
-        return _control(self.leader, np.shape(x0)[:-1] + (p0,), x0)
+    def leader_value(self, x0):
+        """Controls of the leaders with states x0 (..., n1), same shape."""
+        return _control(self.leader, x0)
 
-    def follower_value(self, x1, x0_delayed, p1):
-        """Controls of the followers with states x1 (..., P, n1) that read
-        the leader states x0_delayed (..., P, n0); one row per follower."""
-        v = _control(self.follower, x1.shape[:-1] + (p1,), x1, x0_delayed)
+    def follower_value(self, x1, x0_delayed):
+        """Controls of the followers with states x1 (..., P, n1), same
+        shape, that read the leader states x0_delayed (..., P, n1)."""
+        v = _control(self.follower, x1, x0_delayed)
         if self.deviant is not None:
-            v[..., 0, :] = _control(self.deviant, x1.shape[:-2] + (p1,),
-                                    x1[..., 0, :], x0_delayed[..., 0, :])
+            v[..., 0, :] = _control(self.deviant, x1[..., 0, :],
+                                    x0_delayed[..., 0, :])
         return v
 
 
@@ -527,9 +527,9 @@ class PolicySet:
 # allowed parameter names of each initial-condition family, per role
 _INIT_KEYS = {
     "leader": {
-        "constant": {"value", "dim"},
-        "ou_path": {"theta", "mean", "vol", "start", "dim"},
-        "scaled_brownian": {"sigma", "start", "dim"},
+        "constant": {"value"},
+        "ou_path": {"theta", "mean", "vol", "start"},
+        "scaled_brownian": {"sigma", "start"},
     },
     "follower": {
         "constant": {"value"},
@@ -565,24 +565,21 @@ def check_initial(role: str, spec) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class ModelSpec:
-    """Coefficients, dimensions, grid, initial conditions, and the declared
-    moment order q of the initial data."""
+    """Coefficients, grid, initial conditions, the declared moment order q
+    of the initial data, and n1: the dimension of the leader state, each
+    follower state, both noises and both controls.  Every gain of the
+    coefficients and policies is a scalar applied componentwise."""
 
     coefficients: CoefficientSet
     grid: TimeGrid
-    n0: int = 1
     n1: int = 1
-    p0: int = 1
-    p1: int = 1
     q: float = 6.0
     leader_init: dict = None
     follower_init: dict = None
 
     def __post_init__(self):
-        for name in ("n0", "n1", "p0", "p1"):
-            val = getattr(self, name)
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {val!r}")
+        if not isinstance(self.n1, int) or isinstance(self.n1, bool) or self.n1 < 1:
+            raise ParameterError(f"n1 must be a positive integer, got {self.n1!r}")
         q = _real("q", self.q)
         if q < 2:
             raise ParameterError(f"q must be >= 2, got {q!r}")
@@ -638,7 +635,8 @@ def _as_generator(seed, *key):
     return generator(int(seed), *key)
 
 
-def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed):
+def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed,
+                               dim: int = 1):
     """Initial leader segment on [-b, 0], shape (zero_index + 1, dim).
 
     Families: constant (flat), ou_path (exact OU transitions, so zero
@@ -646,10 +644,6 @@ def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed):
     (increment variance sigma^2 h per step by construction).
     """
     check_initial("leader", {"family": family, "params": params})
-    params = dict(params)
-    dim = int(params.get("dim", 1))
-    if dim < 1:
-        raise ParameterError("dim must be a positive integer")
     m = grid.zero_index
     out = np.empty((m + 1, dim))
     if family == "constant":
@@ -720,15 +714,14 @@ def snap_delays_to_grid(delays, grid: TimeGrid) -> np.ndarray:
 # simulation
 
 def _leader_draws(model: ModelSpec, noise: SharedNoise):
-    """Initial leader segment and forward Euler noise (m, n0), each drawn
-    from its stream."""
-    init_params = dict(model.leader_init.get("params", {}))
-    init_params.setdefault("dim", model.n0)
+    """Initial leader segment (zero_index + 1, n1) and forward Euler noise
+    (m, n1), each drawn from its stream."""
     # an integer seed keys the LEADER_INIT stream, derived only if needed
     xi0 = sample_initial_leader_path(
-        model.grid, model.leader_init["family"], init_params, noise.entropy)
+        model.grid, model.leader_init["family"],
+        model.leader_init.get("params", {}), noise.entropy, model.n1)
     zeta0 = noise.leader_noise().standard_normal(
-        (model.grid.forward_steps, model.n0))
+        (model.grid.forward_steps, model.n1))
     return xi0, zeta0
 
 
@@ -751,7 +744,7 @@ def _follower_draws(model: ModelSpec, noise: SharedNoise, N: int):
 class Draws:
     """Every random input of one replication's simulations.
 
-    leader_init_path (zero_index + 1, n0) and leader_noise (m, n0) drive the
+    leader_init_path (zero_index + 1, n1) and leader_noise (m, n1) drive the
     leader; follower_init (N, n1), follower_noise (N, m, n1) and delays (N,)
     drive followers 0..N-1.  ``sample`` draws one block per follower role,
     and ``head(n)`` gives the draws of the first n followers: the first n
@@ -820,7 +813,7 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     """Explicit Euler for R replications of a leader and P followers.
 
     Every input leads with the replication axis R (R = 1 for one run):
-    xi0 (R, zero_index + 1, n0), X0 (R, P, n1), zeta0 (R, m, n0), zeta1
+    xi0 (R, zero_index + 1, n1), X0 (R, P, n1), zeta0 (R, m, n1), zeta1
     (R, P, m, n1), delays (R, P) in grid multiples.  Follower p of
     replication r reads its leader lagged by delays[r, p].  With
     flow_features None the measure argument is the empirical one of the
@@ -830,8 +823,8 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     equals the run of replication r alone, byte for byte.  A non-finite
     row keeps stepping; at the end SimulationDivergedError names the first
     non-finite forward step of the earliest such row.  Returns leader paths
-    (R, n_steps + 1, n0), follower paths (R, P, m+1, n1), leader controls
-    (R, m, p0) and follower controls (R, P, m, p1).
+    (R, n_steps + 1, n1), follower paths (R, P, m+1, n1), leader controls
+    (R, m, n1) and follower controls (R, P, m, n1).
     Coefficients and policies evaluate only their terms of nonzero gain.
     """
     grid = model.grid
@@ -843,16 +836,16 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     names = coeffs.measure_features
     X = np.array(X0, dtype=float)
     R, P = X.shape[:2]
-    leader_path = np.empty((R, grid.n_steps + 1, model.n0))
+    leader_path = np.empty((R, grid.n_steps + 1, model.n1))
     leader_path[:, :z0 + 1] = xi0
     # at forward step k follower p of replication r reads row delayed[r, p] + k
-    lead_rows = leader_path.reshape(-1, model.n0)
+    lead_rows = leader_path.reshape(-1, model.n1)
     delayed = (np.arange(R)[:, None] * (grid.n_steps + 1) + z0
                - np.round(delays / h).astype(int))
     follower_paths = np.empty((R, P, m + 1, model.n1))
     follower_paths[:, :, 0, :] = X
-    controls_leader = np.empty((R, m, model.p0))
-    controls_followers = np.empty((R, P, m, model.p1))
+    controls_leader = np.empty((R, m, model.n1))
+    controls_followers = np.empty((R, P, m, model.n1))
     x0 = leader_path[:, z0].copy()
 
     # a diverging replication overflows; the check after the loop finds it
@@ -865,8 +858,8 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
                 full = {name: arr[:, k] for name, arr in flow_features.items()}
                 loo = {name: arr[:, None] for name, arr in full.items()}
             x0_delayed = lead_rows.take(delayed + k, axis=0)
-            u0 = policies.leader_value(x0, model.p0)
-            v1 = policies.follower_value(X, x0_delayed, model.p1)
+            u0 = policies.leader_value(x0)
+            v1 = policies.follower_value(X, x0_delayed)
             controls_leader[:, k] = u0
             controls_followers[:, :, k, :] = v1
             x0 = x0 + coeffs.g0(x0, full, u0) * h \
@@ -931,9 +924,9 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
 def _rectangle_costs(coeffs: CoefficientSet, h: float, lead, lead_feats, u,
                      fol, fol_feats, v):
     """Left-endpoint rectangle rule plus terminal cost, time-major: leaders
-    lead (..., m+1, n0), u (..., m, p0), lead_feats (..., m+1, dim) and
-    followers fol (..., m+1, N, n1), v (..., m, N, p1), fol_feats
-    (..., m+1, N or 1, dim).  A cumulative sum along time adds the steps in
+    lead (..., m+1, n1), u (..., m, n1), lead_feats (..., m+1, k) and
+    followers fol (..., m+1, N, n1), v (..., m, N, n1), fol_feats
+    (..., m+1, N or 1, k), k the width of each feature.  A cumulative sum along time adds the steps in
     order, as a per-step ``+=`` loop does.  Returns (J0, [Ji]) as floats,
     or arrays (R,) and (R, N) for R replications; a non-finite cumulative
     cost raises SimulationDivergedError at its first step (m: terminal)."""

@@ -335,12 +335,11 @@ def evaluate_costs_limit(model: ModelSpec, policies: PolicySet,
     idx = z0 + np.arange(m)[:, None] - lags[..., None, :]      # (..., m, N)
     x0_delayed = np.take_along_axis(x0_path[..., None, :, :], idx[..., None],
                                     axis=-2)
-    u = policies.leader_value(lead[..., :m, :], model.p0)
-    v = policies.follower_value(fol[..., :m, :, :], x0_delayed, model.p1)
+    u = policies.leader_value(lead[..., :m, :])
+    v = policies.follower_value(fol[..., :m, :, :], x0_delayed)
     return _rectangle_costs(
         model.coefficients, grid.h, lead, feats, u, fol,
-        {name: arr[..., None, :] for name, arr in feats.items()},
-        np.broadcast_to(v, idx.shape + (model.p1,)))
+        {name: arr[..., None, :] for name, arr in feats.items()}, v)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -30,10 +30,8 @@ from .dynamics import (
     DelayLaw,
     Draws,
     ModelSpec,
-    Policy,
     PolicySet,
     TimeGrid,
-    TrajectoryBundle,
     evaluate_costs_nplayer,
     simulate_nplayer,
 )
@@ -634,13 +632,19 @@ def leave_one_out_check(points, i: int = 0):
 # ---------------------------------------------------------------------------
 # epsilon-Nash certification
 
-def _policies_equal(a: Policy, b: Policy) -> bool:
-    return a.family == b.family and dict(a.params) == dict(b.params)
+def deviated_role(k: int, dev: PolicySet, profile: PolicySet) -> str:
+    """The role, "leader" or "follower", that deviation k changes relative
+    to the profile (equal family and params); the profile itself counts as
+    a follower deviation.  ValidationError when it changes both."""
+    if dev.leader != profile.leader and dev.follower != profile.follower:
+        raise ValidationError(
+            f"deviation {k} changes both the leader and the follower role")
+    return "leader" if dev.leader != profile.leader else "follower"
 
 
 def _control_energy(controls, h) -> list:
     """Rectangle-rule integral of |v_t|^2 per replication; controls
-    (R, m, p), each replication summed on its own."""
+    (R, m, n1), each replication summed on its own."""
     return [np.sum(c ** 2, axis=-1).sum() * h for c in controls]
 
 
@@ -669,12 +673,7 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
         raise ValidationError("deviation library must be nonempty")
     follower_devs, leader_devs = [], []
     for k, dev in enumerate(library):
-        lead_diff = not _policies_equal(dev.leader, profile.leader)
-        fol_diff = not _policies_equal(dev.follower, profile.follower)
-        if lead_diff and fol_diff:
-            raise ValidationError(
-                f"deviation {k} changes both the leader and the follower role")
-        if lead_diff:
+        if deviated_role(k, dev, profile) == "leader":
             leader_devs.append((k, dev.leader))
         else:
             follower_devs.append((k, dev.follower))
@@ -745,6 +744,14 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
 # ---------------------------------------------------------------------------
 # orthogonality diagnostic
 
+def check_eta_family(family) -> None:
+    """ParameterError unless family is linear_in_measure, the only
+    coefficient family the orthogonality check targets."""
+    if family != "linear_in_measure":
+        raise ParameterError(f"the orthogonality check targets the "
+                             f"linear_in_measure family, got {family!r}")
+
+
 def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
                             delay_law: DelayLaw, N: int, panels: int,
                             leader_paths: int, K: int, seed,
@@ -760,9 +767,7 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     at one fixed grid time and centered per leader path; their ratio is
     near 1 exactly when the cross terms vanish.
     """
-    if model.coefficients.family != "linear_in_measure":
-        raise ParameterError(
-            "the orthogonality check targets the linear_in_measure family")
+    check_eta_family(model.coefficients.family)
     if N < 2 or panels < 1 or leader_paths < 1:
         raise ValidationError("need N >= 2, panels >= 1, leader_paths >= 1")
     m = model.grid.forward_steps

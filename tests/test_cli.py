@@ -140,13 +140,17 @@ class TestValidation:
     def test_unknown_initial_condition_parameters_rejected(self, tmp_path,
                                                            capsys):
         # a misspelt follower key used to run silently with the default,
-        # a misspelt leader key used to pass validate and fail run
+        # a misspelt leader key used to pass validate and fail run; model.n1
+        # sizes the leader path, so it takes no dim of its own
         cfg = presets()["two-atom-delay-n1-1"]
         bad_follower = dataclasses.replace(cfg, follower_init={
             "family": "normal", "params": {"scael": 0.6}})
         bad_leader = dataclasses.replace(cfg, leader_init={
             "family": "ou_path", "params": {"thetaa": 1.0}})
-        for bad, key in ((bad_follower, "scael"), (bad_leader, "thetaa")):
+        bad_dim = dataclasses.replace(cfg, leader_init={
+            "family": "constant", "params": {"dim": 3}})
+        for bad, key in ((bad_follower, "scael"), (bad_leader, "thetaa"),
+                         (bad_dim, "dim")):
             assert any(key in e for e in validate_config(bad)), key
             path = tmp_path / f"{key}.json"
             save_config(bad, path)
@@ -646,15 +650,57 @@ class TestOneValidator:
         assert main(["validate", str(path)]) == 2
         assert key in capsys.readouterr().err
 
-    def test_lipschitz_key_is_gone(self, tmp_path, capsys):
+    # removed keys: the Lipschitz constant, and every dimension but n1
+    @pytest.mark.parametrize("key", ["L", "n0", "d0", "d1", "p0", "p1"])
+    def test_removed_model_key_is_gone(self, tmp_path, capsys, key):
         cfg = presets()["two-atom-delay-n1-1"]
-        bad = dataclasses.replace(cfg, model=dict(cfg.model, L=2.5))
-        assert any(e.startswith("model.L: unknown key")
+        bad = dataclasses.replace(cfg, model=dict(cfg.model, **{key: 1}))
+        assert any(e.startswith(f"model.{key}: unknown key")
                    for e in validate_config(bad))
-        path = tmp_path / "L.json"
+        path = tmp_path / f"{key}.json"
         save_config(bad, path)
         assert main(["validate", str(path)]) == 2
-        assert "model.L" in capsys.readouterr().err
+        assert f"model.{key}" in capsys.readouterr().err
+
+    def test_n1_alone_sets_every_dimension(self, tmp_path):
+        cfg = presets()["linear-in-measure-cost-n1-1"]
+        cfg = dataclasses.replace(cfg, Ns=[4, 8, 16], reps=50, K=128,
+                                  model=dict(cfg.model, T=0.25, n1=2))
+        path = tmp_path / "n1-2.json"
+        save_config(cfg, path)
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["kind"] == "cost_gap"
+
+    def test_eta_needs_the_linear_in_measure_family(self, tmp_path):
+        # validate accepts exactly what run accepts
+        cfg = presets()["eta-orthogonality-n64"]
+        bad = dataclasses.replace(cfg, model=dict(
+            cfg.model, family="linear_quadratic",
+            params={"a1": -0.8, "k1": 0.5, "s1": 0.3}, features=["mean"]))
+        errs = validate_config(bad)
+        assert any(e.startswith("model.family: ParameterError")
+                   for e in errs), errs
+        assert run_experiment(bad, out_dir=tmp_path,
+                              stream=io.StringIO()) == 2
+
+    def test_deviation_changing_both_roles_rejected(self, tmp_path):
+        cfg = presets()["epsilon-nash-n16"]
+        devs = list(cfg.extras["deviations"])
+        devs[1] = {"leader": {"family": "constant", "params": {"value": 0.5}},
+                   "follower": {"family": "constant",
+                                "params": {"value": 0.7}}}
+        bad = dataclasses.replace(cfg, extras=dict(cfg.extras,
+                                                   deviations=devs))
+        errs = validate_config(bad)
+        assert any(e.startswith("extras.deviations[1]: ValidationError")
+                   and "both" in e for e in errs), errs
+        with pytest.raises(ConfigError):
+            build_objects(bad)
+        stream = io.StringIO()
+        assert run_experiment(bad, out_dir=tmp_path, stream=stream) == 2
+        assert "extras.deviations[1]" in stream.getvalue()
 
     def test_leader_gain_lead_rejected(self, tmp_path, capsys):
         # only followers read the delayed leader state

@@ -73,14 +73,14 @@ def loop_costs_limit(model, policies, feats, x0_path, x1_paths, delays):
     for k in range(m):
         lead, fol = at(k)
         x0 = x0_path[..., z0 + k, :]
-        u0 = np.asarray(policies.leader_value(x0, model.p0), dtype=float)
+        u0 = np.asarray(policies.leader_value(x0), dtype=float)
         J0 += coeffs.f0(x0, lead, u0) * h
         X = x1_paths[..., k, :]
         x0_delayed = np.take_along_axis(x0_path, (z0 + k - lags)[..., None],
                                         axis=-2)
-        v1 = np.asarray(policies.follower_value(X, x0_delayed, model.p1),
+        v1 = np.asarray(policies.follower_value(X, x0_delayed),
                         dtype=float)
-        v1 = np.broadcast_to(v1, lags.shape + (model.p1,))
+        v1 = np.broadcast_to(v1, lags.shape + (model.n1,))
         Ji += coeffs.f1(X, fol, v1) * h
     lead, fol = at(m)
     J0 += coeffs.h0(x0_path[..., z0 + m, :], lead)
@@ -97,7 +97,7 @@ def make_model(n1):
             "cost0_control": 0.3, "cost0_track": 0.3, "cost0_terminal": 0.4,
             "cost1_state": 1.0, "cost1_control": 0.2, "cost1_track": 0.5,
             "cost1_terminal": 0.7}, feats),
-        grid=TimeGrid(-0.125, 0.5, 1.0 / 16), n0=n1, n1=n1, p0=n1, p1=n1,
+        grid=TimeGrid(-0.125, 0.5, 1.0 / 16), n1=n1,
         leader_init={"family": "ou_path",
                      "params": {"theta": 1.0, "vol": 0.4}},
         follower_init={"family": "normal", "params": {"scale": 0.6}})

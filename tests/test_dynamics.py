@@ -326,8 +326,7 @@ class TestModelSpecInitialConditions:
     def test_every_documented_key_accepted(self):
         make_model(
             leader_init={"family": "ou_path", "params": {
-                "theta": 1.0, "mean": 0.1, "vol": 0.2, "start": 0.3,
-                "dim": 1}},
+                "theta": 1.0, "mean": 0.1, "vol": 0.2, "start": 0.3}},
             follower_init={"family": "student_t", "params": {
                 "loc": 0.1, "scale": 0.5, "df": 4.5}})
 
@@ -672,11 +671,18 @@ class TestConstructorContracts:
         lambda: make_model(leader_init={"family": "ou_path",
                                         "params": {"vol": math.nan}}),
         lambda: make_model(leader_init={"family": "ou_path", "params": [1]}),
+        lambda: make_model(leader_init={"family": "constant",
+                                        "params": {"dim": 2}}),
         lambda: make_model(follower_init=[("family", "normal")]),
     ])
     def test_bad_values_raise_validation_errors(self, make):
         with pytest.raises(ValidationError):
             make()
+
+    @pytest.mark.parametrize("key", ["n0", "p0", "p1"])
+    def test_n1_is_the_only_dimension(self, key):
+        with pytest.raises(TypeError, match=key):
+            make_model(**{key: 1})
 
     def test_step_must_divide_the_named_spans(self):
         with pytest.raises(ValidationError, match="the lag span b"):
@@ -718,16 +724,16 @@ class TestDeviantPolicy:
         profile = PolicySet(Policy("zero"), follower)
         mixed = PolicySet(Policy("zero"), follower, deviant=deviant)
         alone = PolicySet(Policy("zero"), deviant)
-        v = mixed.follower_value(x1, x0_delayed, 1)
-        base = np.broadcast_to(profile.follower_value(x1, x0_delayed, 1),
+        v = mixed.follower_value(x1, x0_delayed)
+        base = np.broadcast_to(profile.follower_value(x1, x0_delayed),
                                (5, 1))
         assert v.shape == (5, 1)
         assert np.array_equal(v[1:], base[1:])
         assert np.array_equal(
-            v[0], np.broadcast_to(alone.follower_value(x1, x0_delayed, 1),
+            v[0], np.broadcast_to(alone.follower_value(x1, x0_delayed),
                                   (5, 1))[0])
-        assert np.array_equal(mixed.leader_value(x1[0], 1),
-                              profile.leader_value(x1[0], 1))
+        assert np.array_equal(mixed.leader_value(x1[0]),
+                              profile.leader_value(x1[0]))
 
 
 class TestStackedReplications:
@@ -744,7 +750,7 @@ class TestStackedReplications:
                 "cost0_state": 0.5, "cost0_track": 0.3, "cost0_terminal": 0.2,
                 "cost1_state": 1.0, "cost1_control": 0.2,
                 "cost1_track": 0.5, "cost1_terminal": 0.7},
-            feats=feats, n0=n1, n1=n1, p0=n1, p1=n1,
+            feats=feats, n1=n1,
             leader_init={"family": "scaled_brownian", "params": {"sigma": 0.5}},
             follower_init={"family": "student_t",
                            "params": {"df": 4.5, "scale": 0.5}})
@@ -870,32 +876,32 @@ class TermByTermCoefficients(CoefficientSet):
         return out * np.ones_like(x1)
 
 
-def term_by_term_control(pol, x1, x0_delayed, p1):
+def term_by_term_control(pol, x1, x0_delayed):
     if pol.family == "zero":
-        return np.zeros(x1.shape[:-1] + (p1,))
+        return np.zeros(x1.shape)
     if pol.family == "constant":
-        return np.full(x1.shape[:-1] + (p1,), pol.params["value"])
+        return np.full(x1.shape, pol.params["value"])
     return (pol.params.get("gain", 0.0) * x1
             + pol.params.get("gain_lead", 0.0) * x0_delayed
             + pol.params.get("offset", 0.0))
 
 
 class TermByTermPolicies(PolicySet):
-    def leader_value(self, x0, p0):
+    def leader_value(self, x0):
         pol = self.leader
         if pol.family == "zero":
-            return np.zeros(np.shape(x0)[:-1] + (p0,))
+            return np.zeros(np.shape(x0))
         if pol.family == "constant":
-            return np.full(np.shape(x0)[:-1] + (p0,), pol.params["value"])
+            return np.full(np.shape(x0), pol.params["value"])
         return pol.params.get("gain", 0.0) * x0 + pol.params.get("offset", 0.0)
 
-    def follower_value(self, x1, x0_delayed, p1):
-        v = term_by_term_control(self.follower, x1, x0_delayed, p1)
+    def follower_value(self, x1, x0_delayed):
+        v = term_by_term_control(self.follower, x1, x0_delayed)
         if self.deviant is None:
             return v
-        v = np.array(np.broadcast_to(v, x1.shape[:-1] + (p1,)))
+        v = np.array(np.broadcast_to(v, x1.shape))
         v[..., 0, :] = term_by_term_control(self.deviant, x1[..., 0, :],
-                                            x0_delayed[..., 0, :], p1)
+                                            x0_delayed[..., 0, :])
         return v
 
 
@@ -945,7 +951,7 @@ class TestLiveTerms:
         elif kernel != "mean":
             feats = ("mean",) + feats
         return [ModelSpec(coefficients=cls(family, params, feats),
-                          grid=self.GRID, n0=n1, n1=n1, p0=n1, p1=n1)
+                          grid=self.GRID, n1=n1)
                 for cls in (CoefficientSet, TermByTermCoefficients)]
 
     def assert_euler_equal(self, family, params, n1, kernel, roles, deviant,

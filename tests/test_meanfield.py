@@ -455,7 +455,7 @@ class TestStackedLimitTwin:
                     "cost0_track": 0.3, "cost1_state": 1.0,
                     "cost1_control": 0.2, "cost1_track": 0.5,
                     "cost1_terminal": 0.7},
-            feats=feats, n0=n1, n1=n1, p0=n1, p1=n1,
+            feats=feats, n1=n1,
             leader_init={"family": "ou_path",
                          "params": {"theta": 1.0, "vol": 0.4}},
             follower_init={"family": "normal", "params": {"scale": 0.6}})
@@ -538,7 +538,7 @@ class TestStoppingRule:
             params={"a0": -0.2, "k0": 0.4, "s0": 0.2, "a1": -0.5, "k1": 0.8,
                     "s1": 0.3},
             feats=("mean",) + (("second_moment",) if n1 == 2 else ()),
-            n0=n1, n1=n1, p0=n1, p1=n1,
+            n1=n1,
             leader_init={"family": "ou_path", "params": {"vol": 0.4}},
             follower_init=follower_init or {"family": "normal",
                                             "params": {"scale": 0.6}})
