@@ -2,10 +2,12 @@
 
 Each case runs one preset, shrunk with ``dataclasses.replace``, through
 ``run_experiment`` and compares ``results.csv`` and ``report.json`` byte for
-byte with the files under ``tests/golden/<case>/``.  The goldens are only
-valid for the numpy and scipy versions recorded in
-``tests/golden/versions.json``; on any other version the gate fails and names
-both, it never skips.
+byte with the files under ``tests/golden/<case>/``.  Three cases (``N1_2``)
+rerun a shrunken preset at ``model.n1 = 2``, so the stepper, the cost rule,
+the limit twin and the stopping rule's assignment route are gated at n1 > 1
+as well.  The goldens are only valid for the numpy and scipy versions
+recorded in ``tests/golden/versions.json``; on any other version the gate
+fails and names both, it never skips.
 
 Regenerate (only for a change that moves output bytes on purpose, and say
 why in CHANGES.md):
@@ -46,11 +48,20 @@ CASES = {
         {"Ns": [16], "K": 128,
          "extras": {"panels": 40, "leader_paths": 2}}, {}),
 }
+# n1 = 2 variant -> the case above it runs with model.n1 = 2, under its own
+# scenario name
+N1_2 = {"linear-in-measure-cost-n1-2": "linear-in-measure-cost-n1-1",
+        "epsilon-nash-n16-n1-2": "epsilon-nash-n16",
+        "eta-orthogonality-n64-n1-2": "eta-orthogonality-n64"}
+ALL_CASES = sorted([*CASES, *N1_2])
 
 
 def case_config(name):
-    fields, model = CASES[name]
-    cfg = presets()[name]
+    base = N1_2.get(name, name)
+    fields, model = CASES[base]
+    if name in N1_2:
+        fields, model = dict(fields, name=name), dict(model, n1=2)
+    cfg = presets()[base]
     return dataclasses.replace(cfg, model=dict(cfg.model, **model), **fields)
 
 
@@ -63,7 +74,7 @@ def run_case(name, out_dir: Path) -> None:
                    stream=io.StringIO())
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_golden_bytes(name, tmp_path):
     recorded = json.loads(VERSIONS_FILE.read_text())
     installed = installed_versions()
@@ -91,4 +102,4 @@ def regenerate(names) -> None:
 
 
 if __name__ == "__main__":
-    regenerate(sys.argv[1:] or sorted(CASES))
+    regenerate(sys.argv[1:] or ALL_CASES)
