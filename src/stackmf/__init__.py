@@ -40,6 +40,7 @@ from .dynamics import (
     TimeGrid,
     TrajectoryBundle,
     evaluate_costs_nplayer,
+    path_controls,
     sample_delays,
     simulate_nplayer,
     snap_delays_to_grid,

@@ -67,6 +67,7 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
+    ExperimentInvalidError,
     ParameterError,
     StackmfError,
 )
@@ -329,6 +330,11 @@ def _kind_rules(config: ScenarioConfig, out) -> None:
 
 def validate_config(config: ScenarioConfig) -> list:
     """All violations as strings; empty list means the config is valid."""
+    return _checked(config)[1]
+
+
+def _checked(config: ScenarioConfig):
+    """(objects of ``_build``, every violation of ``validate_config``)."""
     out = []
     if not isinstance(config.name, str) or not config.name:
         out.append("name: must be a nonempty string")
@@ -348,7 +354,7 @@ def validate_config(config: ScenarioConfig) -> list:
     out.extend(errors)
     _cross_object_rules(config, objects, out)
     _kind_rules(config, out)
-    return out
+    return objects, out
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +383,10 @@ def _delay_law(spec: dict) -> DelayLaw:
 def _build(config: ScenarioConfig):
     """Build every runtime object whose inputs are present.
 
-    Returns (objects, errors): objects maps "grid", "model", "delay_law" and
-    "policies" to what could be built; errors holds one line per
-    constructor or experiment-rule error, under the field path of its input."""
+    Returns (objects, errors): objects maps "grid", "model", "delay_law",
+    "policies" and "deviations" (the epsilon_nash library) to what could be
+    built; errors holds one line per constructor or experiment-rule error,
+    under the field path of its input."""
     errors = []
 
     def attempt(path, make, *args, **kwargs):
@@ -415,6 +422,7 @@ def _build(config: ScenarioConfig):
     devs = config.extras.get("deviations") \
         if config.kind == "epsilon_nash" else None
     profile = objects.get("policies")
+    objects["deviations"] = []
     for k, dev in enumerate(devs if isinstance(devs, tuple) else ()):
         roles = [attempt(f"extras.deviations[{k}].{role}", _policy, role,
                          dev[role])
@@ -422,8 +430,9 @@ def _build(config: ScenarioConfig):
                  else getattr(profile, role, None)
                  for role in ("leader", "follower")]
         if profile is not None and None not in roles:
+            objects["deviations"].append(PolicySet(*roles))
             attempt(f"extras.deviations[{k}]", deviated_role, k,
-                    PolicySet(*roles), profile)
+                    objects["deviations"][-1], profile)
     return objects, errors
 
 
@@ -434,17 +443,6 @@ def build_objects(config: ScenarioConfig):
     if errors:
         raise ConfigError(errors)
     return objects["model"], objects["policies"], objects["delay_law"]
-
-
-def _deviation_library(config: ScenarioConfig, policies: PolicySet) -> list:
-    """epsilon_nash deviations as PolicySets; a missing role keeps the
-    profile's policy."""
-    library = []
-    for dev in config.extras["deviations"]:
-        library.append(PolicySet(*(
-            getattr(policies, role) if dev.get(role) is None
-            else _policy(role, dev[role]) for role in ("leader", "follower"))))
-    return library
 
 
 def resolve_threads(threads=None) -> int:
@@ -540,8 +538,12 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, seed: int,
         payload.update(report)
     else:
         payload["report"] = dataclasses.asdict(report)
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_fmt,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise ExperimentInvalidError(f"non-finite value in the report: {exc}")
+    (out_dir / "report.json").write_text(text + "\n")
     manifest = {
         "config_sha256": config_hash(config),
         "master_seed": int(seed),
@@ -563,8 +565,8 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, seed: int,
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _dispatch(config: ScenarioConfig, seed: int, threads: int):
-    model, policies, delay_law = build_objects(config)
+def _dispatch(config: ScenarioConfig, objects: dict, seed: int, threads: int):
+    model, policies, delay_law = map(objects.get, ("model", "policies", "delay_law"))
     ex = config.extras
     if config.kind in _GAP_KINDS:
         kwargs = dict(scenario=config.name, regime=config.regime,
@@ -581,7 +583,7 @@ def _dispatch(config: ScenarioConfig, seed: int, threads: int):
                   config.K, seed, **kwargs)
     if config.kind == "epsilon_nash":
         return epsilon_nash_certify(
-            model, policies, _deviation_library(config, policies),
+            model, policies, objects["deviations"],
             config.Ns[0], config.reps, seed,
             delay_law=delay_law,
             kappa=math.inf if ex.get("kappa") is None else float(ex["kappa"]),
@@ -624,7 +626,7 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
     invalid experiment (reported machine-readably in report.json).
     """
     stream = stream or sys.stdout
-    violations = validate_config(config)
+    objects, violations = _checked(config)
     if violations:
         for v in violations:
             print(f"invalid-config: {v}", file=stream)
@@ -644,16 +646,16 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
             print(line, file=stream)
         return 0
     try:
-        report = _dispatch(config, seed, threads)
+        report = _dispatch(config, objects, seed, threads)
+        ok = _assertions_pass(config, report)
+        _write_outputs(out, config, seed, report, "ok" if ok else
+                       "assertions_failed")
     except StackmfError as exc:
         _write_outputs(out, config, seed,
                        {"error_type": type(exc).__name__,
                         "reason": str(exc)}, "invalid")
         print(f"invalid: [{type(exc).__name__}] {exc}", file=stream)
         return 2
-    ok = _assertions_pass(config, report)
-    _write_outputs(out, config, seed, report, "ok" if ok else
-                   "assertions_failed")
     if isinstance(report, GapReport):
         print(f"{config.name}: quantity={report.quantity} "
               f"slope={_fmt(report.slope)} "

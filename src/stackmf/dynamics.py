@@ -12,7 +12,10 @@ simulation in the package, for a block of independent replications at
 once.  Only the measure argument differs: the N-player game reads the
 empirical features of the current states, leave-one-out for followers and
 over the full population for the leader; the limit twin and the Picard
-particle solver in ``meanfield`` read a prescribed feature flow.
+particle solver in ``meanfield`` read a prescribed feature flow.  The
+stepper returns states only: every control is a feedback law of them, so
+``path_controls`` reads the controls off the paths, and one cost body,
+``_path_costs``, prices the paths of both games.
 """
 from __future__ import annotations
 
@@ -595,14 +598,13 @@ class ModelSpec:
 @dataclasses.dataclass(frozen=True)
 class TrajectoryBundle:
     """One N-player replication: leader path on [-b, T], follower paths on
-    [0, T], applied delays and controls; a bundle of R replications has a
-    leading axis R on every array."""
+    [0, T] and applied delays; a bundle of R replications has a leading
+    axis R on every array.  ``path_controls`` gives its controls."""
 
     grid: TimeGrid
     leader_path: np.ndarray
     follower_paths: np.ndarray
     delays: np.ndarray
-    controls_applied: dict
 
     def __post_init__(self):
         lead = np.asarray(self.leader_path, dtype=float)
@@ -823,9 +825,8 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     equals the run of replication r alone, byte for byte.  A non-finite
     row keeps stepping; at the end SimulationDivergedError names the first
     non-finite forward step of the earliest such row.  Returns leader paths
-    (R, n_steps + 1, n1), follower paths (R, P, m+1, n1), leader controls
-    (R, m, n1) and follower controls (R, P, m, n1).
-    Coefficients and policies evaluate only their terms of nonzero gain.
+    (R, n_steps + 1, n1) and follower paths (R, P, m+1, n1), whose controls
+    are ``path_controls``.  Only terms of nonzero gain are evaluated.
     """
     grid = model.grid
     h = grid.h
@@ -844,8 +845,6 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
                - np.round(delays / h).astype(int))
     follower_paths = np.empty((R, P, m + 1, model.n1))
     follower_paths[:, :, 0, :] = X
-    controls_leader = np.empty((R, m, model.n1))
-    controls_followers = np.empty((R, P, m, model.n1))
     x0 = leader_path[:, z0].copy()
 
     # a diverging replication overflows; the check after the loop finds it
@@ -860,8 +859,6 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
             x0_delayed = lead_rows.take(delayed + k, axis=0)
             u0 = policies.leader_value(x0)
             v1 = policies.follower_value(X, x0_delayed)
-            controls_leader[:, k] = u0
-            controls_followers[:, :, k, :] = v1
             x0 = x0 + coeffs.g0(x0, full, u0) * h \
                 + coeffs.sigma0(x0, full, u0) * sqrt_h * zeta0[:, k]
             X = X + coeffs.g1(X, loo, v1) * h \
@@ -878,7 +875,7 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
         k = int(np.argmax(bad))
         raise SimulationDivergedError(
             k, f"non-finite state at forward step {k} (t={grid.times[z0 + k]!r})")
-    return leader_path, follower_paths, controls_leader, controls_followers
+    return leader_path, follower_paths
 
 
 def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
@@ -911,36 +908,57 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
                  batch.leader_noise, batch.follower_noise, delays)
     if not draws.stacked:
         out, delays = [a[0] for a in out], delays[0]
-    leader_path, follower_paths, u, v = out
-    return TrajectoryBundle(
-        grid=model.grid,
-        leader_path=leader_path,
-        follower_paths=follower_paths,
-        delays=delays,
-        controls_applied={"leader": u, "followers": v},
-    )
+    return TrajectoryBundle(model.grid, *out, delays)
 
 
-def _rectangle_costs(coeffs: CoefficientSet, h: float, lead, lead_feats, u,
-                     fol, fol_feats, v):
-    """Left-endpoint rectangle rule plus terminal cost, time-major: leaders
-    lead (..., m+1, n1), u (..., m, n1), lead_feats (..., m+1, k) and
-    followers fol (..., m+1, N, n1), v (..., m, N, n1), fol_feats
-    (..., m+1, N or 1, k), k the width of each feature.  A cumulative sum along time adds the steps in
-    order, as a per-step ``+=`` loop does.  Returns (J0, [Ji]) as floats,
-    or arrays (R,) and (R, N) for R replications; a non-finite cumulative
-    cost raises SimulationDivergedError at its first step (m: terminal)."""
-    m = u.shape[-2]
+def path_controls(policies: PolicySet, grid: TimeGrid, leader_path,
+                  follower_paths, delays):
+    """Controls along paths, time-major: the leader's u (..., m, n1) and
+    the followers' v (..., m, N, n1) at forward steps 0..m-1, for
+    leader_path (..., n_steps + 1, n1) on [-b, T], follower_paths
+    (..., N, m+1, n1) and delays (..., N).  Each follower reads its leader
+    lagged by its delay, as in ``_euler``: on its paths these are the
+    controls it applied, byte for byte.  A control that overflows is inf or
+    nan, without a warning; ``_path_costs`` raises at its step."""
+    m, z0 = grid.forward_steps, grid.zero_index
+    lags = np.round(np.asarray(delays, dtype=float) / grid.h).astype(int)
+    idx = z0 + np.arange(m)[:, None] - lags[..., None, :]      # (..., m, N)
+    x0_delayed = np.take_along_axis(leader_path[..., None, :, :],
+                                    idx[..., None], axis=-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = policies.leader_value(leader_path[..., z0:z0 + m, :])
+        v = policies.follower_value(
+            np.swapaxes(follower_paths, -3, -2)[..., :m, :, :], x0_delayed)
+    return u, v
+
+
+def _path_costs(model: ModelSpec, policies: PolicySet, leader_path,
+                follower_paths, delays, flow_features=None):
+    """Costs (J0, [Ji]) of the paths under their ``path_controls``: a
+    left-endpoint rectangle rule, added in step order as a ``+=`` loop
+    adds, plus terminal cost.  The measure argument is read as in
+    ``_euler``: flow_features[name] (..., m+1, k) for both roles, or when
+    None the empirical one (full for the leader, leave-one-out for
+    followers).  Floats, or arrays J0 (R,) and Ji (R, N) for R
+    replications; a non-finite cumulative cost raises
+    SimulationDivergedError at its first step (m: terminal)."""
+    grid, coeffs, m = model.grid, model.coefficients, model.grid.forward_steps
+    u, v = path_controls(policies, grid, leader_path, follower_paths, delays)
+    # contiguous: the sorted follower sums then round as on one time slice
+    fol = np.ascontiguousarray(np.swapaxes(follower_paths, -3, -2))
+    full, loo = (flow_features, None) if flow_features is not None \
+        else follower_feature_arrays(fol, coeffs.measure_features)
     # the leader as a population of one, so both roles slice alike
-    roles = ((coeffs.f0, coeffs.h0, lead[..., None, :], u[..., None, :],
-              {name: arr[..., None, :] for name, arr in lead_feats.items()}),
-             (coeffs.f1, coeffs.h1, fol, v, fol_feats))
+    lead_feats = {name: a[..., None, :] for name, a in full.items()}
+    roles = ((coeffs.f0, coeffs.h0, leader_path[..., grid.zero_index:, None, :],
+              u[..., None, :], lead_feats),
+             (coeffs.f1, coeffs.h1, fol, v, lead_feats if loo is None else loo))
     cums = []
     with np.errstate(over="ignore", invalid="ignore"):
         for running, terminal, x, c, feats in roles:
             head, tail = ({name: a[..., t, :, :] for name, a in feats.items()}
                           for t in (slice(m), slice(m, None)))
-            steps = running(x[..., :m, :, :], head, c) * h
+            steps = running(x[..., :m, :, :], head, c) * grid.h
             end = terminal(x[..., m:, :, :], tail)
             cums.append(np.cumsum(np.concatenate([steps, end], axis=-2), -2))
     finite = np.logical_and(*(np.isfinite(np.moveaxis(c, -2, 0))
@@ -949,22 +967,13 @@ def _rectangle_costs(coeffs: CoefficientSet, h: float, lead, lead_feats, u,
         k = int(np.argmin(finite))
         raise SimulationDivergedError(k, f"non-finite cost at forward step {k}")
     J0, Ji = cums[0][..., -1, 0], cums[1][..., -1, :]
-    return (J0, Ji) if lead.ndim == 3 else (float(J0), Ji.tolist())
+    return (J0, Ji) if J0.ndim else (float(J0), Ji.tolist())
 
 
-def evaluate_costs_nplayer(bundle: TrajectoryBundle, model: ModelSpec):
-    """Single-replication cost values (J0N, [JiN for each follower]); for a
-    bundle of R replications, arrays J0N (R,) and JiN (R, N).
-
-    ``_rectangle_costs`` adds the running costs in step order, so each
-    total rounds as a per-step ``+=`` loop; followers see leave-one-out
-    features, the leader the full empirical ones and controls are stored.
-    """
-    grid = bundle.grid
-    # contiguous: the sorted follower sums then round as on one time slice
-    fol = np.ascontiguousarray(np.swapaxes(bundle.follower_paths, -3, -2))
-    full, loo = follower_feature_arrays(fol, model.coefficients.measure_features)
-    return _rectangle_costs(
-        model.coefficients, grid.h, bundle.leader_path[..., grid.zero_index:, :],
-        full, bundle.controls_applied["leader"], fol, loo,
-        np.swapaxes(bundle.controls_applied["followers"], -3, -2))
+def evaluate_costs_nplayer(bundle: TrajectoryBundle, model: ModelSpec,
+                           policies: PolicySet):
+    """Costs (J0N, [JiN for each follower]) of one replication under
+    policies, or arrays J0N (R,) and JiN (R, N) of a bundle of R: the
+    ``_path_costs`` of its paths."""
+    return _path_costs(model, policies, bundle.leader_path,
+                       bundle.follower_paths, bundle.delays)

@@ -32,8 +32,8 @@ from .dynamics import (
     _euler,
     _follower_draws,
     _leader_draws,
+    _path_costs,
     _phi_block,
-    _rectangle_costs,
     draw_follower_initial,
     snap_delays_to_grid,
 )
@@ -223,7 +223,7 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         return parts.reshape(cloud_size, m + 1, model.n1).swapaxes(0, 1)[sub_grid]
 
     def simulate(feats_seq):
-        leader_path, parts, _, _ = _euler(
+        leader_path, parts = _euler(
             model, policies, xi0[None], X0.reshape(1, cloud_size, model.n1),
             zeta0[None], zeta[None], delays[None],
             {name: arr[None] for name, arr in feats_seq.items()})
@@ -308,38 +308,22 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
         raise ValidationError(
             f"draws hold {draws.N} followers, delays {delays.shape[-1]}")
     batch = draws if stacked else Draws.stack([draws])
-    x0_path, x1_paths, _, _ = _euler(
+    x0_path, x1_paths = _euler(
         model, policies, batch.leader_init_path, batch.follower_init,
         batch.leader_noise, batch.follower_noise,
         delays.reshape(len(flows), -1), _stacked_features(flows))
-    if stacked:
-        return x0_path, x1_paths
-    return x0_path[0], x1_paths[0]
+    return (x0_path, x1_paths) if stacked else (x0_path[0], x1_paths[0])
 
 
 def evaluate_costs_limit(model: ModelSpec, policies: PolicySet,
                          zflow: ConditionalLawFlow, x0_path, x1_paths, delays):
-    """Limit-system costs (J0, [Ji]) for trajectories produced by
-    simulate_limit_pair; controls are recomputed once for all steps from
-    the same policies and flow features, so the values are deterministic
-    given the paths.  ``dynamics._rectangle_costs`` adds the running costs
-    in step order, so each total rounds as a per-step ``+=`` loop.  For
-    stacked paths of R replications, zflow is their R flows and the costs
-    are arrays J0 (R,) and Ji (R, N)."""
-    grid = model.grid
-    m, z0 = grid.forward_steps, grid.zero_index
+    """Limit-system costs (J0, [Ji]) of paths from simulate_limit_pair, by
+    ``dynamics._path_costs`` with the flow's features as measure argument.
+    For stacked paths of R replications, zflow is their R flows and the
+    costs are arrays J0 (R,) and Ji (R, N)."""
     feats = _stacked_features(zflow) if np.ndim(x0_path) == 3 \
         else zflow.features
-    lags = np.round(np.asarray(delays, dtype=float) / grid.h).astype(int)
-    lead, fol = x0_path[..., z0:, :], np.swapaxes(x1_paths, -3, -2)
-    idx = z0 + np.arange(m)[:, None] - lags[..., None, :]      # (..., m, N)
-    x0_delayed = np.take_along_axis(x0_path[..., None, :, :], idx[..., None],
-                                    axis=-2)
-    u = policies.leader_value(lead[..., :m, :])
-    v = policies.follower_value(fol[..., :m, :, :], x0_delayed)
-    return _rectangle_costs(
-        model.coefficients, grid.h, lead, feats, u, fol,
-        {name: arr[..., None, :] for name, arr in feats.items()}, v)
+    return _path_costs(model, policies, x0_path, x1_paths, delays, feats)
 
 
 @dataclasses.dataclass(frozen=True)

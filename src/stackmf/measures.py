@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
-from .errors import CapacityError, DimensionError, ParameterError, ValidationError
+from .errors import (CapacityError, DimensionError, ParameterError,
+                     SimulationDivergedError, ValidationError)
 
 WEIGHT_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -307,21 +309,26 @@ def _w2sq_integral(a, b, wb, h: float, m: int) -> float:
     """Rectangle rule: sum over steps k < m of W2^2 h between the uniform
     empirical measure of a[:, k] and (b[:, k], wb).  With n1 = 1 and wb
     exactly 1/len in every entry, one uniform-core call serves all steps,
-    rounded per step as w2_exact_1d rounds; else one measure pair per step."""
-    if a.shape[2] == 1 and np.all(wb == 1.0 / wb.size):
-        if not (np.isfinite(a[:, :m]).all() and np.isfinite(b[:, :m]).all()):
-            raise ValidationError("non-finite entries in measure")
-        vals = [float(np.sqrt(max(sq, 0.0))) for sq in
-                _w2sq_uniform_1d(a[:, :m, 0].T, b[:, :m, 0].T).tolist()]
-    else:
-        wa = np.full(a.shape[0], 1.0 / a.shape[0])
-        pairs = ((DiscreteMeasure(a[:, k], wa), DiscreteMeasure(b[:, k], wb))
-                 for k in range(m))
-        vals = [w2_exact_1d(mu, nu) if a.shape[2] == 1
-                else w2_exact_lp(mu, nu)[0] for mu, nu in pairs]
+    rounded per step as w2_exact_1d rounds; else one measure pair per step.
+    A sum made non-finite raises SimulationDivergedError at its step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.shape[2] == 1 and np.all(wb == 1.0 / wb.size):
+            if not (np.isfinite(a[:, :m]).all() and np.isfinite(b[:, :m]).all()):
+                raise ValidationError("non-finite entries in measure")
+            vals = [float(np.sqrt(max(sq, 0.0))) for sq in
+                    _w2sq_uniform_1d(a[:, :m, 0].T, b[:, :m, 0].T).tolist()]
+        else:
+            wa = np.full(a.shape[0], 1.0 / a.shape[0])
+            pairs = ((DiscreteMeasure(a[:, k], wa), DiscreteMeasure(b[:, k], wb))
+                     for k in range(m))
+            vals = [w2_exact_1d(mu, nu) if a.shape[2] == 1
+                    else w2_exact_lp(mu, nu)[0] for mu, nu in pairs]
     total = 0.0
-    for val in vals:
+    for k, val in enumerate(vals):
         total += val * val * h
+        if not math.isfinite(total):
+            raise SimulationDivergedError(
+                k, f"non-finite W2 integral at forward step {k}")
     return total
 
 

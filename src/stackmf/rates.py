@@ -33,6 +33,7 @@ from .dynamics import (
     PolicySet,
     TimeGrid,
     evaluate_costs_nplayer,
+    path_controls,
     simulate_nplayer,
 )
 from .errors import (
@@ -575,7 +576,7 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
     """
     # a twin follower's cost reads the flow, not the other followers
     def measure(noises, flows, N, bundle, twin):
-        j0n, jin = evaluate_costs_nplayer(bundle, model)
+        j0n, jin = evaluate_costs_nplayer(bundle, model, policies)
         j0l, jil = twin
         return [(float(np.mean(np.abs(jin[r] - jil[r, :N]))),
                  abs(float(j0n[r]) - float(j0l[r])))
@@ -642,12 +643,6 @@ def deviated_role(k: int, dev: PolicySet, profile: PolicySet) -> str:
     return "leader" if dev.leader != profile.leader else "follower"
 
 
-def _control_energy(controls, h) -> list:
-    """Rectangle-rule integral of |v_t|^2 per replication; controls
-    (R, m, n1), each replication summed on its own."""
-    return [np.sum(c ** 2, axis=-1).sum() * h for c in controls]
-
-
 def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
                          deviation_library, N: int, reps: int, seed,
                          *, delay_law: DelayLaw, kappa: float = math.inf,
@@ -689,11 +684,13 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
         out = np.empty((4, len(noises), len(arms)))
         for a, pols in enumerate(arms):
             bundle = simulate_nplayer(model, pols, N, delay_law, noises, draws)
-            out[0, :, a], jin = evaluate_costs_nplayer(bundle, model)
+            out[0, :, a], jin = evaluate_costs_nplayer(bundle, model, pols)
             out[1, :, a] = jin[:, 0]
-            v = bundle.controls_applied
-            out[2:, :, a] = [_control_energy(c, model.grid.h)
-                             for c in (v["followers"][:, 0], v["leader"])]
+            # rectangle-rule integrals of |v_t|^2, one replication at a time
+            u, v = path_controls(pols, model.grid, bundle.leader_path,
+                                 bundle.follower_paths, bundle.delays)
+            out[2:, :, a] = [[np.sum(c ** 2, axis=-1).sum() * model.grid.h
+                              for c in role] for role in (v[:, :, 0], u)]
         return (*out, bundle.delays[:, 0])
 
     # (reps, arms) costs and control energies; delta0 (reps,)

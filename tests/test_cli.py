@@ -433,6 +433,48 @@ class TestRunExperiment:
         assert report["error_type"] == "SimulationDivergedError"
         assert "non-finite cost" in report["reason"]
 
+    @pytest.mark.parametrize("name, T", [("degenerate-delay-n1-1", 0.125),
+                                         ("two-atom-delay-n1-1", 0.25),
+                                         ("uniform-delay-n1-1", 0.25)])
+    def test_w2_overflow_is_a_typed_divergence(self, name, T, tmp_path):
+        # finite follower states too far apart to square: the W2 integral
+        # overflows at forward step 0, where it used to reach report.json
+        # as Infinity (state gaps) or fail the slope fit (W2 curve)
+        cfg = presets()[name]
+        cfg = dataclasses.replace(
+            cfg, Ns=[4, 8, 16], reps=50, K=128, model=dict(cfg.model, T=T),
+            follower_init={"family": "normal", "params": {"scale": 1e160}})
+        assert validate_config(cfg) == []
+        rc = run_experiment(cfg, out_dir=tmp_path / "w", stream=io.StringIO())
+        assert rc == 2
+        report = json.loads((tmp_path / "w" / "report.json").read_text(),
+                            parse_constant=self.reject_constant)
+        assert report["status"] == "invalid"
+        assert report["error_type"] == "SimulationDivergedError"
+        assert report["reason"] == "non-finite W2 integral at forward step 0"
+
+    @staticmethod
+    def reject_constant(token):
+        raise AssertionError(f"{token} is not strict JSON")
+
+    def test_non_finite_report_is_an_invalid_experiment(self, tmp_path,
+                                                        monkeypatch):
+        from stackmf import cli
+        from stackmf.rates import EtaReport
+        report = EtaReport("eta", 16, 40, 2, 8, lhs=float("inf"), rhs=1.0)
+        monkeypatch.setattr(cli, "_dispatch", lambda *args: report)
+        cfg = dataclasses.replace(
+            presets()["eta-orthogonality-n64"], Ns=[16], K=128,
+            extras={"panels": 40, "leader_paths": 2})
+        buf = io.StringIO()
+        assert run_experiment(cfg, out_dir=tmp_path / "e", stream=buf) == 2
+        text = (tmp_path / "e" / "report.json").read_text()
+        report = json.loads(text, parse_constant=self.reject_constant)
+        assert report["error_type"] == "ExperimentInvalidError"
+        assert "non-finite value in the report" in report["reason"]
+        assert not (tmp_path / "e" / "results.csv").exists()
+        assert buf.getvalue().startswith("invalid: [ExperimentInvalidError]")
+
     def test_failed_rate_assertion_exits_one(self, tmp_path):
         cfg = dataclasses.replace(small_state_gap(),
                                   regime="linear_in_measure",

@@ -28,27 +28,38 @@ from stackmf.meanfield import (
 )
 
 LAW = DelayLaw.discrete([0.0625, 0.125], [0.5, 0.5])
+ZERO = PolicySet(Policy("zero"), Policy("zero"))
 PARTITION = [(0.0625, 0.5), (0.125, 0.5)]
 
 
 # ---------------------------------------------------------------------------
 # reference: the per-step loops, adding one left endpoint at a time
 
-def loop_costs_nplayer(bundle, model):
+def step_controls(policies, x0_path, X, lags, row):
+    """Controls of one step from the policies: the leader at row `row` of
+    x0_path, followers X reading it `lags` rows earlier."""
+    x0_delayed = np.take_along_axis(x0_path, (row - lags)[..., None],
+                                    axis=-2)
+    u0 = np.asarray(policies.leader_value(x0_path[..., row, :]), dtype=float)
+    v1 = np.asarray(policies.follower_value(X, x0_delayed), dtype=float)
+    return u0, np.broadcast_to(v1, X.shape)
+
+
+def loop_costs_nplayer(bundle, model, policies):
     coeffs = model.coefficients
     names = coeffs.measure_features
     grid = bundle.grid
     h, m, z0 = grid.h, grid.forward_steps, grid.zero_index
     lead = bundle.leader_path
-    u = bundle.controls_applied["leader"]
-    v = bundle.controls_applied["followers"]
+    lags = np.round(bundle.delays / h).astype(int)
     J0 = np.zeros(lead.shape[:-2])
     Ji = np.zeros(bundle.delays.shape)
     for k in range(m):
         X = bundle.follower_paths[..., k, :]
+        u0, v1 = step_controls(policies, lead, X, lags, z0 + k)
         full, loo = follower_feature_arrays(X, names)
-        J0 += coeffs.f0(lead[..., z0 + k, :], full, u[..., k, :]) * h
-        Ji += coeffs.f1(X, loo, v[..., k, :]) * h
+        J0 += coeffs.f0(lead[..., z0 + k, :], full, u0) * h
+        Ji += coeffs.f1(X, loo, v1) * h
     X = bundle.follower_paths[..., m, :]
     full, loo = follower_feature_arrays(X, names)
     J0 += coeffs.h0(lead[..., z0 + m, :], full)
@@ -72,15 +83,9 @@ def loop_costs_limit(model, policies, feats, x0_path, x1_paths, delays):
 
     for k in range(m):
         lead, fol = at(k)
-        x0 = x0_path[..., z0 + k, :]
-        u0 = np.asarray(policies.leader_value(x0), dtype=float)
-        J0 += coeffs.f0(x0, lead, u0) * h
         X = x1_paths[..., k, :]
-        x0_delayed = np.take_along_axis(x0_path, (z0 + k - lags)[..., None],
-                                        axis=-2)
-        v1 = np.asarray(policies.follower_value(X, x0_delayed),
-                        dtype=float)
-        v1 = np.broadcast_to(v1, lags.shape + (model.n1,))
+        u0, v1 = step_controls(policies, x0_path, X, lags, z0 + k)
+        J0 += coeffs.f0(x0_path[..., z0 + k, :], lead, u0) * h
         Ji += coeffs.f1(X, fol, v1) * h
     lead, fol = at(m)
     J0 += coeffs.h0(x0_path[..., z0 + m, :], lead)
@@ -149,8 +154,8 @@ def test_rectangle_rule_equals_step_loop(n1, reps, N, leader, deviant, seed):
     stacked = reps is not None
 
     bundle = simulate_nplayer(model, pols, N, LAW, noise_arg, batch)
-    assert_same_costs(evaluate_costs_nplayer(bundle, model),
-                      loop_costs_nplayer(bundle, model), stacked)
+    assert_same_costs(evaluate_costs_nplayer(bundle, model, pols),
+                      loop_costs_nplayer(bundle, model, pols), stacked)
 
     x0, x1 = simulate_limit_pair(model, pols, flow_arg, noise_arg,
                                  batch.delays, batch)
@@ -173,12 +178,9 @@ class TestCostOverflow:
                 lead[r, grid.zero_index + step, 0] = value
             else:
                 fol[r, 1, step, 0] = value
-        m = grid.forward_steps
         return model, TrajectoryBundle(
             grid=grid, leader_path=lead, follower_paths=fol,
-            delays=np.full((R, N), 0.0625),
-            controls_applied={"leader": np.zeros((R, m, 1)),
-                              "followers": np.zeros((R, N, m, 1))})
+            delays=np.full((R, N), 0.0625))
 
     @pytest.mark.parametrize("planted, step", [
         ({("follower", 1, 2): 1e200}, 2),
@@ -193,12 +195,23 @@ class TestCostOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimulationDivergedError) as info:
-                evaluate_costs_nplayer(bundle, model)
+                evaluate_costs_nplayer(bundle, model, ZERO)
         assert info.value.step == step
         assert f"forward step {step}" in str(info.value)
+
+    def test_control_overflow_on_finite_paths_is_named(self):
+        # the follower control reads the leader one step (its delay) late:
+        # 1e250 * 1e100 overflows at step 4, the squared states do not
+        model, bundle = self.bundle({("leader", 0, 3): 1e100})
+        pols = PolicySet(Policy("zero"), Policy("affine", {"gain_lead": 1e250}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergedError) as info:
+                evaluate_costs_nplayer(bundle, model, pols)
+        assert info.value.step == 4
 
     def test_large_finite_costs_pass(self):
         model, bundle = self.bundle({("follower", 1, 2): 1e150,
                                      ("leader", 0, 8): 1e150})
-        J0, Ji = evaluate_costs_nplayer(bundle, model)
+        J0, Ji = evaluate_costs_nplayer(bundle, model, ZERO)
         assert np.all(np.isfinite(J0)) and np.all(np.isfinite(Ji))

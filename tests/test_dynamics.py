@@ -23,6 +23,7 @@ from stackmf.dynamics import (
     _phi_block,
     draw_follower_initial,
     evaluate_costs_nplayer,
+    path_controls,
     sample_delays,
     sample_initial_leader_path,
     simulate_nplayer,
@@ -590,7 +591,7 @@ class TestCosts:
     def test_zero_cost_zero_states(self):
         model = make_model(params={"cost0_terminal": 1.0})
         b = simulate_nplayer(model, ZERO_POLICIES, 2, DelayLaw.degenerate(0.0), 0)
-        J0, Ji = evaluate_costs_nplayer(b, model)
+        J0, Ji = evaluate_costs_nplayer(b, model, ZERO_POLICIES)
         assert J0 == 0.0
         assert Ji == [0.0, 0.0]
 
@@ -599,7 +600,7 @@ class TestCosts:
         grid = TimeGrid(-0.125, 1.0, 1.0 / 64)
         model = make_model(grid=grid, params={"cost0_const": 1.0})
         b = simulate_nplayer(model, ZERO_POLICIES, 2, DelayLaw.degenerate(0.0), 0)
-        J0, _ = evaluate_costs_nplayer(b, model)
+        J0, _ = evaluate_costs_nplayer(b, model, ZERO_POLICIES)
         assert J0 == 1.0
 
     def test_quadratic_cost_on_drift_path(self):
@@ -608,7 +609,7 @@ class TestCosts:
         model = make_model(grid=grid, params={"b1": 1.0, "cost1_state": 1.0})
         policies = PolicySet(Policy("zero"), Policy("constant", {"value": 1.0}))
         b = simulate_nplayer(model, policies, 2, DelayLaw.degenerate(0.0), 0)
-        _, Ji = evaluate_costs_nplayer(b, model)
+        _, Ji = evaluate_costs_nplayer(b, model, policies)
         assert abs(Ji[0] - 1.0 / 3.0) <= (1.0 / 64)
 
     def test_terminal_cost(self):
@@ -616,7 +617,7 @@ class TestCosts:
         model = make_model(grid=grid, params={"b1": 1.0, "cost1_terminal": 1.0})
         policies = PolicySet(Policy("zero"), Policy("constant", {"value": 1.0}))
         b = simulate_nplayer(model, policies, 2, DelayLaw.degenerate(0.0), 0)
-        _, Ji = evaluate_costs_nplayer(b, model)
+        _, Ji = evaluate_costs_nplayer(b, model, policies)
         assert Ji[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_control_cost_exact(self):
@@ -625,7 +626,7 @@ class TestCosts:
         model = make_model(grid=grid, params={"cost1_control": 1.0})
         policies = PolicySet(Policy("zero"), Policy("constant", {"value": 0.7}))
         b = simulate_nplayer(model, policies, 2, DelayLaw.degenerate(0.0), 0)
-        _, Ji = evaluate_costs_nplayer(b, model)
+        _, Ji = evaluate_costs_nplayer(b, model, policies)
         assert Ji[0] == pytest.approx(0.49, abs=1e-12)
 
     def test_costs_deterministic_given_bundle(self):
@@ -634,7 +635,8 @@ class TestCosts:
                            feats=("mean",),
                            follower_init={"family": "normal", "params": {}})
         b = simulate_nplayer(model, ZERO_POLICIES, 5, DelayLaw.degenerate(0.0), 3)
-        assert evaluate_costs_nplayer(b, model) == evaluate_costs_nplayer(b, model)
+        assert evaluate_costs_nplayer(b, model, ZERO_POLICIES) \
+            == evaluate_costs_nplayer(b, model, ZERO_POLICIES)
 
 
 class TestConstructorContracts:
@@ -768,17 +770,20 @@ class TestStackedReplications:
         draws = [Draws.sample(model, self.LAW, noise, 6) for noise in noises]
         stacked = simulate_nplayer(model, pols, 6, self.LAW, noises,
                                    Draws.stack(draws))
-        J0, Ji = evaluate_costs_nplayer(stacked, model)
+        J0, Ji = evaluate_costs_nplayer(stacked, model, pols)
+        controls = path_controls(pols, model.grid, stacked.leader_path,
+                                 stacked.follower_paths, stacked.delays)
         assert stacked.follower_paths.shape[:2] == (3, 6)
         for r, (noise, d) in enumerate(zip(noises, draws)):
             one = simulate_nplayer(model, pols, 6, self.LAW, noise, d)
             assert np.array_equal(stacked.leader_path[r], one.leader_path)
             assert np.array_equal(stacked.follower_paths[r], one.follower_paths)
             assert np.array_equal(stacked.delays[r], one.delays)
-            for role in ("leader", "followers"):
-                assert np.array_equal(stacked.controls_applied[role][r],
-                                      one.controls_applied[role])
-            j0, ji = evaluate_costs_nplayer(one, model)
+            for a, b in zip(controls, path_controls(
+                    pols, model.grid, one.leader_path, one.follower_paths,
+                    one.delays)):
+                assert np.array_equal(a[r], b)
+            j0, ji = evaluate_costs_nplayer(one, model, pols)
             assert J0[r] == j0
             assert Ji[r].tolist() == ji
 
@@ -808,7 +813,7 @@ class TestStackedReplications:
         assert np.array_equal(a.leader_path, b.leader_path)
         assert np.array_equal(a.follower_paths[0], b.follower_paths[0])
         assert np.array_equal(a.follower_paths[1][perm], b.follower_paths[1])
-        Ja, Jb = evaluate_costs_nplayer(a, model), evaluate_costs_nplayer(b, model)
+        Ja, Jb = (evaluate_costs_nplayer(x, model, pols) for x in (a, b))
         assert np.array_equal(Ja[0], Jb[0])
         assert np.array_equal(Ja[1][1][perm], Jb[1][1])
         assert np.array_equal(Ja[1][0], Jb[1][0])
@@ -907,7 +912,8 @@ class TermByTermPolicies(PolicySet):
 
 class TestLiveTerms:
     """Coefficients and policies that skip the terms whose gain is exactly
-    0.0 step every path and control as the term-by-term reference does."""
+    0.0 step every path as the term-by-term reference does, and
+    ``path_controls`` on those paths gives the reference's controls."""
 
     GRID = TimeGrid(-0.125, 0.5, 1.0 / 16)
     # exact zeros of both signs, and gains small enough that 8 steps stay
@@ -974,8 +980,22 @@ class TestLiveTerms:
                 for name in model.coefficients.measure_features}
         got = _euler(model, pols, *inputs, delays, flow_features)
         want = _euler(reference, ref_pols, *inputs, delays, flow_features)
+        assert len(got) == 2
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+        # the reference controls, one step at a time, each follower reading
+        # its leader lagged by its own delay
+        lead, fol = want
+        lags = np.round(delays / self.GRID.h).astype(int)
+        rows = np.arange(R)[:, None]
+        u, v = path_controls(pols, self.GRID, *got, delays)
+        assert u.shape == (R, m, n1) and v.shape == (R, m, P, n1)
+        for k in range(m):
+            assert np.array_equal(u[:, k], ref_pols.leader_value(
+                lead[:, z0 + k]))
+            assert np.array_equal(v[:, k], np.broadcast_to(
+                ref_pols.follower_value(fol[:, :, k], lead[rows, z0 + k - lags]),
+                (R, P, n1)))
 
     @settings(max_examples=20, deadline=None)
     @given(family=st.sampled_from(sorted(DYNAMIC_KEYS)), data=st.data(),

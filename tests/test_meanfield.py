@@ -323,7 +323,7 @@ class TestSimulateLimitPair:
             model, policies, partition_delay_law(law, 1), 33, K=100)
         x0, x1 = simulate_limit_pair(model, policies, flow, noise, bundle.delays)
         from stackmf.dynamics import evaluate_costs_nplayer
-        J0n, Jin = evaluate_costs_nplayer(bundle, model)
+        J0n, Jin = evaluate_costs_nplayer(bundle, model, policies)
         J0l, Jil = evaluate_costs_limit(model, policies, flow, x0, x1,
                                         bundle.delays)
         # states identical; cost difference comes only from the measure

@@ -625,7 +625,7 @@ def _reference_curves(kind, model, pols, law, Ns, reps, K, seed, tol):
             b = simulate_nplayer(model, pols, N, law, noise, d)
             x0, x1 = simulate_limit_pair(model, pols, flow, noise, b.delays, d)
             if kind == "cost_gap":
-                j0n, jin = evaluate_costs_nplayer(b, model)
+                j0n, jin = evaluate_costs_nplayer(b, model, pols)
                 j0l, jil = evaluate_costs_limit(model, pols, flow, x0, x1,
                                                 b.delays)
                 row.append((float(np.mean(np.abs(np.array(jin)
