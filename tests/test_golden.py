@@ -2,10 +2,10 @@
 
 Each case runs one preset, shrunk with ``dataclasses.replace``, through
 ``run_experiment`` and compares ``results.csv`` and ``report.json`` byte for
-byte with the files under ``tests/golden/<case>/``.  Three cases (``N1_2``)
+byte with the files under ``tests/golden/<case>/``.  Four cases (``N1_2``)
 rerun a shrunken preset at ``model.n1 = 2``, so the stepper, the cost rule,
-the limit twin and the stopping rule's assignment route are gated at n1 > 1
-as well.  The goldens are only valid for the numpy and scipy versions
+the limit twin, the stopping rule's assignment route and the W2 time
+integral's per-step LP route are gated at n1 > 1 as well.  The goldens are only valid for the numpy and scipy versions
 recorded in ``tests/golden/versions.json``; on any other version the gate
 fails and names both, it never skips.
 
@@ -48,19 +48,20 @@ CASES = {
         {"Ns": [16], "K": 128,
          "extras": {"panels": 40, "leader_paths": 2}}, {}),
 }
-# n1 = 2 variant -> the case above it runs with model.n1 = 2, under its own
-# scenario name
-N1_2 = {"linear-in-measure-cost-n1-2": "linear-in-measure-cost-n1-1",
-        "epsilon-nash-n16-n1-2": "epsilon-nash-n16",
-        "eta-orthogonality-n64-n1-2": "eta-orthogonality-n64"}
+# n1 = 2 variant -> (case above, further model fields): the case runs with
+# model.n1 = 2 and those fields, under its own scenario name
+N1_2 = {"degenerate-delay-n1-2": ("degenerate-delay-n1-1", {"T": 0.0625}),
+        "linear-in-measure-cost-n1-2": ("linear-in-measure-cost-n1-1", {}),
+        "epsilon-nash-n16-n1-2": ("epsilon-nash-n16", {}),
+        "eta-orthogonality-n64-n1-2": ("eta-orthogonality-n64", {})}
 ALL_CASES = sorted([*CASES, *N1_2])
 
 
 def case_config(name):
-    base = N1_2.get(name, name)
+    base, more = N1_2.get(name, (name, {}))
     fields, model = CASES[base]
     if name in N1_2:
-        fields, model = dict(fields, name=name), dict(model, n1=2)
+        fields, model = dict(fields, name=name), dict(model, n1=2, **more)
     cfg = presets()[base]
     return dataclasses.replace(cfg, model=dict(cfg.model, **model), **fields)
 
