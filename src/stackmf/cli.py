@@ -569,18 +569,12 @@ def _dispatch(config: ScenarioConfig, objects: dict, seed: int, threads: int):
     model, policies, delay_law = map(objects.get, ("model", "policies", "delay_law"))
     ex = config.extras
     if config.kind in _GAP_KINDS:
-        kwargs = dict(scenario=config.name, regime=config.regime,
-                      tol=config.tol, max_iter=ex.get("max_iter", 25),
-                      damping=ex.get("damping", 1.0),
-                      partition_level=ex.get("partition_level", "auto"),
-                      threads=threads)
-        if "slope_tol" in ex:
-            kwargs["slope_tol"] = float(ex["slope_tol"])
         fn = {"state_gap": state_gap_experiment,
               "wasserstein_gap": wasserstein_gap_curve,
               "cost_gap": cost_gap_experiment}[config.kind]
         return fn(model, policies, delay_law, config.Ns, config.reps,
-                  config.K, seed, **kwargs)
+                  config.K, seed, scenario=config.name, regime=config.regime,
+                  tol=config.tol, threads=threads, **ex)
     if config.kind == "epsilon_nash":
         return epsilon_nash_certify(
             model, policies, objects["deviations"],
@@ -590,11 +584,8 @@ def _dispatch(config: ScenarioConfig, objects: dict, seed: int, threads: int):
             gamma=math.inf if ex.get("gamma") is None else float(ex["gamma"]),
             scenario=config.name, threads=threads)
     return eta_orthogonality_check(
-        model, policies, delay_law, config.Ns[0], ex["panels"],
-        ex["leader_paths"], config.K, seed,
-        time_index=ex.get("time_index"), scenario=config.name,
-        tol=config.tol, max_iter=ex.get("max_iter", 25),
-        damping=ex.get("damping", 1.0), threads=threads)
+        model, policies, delay_law, config.Ns[0], K=config.K, seed=seed,
+        scenario=config.name, tol=config.tol, threads=threads, **ex)
 
 
 def _assertions_pass(config: ScenarioConfig, report) -> bool:

@@ -63,11 +63,22 @@ def _reals(name: str, values) -> tuple:
     return tuple(_real(name, v) for v in values)
 
 
-def _params(label: str, params) -> dict:
-    """Copy of a name -> parameter mapping, or ParameterError."""
+def _family_params(label: str, table, family, params, text=()) -> dict:
+    """The params of a {family, params} spec as a new dict, every value a
+    finite float but those named in text.  A family not in table, params
+    that are not a mapping, or a name table[family] does not allow is a
+    ParameterError."""
+    if not isinstance(family, str) or family not in table:
+        raise ParameterError(f"unknown {label} family {family!r}; "
+                             f"choose from {sorted(table)}")
     if not isinstance(params, Mapping):
         raise ParameterError(f"{label} params must be an object, got {params!r}")
-    return dict(params)
+    unknown = set(params) - table[family]
+    if unknown:
+        raise ParameterError(f"unknown parameters for {label} family "
+                             f"{family!r}: {sorted(unknown)}")
+    return {key: val if key in text else _real(f"{label} parameter {key!r}", val)
+            for key, val in params.items()}
 
 
 def family_spec(label: str, spec):
@@ -302,17 +313,8 @@ class CoefficientSet:
     measure_features: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in _FAMILY_KEYS:
-            raise ParameterError(f"unknown coefficient family {self.family!r}; "
-                                 f"choose from {sorted(_FAMILY_KEYS)}")
-        params = _params("coefficient", self.params)
-        unknown = set(params) - _FAMILY_KEYS[self.family]
-        if unknown:
-            raise ParameterError(
-                f"unknown parameters for family {self.family!r}: {sorted(unknown)}")
-        for key, val in params.items():
-            if key != "kernel":
-                params[key] = _real(f"parameter {key!r}", val)
+        params = _family_params("coefficient", _FAMILY_KEYS, self.family,
+                                self.params, text=("kernel",))
         feats = self.measure_features
         if not isinstance(feats, (list, tuple)):
             raise ParameterError(f"measure_features must be a list of feature names, "
@@ -461,17 +463,8 @@ class Policy:
     params: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        families = _POLICY_KEYS["follower"]
-        if not isinstance(self.family, str) or self.family not in families:
-            raise ParameterError(f"unknown policy family {self.family!r}; "
-                                 f"choose from {sorted(families)}")
-        params = _params("policy", self.params)
-        unknown = set(params) - families[self.family]
-        if unknown:
-            raise ParameterError(
-                f"unknown parameters for policy family {self.family!r}: {sorted(unknown)}")
-        for key, val in params.items():
-            params[key] = _real(f"policy parameter {key!r}", val)
+        params = _family_params("policy", _POLICY_KEYS["follower"],
+                                self.family, self.params)
         object.__setattr__(self, "params", MappingProxyType(params))
 
 
@@ -545,18 +538,8 @@ _INIT_KEYS = {
 def check_initial(role: str, spec) -> None:
     """Raise ParameterError unless spec = {"family", "params"} is an initial
     condition of the role: "leader" (a path on [-b, 0]) or "follower"."""
-    families = _INIT_KEYS[role]
     family, params = family_spec(f"{role} initial condition", spec)
-    if not isinstance(family, str) or family not in families:
-        raise ParameterError(f"unknown {role} initial family {family!r}; "
-                             f"choose from {sorted(families)}")
-    params = _params(f"{role} initial", params)
-    unknown = set(params) - families[family]
-    if unknown:
-        raise ParameterError(
-            f"unknown params {sorted(unknown)} for {role} initial family {family!r}")
-    for key, val in params.items():
-        _real(f"{role} initial parameter {key!r}", val)
+    params = _family_params(f"{role} initial", _INIT_KEYS[role], family, params)
     if family == "student_t" and not params.get("df", 5.0) > 2:
         raise ParameterError("student_t needs df > 2")
     if family == "ou_path" and not params.get("theta", 1.0) > 0:

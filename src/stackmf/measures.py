@@ -172,20 +172,26 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     if mu.dim != 1 or nu.dim != 1:
         raise DimensionError("w2_exact_1d requires one-dimensional measures")
-    return float(np.sqrt(max(_w2sq_quantile(
-        mu.points[:, 0], mu.weights, nu.points[:, 0], nu.weights), 0.0)))
+    sq = float(_w2sq_quantile(mu.points[:, 0], mu.weights,
+                              nu.points[:, 0], nu.weights))
+    return float(np.sqrt(max(sq, 0.0)))
 
 
-def _w2sq_quantile(x, wx, y, wy) -> float:
-    """W2^2 between weighted 1-D point sets via the monotone coupling.
+def _w2sq_quantile(x, wx, y, wy) -> np.ndarray:
+    """W2^2 per slice between weighted 1-D point sets x (..., n) and
+    y (..., m) via the monotone coupling; every slice of x has the weights
+    wx (n,), every slice of y the weights wy (m,).
 
     Weights exactly 1/len in every entry, on both sides, take the uniform
-    core and its cached grid; any other weights take the general route.
+    core and its cached grid; any other weights take the general route,
+    one slice at a time.
     """
     x, wx, y, wy = (np.asarray(v, float) for v in (x, wx, y, wy))
     if (wx == 1.0 / wx.size).all() and (wy == 1.0 / wy.size).all():
-        return float(_w2sq_uniform_1d(x, y))
-    return _w2sq_weighted(x, wx, y, wy)
+        return _w2sq_uniform_1d(x, y)
+    rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+    return np.array([_w2sq_weighted(xs, wx, ys, wy)
+                     for xs, ys in rows]).reshape(x.shape[:-1])
 
 
 def _w2sq_weighted(x, wx, y, wy) -> float:
@@ -307,22 +313,22 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 def _w2sq_integral(a, b, wb, h: float, m: int) -> float:
     """Rectangle rule: sum over steps k < m of W2^2 h between the uniform
-    empirical measure of a[:, k] and (b[:, k], wb).  With n1 = 1 and wb
-    exactly 1/len in every entry, one uniform-core call serves all steps,
-    rounded per step as w2_exact_1d rounds; else one measure pair per step.
-    A sum made non-finite raises SimulationDivergedError at its step."""
+    empirical measure of a[:, k] and (b[:, k], wb).  With n1 = 1 one
+    quantile-route call serves all steps, rounded per step as w2_exact_1d
+    rounds; with n1 > 1 one LP per step.  Non-finite points are a
+    ValidationError; a sum made non-finite raises SimulationDivergedError
+    at its step."""
+    wa = np.full(a.shape[0], 1.0 / a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.shape[2] == 1 and np.all(wb == 1.0 / wb.size):
+        if a.shape[2] == 1:
             if not (np.isfinite(a[:, :m]).all() and np.isfinite(b[:, :m]).all()):
                 raise ValidationError("non-finite entries in measure")
-            vals = [float(np.sqrt(max(sq, 0.0))) for sq in
-                    _w2sq_uniform_1d(a[:, :m, 0].T, b[:, :m, 0].T).tolist()]
+            vals = [float(np.sqrt(max(sq, 0.0))) for sq in _w2sq_quantile(
+                a[:, :m, 0].T, wa, b[:, :m, 0].T, wb).tolist()]
         else:
-            wa = np.full(a.shape[0], 1.0 / a.shape[0])
-            pairs = ((DiscreteMeasure(a[:, k], wa), DiscreteMeasure(b[:, k], wb))
-                     for k in range(m))
-            vals = [w2_exact_1d(mu, nu) if a.shape[2] == 1
-                    else w2_exact_lp(mu, nu)[0] for mu, nu in pairs]
+            vals = [w2_exact_lp(DiscreteMeasure(a[:, k], wa),
+                                DiscreteMeasure(b[:, k], wb))[0]
+                    for k in range(m)]
     total = 0.0
     for k, val in enumerate(vals):
         total += val * val * h
@@ -394,25 +400,16 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
             f"every replication count must be >= 2, got {min(reps)}")
     from ._rng import generator
 
-    means, errs = [], []
     if dim == 1:
-        gen_ref = generator(seed, 0)
-        ref = np.sort(gen_ref.standard_normal(ref_ratio * max(Ns)))
-        for k, (N, R) in enumerate(zip(Ns, reps)):
-            gen = generator(seed, 1, k)
-            vals = np.empty(R)
-            for r in range(R):
-                vals[r] = _w2sq_uniform_1d(gen.standard_normal(N), ref)
-            means.append(vals.mean())
-            errs.append(vals.std(ddof=1) / np.sqrt(R))
-    else:
-        for k, (N, R) in enumerate(zip(Ns, reps)):
-            gen = generator(seed, 1, k)
-            vals = np.empty(R)
-            for r in range(R):
-                x = gen.standard_normal((N, dim))
-                y = gen.standard_normal((N, dim))
-                vals[r] = w2sq_uniform_samples(x, y)
-            means.append(vals.mean())
-            errs.append(vals.std(ddof=1) / np.sqrt(R))
+        ref = np.sort(generator(seed, 0).standard_normal(ref_ratio * max(Ns)))
+    means, errs = [], []
+    for k, (N, R) in enumerate(zip(Ns, reps)):
+        gen = generator(seed, 1, k)
+        vals = np.empty(R)
+        for r in range(R):
+            vals[r] = (_w2sq_uniform_1d(gen.standard_normal(N), ref) if dim == 1
+                       else w2sq_uniform_samples(gen.standard_normal((N, dim)),
+                                                 gen.standard_normal((N, dim))))
+        means.append(vals.mean())
+        errs.append(vals.std(ddof=1) / np.sqrt(R))
     return np.array(means), np.array(errs)

@@ -32,6 +32,7 @@ from .dynamics import (
     ModelSpec,
     PolicySet,
     TimeGrid,
+    _phi_block,
     evaluate_costs_nplayer,
     path_controls,
     simulate_nplayer,
@@ -102,10 +103,6 @@ class GapReport:
                 raise ValidationError(f"curve {name!r} length mismatch")
             if any(v < 0 for v in means):
                 raise ValidationError(f"negative gap estimate in {name!r}")
-
-    def curve(self, name: str):
-        means, stderrs = self.curves[name]
-        return np.asarray(means, float), np.asarray(stderrs, float)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,8 +246,8 @@ def _verdict(slope, predicted, regime, tol):
 
 def _check_ns(Ns, min_n):
     Ns = [int(n) for n in Ns]
-    if len(Ns) < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValidationError("Ns must be strictly increasing")
+    if len(Ns) < 3 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValidationError("Ns must be at least 3 strictly increasing sizes")
     if Ns[0] < min_n:
         raise ValidationError(f"smallest N must be >= {min_n}, got {Ns[0]}")
     return tuple(Ns)
@@ -358,10 +355,8 @@ def _w2_time_integral(paths, flow: ConditionalLawFlow, rng,
 
     Both supports are capped at `cap` points with the supplied generator;
     the subsample is drawn once and reused at every time index, and its
-    noise is part of the reported spread.  When n1 = 1 and the flow support
-    is exactly uniform (subsampled to the cap, or atom weights that give
-    exactly 1/len), all forward steps go through one uniform-core call;
-    weighted supports and n1 > 1 are measured step by step.
+    noise is part of the reported spread.  When n1 = 1 all forward steps
+    go through one quantile-route call; n1 > 1 is measured step by step.
     """
     zflat, zw = _flow_support(flow, cap, rng)
     if paths.shape[0] > cap:
@@ -440,6 +435,10 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     Ns = _check_ns(Ns, min_n)
     if reps < 50:
         raise ValidationError(f"need reps >= 50, got {reps}")
+    pred = rate = None
+    if regime is not None:
+        pred = predicted_n_slope(model.n1, model.q, regime, rate_quantity)
+        rate = predicted_exponent(model.n1, model.q, regime, rate_quantity)[1]
     parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
 
     def run_block(noises):
@@ -483,10 +482,6 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     curves = {name: _aggregate(stack[:, i, :])
               for i, name in enumerate(curve_names)}
     slope, stderr, r2 = _fit_or_undefined(Ns, curves[quantity][0])
-    pred = rate = None
-    if regime is not None:
-        pred = predicted_n_slope(model.n1, model.q, regime, rate_quantity)
-        rate = predicted_exponent(model.n1, model.q, regime, rate_quantity)[1]
     return GapReport(
         scenario=scenario, quantity=quantity, Ns=Ns, reps=int(reps),
         curves=curves, slope=slope, slope_stderr=stderr, r2=r2,
@@ -771,7 +766,7 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     s = m // 2 if time_index is None else int(time_index)
     if not 0 <= s <= m:
         raise ValidationError(f"time index {s} outside the forward grid")
-    kernel = model.coefficients.params.get("kernel", "mean")
+    kernel = model.coefficients.params["kernel"]
 
     part = _partition_for(delay_law, model, N, "auto")
 
@@ -784,9 +779,7 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
             tol=tol, max_iter=max_iter, damping=damping, draws=draws)
         _, x1 = simulate_limit_pair(
             model, policies, flow, noise, draws.delays, draws)
-        vals = x1[:, s, :]
-        if kernel == "tanh_mean":
-            vals = np.tanh(vals)
+        vals = _phi_block(kernel, x1[:, s, :])
         eta = (vals - vals.mean(axis=0)).reshape(panels, N - 1, -1)
         lhs_rows = np.sum(eta.mean(axis=1) ** 2, axis=1)
         rhs_rows = np.sum(eta ** 2, axis=2).mean(axis=1)

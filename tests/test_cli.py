@@ -1,5 +1,6 @@
 """Config round trips, validation, presets, orchestration, determinism."""
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from stackmf import rates
 from stackmf.cli import (
+    _EXTRA_KEYS,
     CSV_COLUMNS,
     ScenarioConfig,
     build_objects,
@@ -107,6 +109,15 @@ class TestValidation:
         cfg = dataclasses.replace(small_state_gap(),
                                   extras={"slope_tol": 0.4, "typo": 1})
         assert any("extras.typo" in e for e in validate_config(cfg))
+
+    @pytest.mark.parametrize("kind, fn", [
+        ("state_gap", rates.state_gap_experiment),
+        ("wasserstein_gap", rates.wasserstein_gap_curve),
+        ("cost_gap", rates.cost_gap_experiment),
+        ("eta_orthogonality", rates.eta_orthogonality_check)])
+    def test_extras_are_keywords_of_the_experiment(self, kind, fn):
+        # the run passes extras through, so each default lives only in fn
+        assert set(_EXTRA_KEYS[kind]) <= set(inspect.signature(fn).parameters)
 
     def test_epsilon_needs_deviations(self):
         cfg = presets()["epsilon-nash-n16"]

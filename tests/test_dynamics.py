@@ -681,6 +681,24 @@ class TestConstructorContracts:
         with pytest.raises(ValidationError):
             make()
 
+    @pytest.mark.parametrize("make, words", [
+        (lambda: CoefficientSet("bogus", {}), ["coefficient", "'bogus'"]),
+        (lambda: CoefficientSet("linear_quadratic", {"zz": 1.0}),
+         ["'linear_quadratic'", "'zz'"]),
+        (lambda: Policy("bogus"), ["policy", "'bogus'"]),
+        (lambda: Policy("constant", {"gain": 1.0}), ["'constant'", "'gain'"]),
+        (lambda: make_model(leader_init={"family": "bogus", "params": {}}),
+         ["leader initial", "'bogus'"]),
+        (lambda: make_model(follower_init={"family": "normal",
+                                           "params": {"scael": 0.6}}),
+         ["follower initial", "'normal'", "'scael'"]),
+    ])
+    def test_spec_errors_name_the_family_and_the_key(self, make, words):
+        # one check serves coefficients, policies and initial conditions
+        with pytest.raises(ParameterError) as err:
+            make()
+        assert all(w in str(err.value) for w in words), str(err.value)
+
     @pytest.mark.parametrize("key", ["n0", "p0", "p1"])
     def test_n1_is_the_only_dimension(self, key):
         with pytest.raises(TypeError, match=key):

@@ -42,7 +42,7 @@ from stackmf.meanfield import (
     simulate_limit_pair,
     solve_conditional_law,
 )
-from stackmf.measures import DiscreteMeasure, w2_exact_1d
+from stackmf.measures import DiscreteMeasure, w2_exact_1d, w2_exact_lp
 from stackmf.rates import (
     EpsilonReport,
     GapReport,
@@ -201,6 +201,22 @@ class TestStateGapExperiment:
         with pytest.raises(ValidationError):
             state_gap_experiment(model, ZERO_POLICIES, law, [4, 8, 16],
                                  10, 128, 0)
+
+    @pytest.mark.parametrize("Ns, kw, error", [
+        ([4, 8], {}, ValidationError),
+        ([4, 8, 16], {"regime": "general"}, ParameterError),
+    ])
+    def test_fails_before_any_replication(self, monkeypatch, Ns, kw, error):
+        # two sizes cannot be fitted, and q = 3 has no general exponent
+        def no_replications(*args, **kwargs):
+            raise AssertionError("replications ran")
+        monkeypatch.setattr(rates, "_replicate", no_replications)
+        model = make_model(q=3.0)
+        for fn in (state_gap_experiment, wasserstein_gap_curve,
+                   cost_gap_experiment):
+            with pytest.raises(error):
+                fn(model, ZERO_POLICIES, DelayLaw.degenerate(0.125), Ns,
+                   50, 128, 0, **kw)
 
     def test_no_interaction_gaps_zero_slope_undefined(self):
         rep = state_gap_experiment(
@@ -362,13 +378,14 @@ class TestStreamBudget:
 
 
 def _step_by_step(a, b, wb, h, m):
-    """Rectangle rule with one w2_exact_1d call per step: the reference the
-    batched uniform route must match bit for bit."""
+    """Rectangle rule with one measure pair per step, w2_exact_1d at n1 = 1
+    and w2_exact_lp above: the reference the sliced route must match bit
+    for bit."""
     total = 0.0
     for k in range(m):
-        val = w2_exact_1d(
-            DiscreteMeasure(a[:, k, :], np.full(a.shape[0], 1.0 / a.shape[0])),
-            DiscreteMeasure(b[:, k, :], wb))
+        mu = DiscreteMeasure(a[:, k, :], np.full(a.shape[0], 1.0 / a.shape[0]))
+        nu = DiscreteMeasure(b[:, k, :], wb)
+        val = w2_exact_1d(mu, nu) if a.shape[2] == 1 else w2_exact_lp(mu, nu)[0]
         total += val * val * h
     return total
 
@@ -407,12 +424,34 @@ class TestW2TimeIntegral:
                             self.grid.forward_steps)
         assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
+    @pytest.mark.parametrize("n1", [1, 2])
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integral_equals_per_step_oracle(self, monkeypatch, n1, uniform,
+                                             seed):
+        rng = np.random.default_rng(seed)
+        m, P, n = 9, 7, 6 + seed
+        a = rng.standard_normal((P, m + 1, n1))
+        b = np.round(rng.standard_normal((n, m + 1, n1)), 1)    # ties
+        a[2] = a[4]
+        wb = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+
+        def no_measure(*args):
+            raise AssertionError("DiscreteMeasure built at n1 = 1")
+        if n1 == 1:
+            monkeypatch.setattr(measures, "DiscreteMeasure", no_measure)
+        got = measures._w2sq_integral(a, b, wb, 0.125, m)
+        monkeypatch.undo()
+        ref = _step_by_step(a, b, wb, 0.125, m)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
     def test_non_finite_path_raises(self):
         paths = np.zeros((6, self.grid.forward_steps + 1, 1))
         paths[2, 3, 0] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
-            rates._w2_time_integral(paths, self.flow([1.0]),
-                                    np.random.default_rng(0))
+        for weights in ([1.0], [0.3, 0.7]):
+            with pytest.raises(ValidationError, match="non-finite"):
+                rates._w2_time_integral(paths, self.flow(weights),
+                                        np.random.default_rng(0))
         with pytest.raises(ValidationError, match="non-finite"):
             synchronous_dominance_check(self.grid, paths, np.zeros_like(paths))
 
