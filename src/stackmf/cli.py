@@ -41,6 +41,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -61,6 +62,10 @@ from .dynamics import (
     Policy,
     PolicySet,
     TimeGrid,
+    _check_lag_span,
+    _check_rules,
+    _is_int,
+    _is_real,
     check_initial,
     check_policy,
     family_spec,
@@ -71,29 +76,31 @@ from .errors import (
     ParameterError,
     StackmfError,
 )
+from .meanfield import _SOLVER_RULES
 from .rates import (
     _BLOCK,
-    _REGIMES,
     EpsilonReport,
     EtaReport,
     GapReport,
-    check_eta_family,
     cost_gap_experiment,
     deviated_role,
     epsilon_nash_certify,
     eta_orthogonality_check,
     state_gap_experiment,
     wasserstein_gap_curve,
+    _RULES,
+    _check_regime,
+    _partition_level,
+    _time_index,
     _workers,
 )
 
 _KINDS = ("state_gap", "wasserstein_gap", "cost_gap", "epsilon_nash",
           "eta_orthogonality")
-_GAP_KINDS = ("state_gap", "wasserstein_gap", "cost_gap")
+_GAP_KINDS = _KINDS[:3]
 _EXTRA_KEYS = {
-    "state_gap": ("slope_tol", "partition_level", "max_iter", "damping"),
-    "wasserstein_gap": ("slope_tol", "partition_level", "max_iter", "damping"),
-    "cost_gap": ("slope_tol", "partition_level", "max_iter", "damping"),
+    **dict.fromkeys(_GAP_KINDS, ("slope_tol", "partition_level", "max_iter",
+                                 "damping")),
     "epsilon_nash": ("kappa", "gamma", "deviations"),
     "eta_orthogonality": ("panels", "leader_paths", "time_index",
                           "max_iter", "damping"),
@@ -203,129 +210,75 @@ def load_config(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# validation: the object constructors hold every rule about one object; the
-# rules below are about the config's shape, across objects, or per kind
+# validation: the object constructors and the experiments hold every rule
+# about a value the library reads (see ``_build``); the rules below are
+# about the config's shape and values that no library function reads
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
+    return _is_real(x) and math.isfinite(x)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _shape_rules(config: ScenarioConfig, out) -> None:
+    if not isinstance(config.name, str) or not config.name:
+        out.append("name: must be a nonempty string")
+    if config.kind not in _KINDS:
+        out.append(f"kind: must be one of {_KINDS}, got {config.kind!r}")
+    for key in sorted(set(config.model) - set(_MODEL_KEYS)):
+        out.append(f"model.{key}: unknown key; expected one of {_MODEL_KEYS}")
+    family = config.delay_law.get("family")
+    law_keys = _DELAY_LAWS.get(family) if isinstance(family, str) else None
+    if law_keys is not None:
+        for key in sorted(set(config.delay_law) - {"family", *law_keys}):
+            out.append(f"delay_law.{key}: unknown key for the "
+                       f"{config.delay_law['family']} family; expected "
+                       f"{law_keys}")
+    if set(config.policies) != {"leader", "follower"}:
+        out.append("policies: must have exactly the keys leader and follower")
 
+    Ns = config.Ns
+    if not Ns or not all(_is_int(n) for n in Ns):
+        out.append("Ns: must be a nonempty list of integers")
+    elif config.kind in ("epsilon_nash", "eta_orthogonality") and len(Ns) != 1:
+        out.append(f"Ns: {config.kind} takes a single population size, "
+                   f"got {len(Ns)}")
+    # the orthogonality check runs panels x leader_paths, never reps
+    if config.kind == "eta_orthogonality" and (not _is_int(config.reps)
+                                               or config.reps < 1):
+        out.append("reps: must be an integer >= 1")
+    if not _is_int(config.seed) or config.seed < 0:
+        out.append("seed: must be an integer >= 0")
+    if not isinstance(config.rate_assertions, bool):
+        out.append("rate_assertions: must be true or false")
+    if config.out_dir is not None and not isinstance(config.out_dir, str):
+        out.append("out_dir: must be null or a string")
 
-def _cross_object_rules(config: ScenarioConfig, objects: dict, out) -> None:
-    grid, law = objects.get("grid"), objects.get("delay_law")
+    allowed = _EXTRA_KEYS[config.kind] if config.kind in _KINDS else ()
+    for key in sorted(set(config.extras) - set(allowed)):
+        out.append(f"extras.{key}: not recognized for kind {config.kind!r}")
+    devs = config.extras.get("deviations")
+    if config.kind == "epsilon_nash" and not isinstance(devs, tuple):
+        out.append("extras.deviations: epsilon_nash needs a list of "
+                   "deviations")
+    elif config.kind == "epsilon_nash":
+        for k, dev in enumerate(devs):
+            if not isinstance(dev, dict) or set(dev) - {"leader", "follower"}:
+                out.append(f"extras.deviations[{k}]: expected keys leader "
+                           f"and/or follower")
+
+    # one q line at most: a q rule of the experiment comes first
     low_q = _is_num(config.q) and config.q <= 4
-    # eta, and gap kinds at partition_level "auto", split a uniform law at
-    # the balanced level, which needs q > 4 whatever rate_assertions says
-    balanced = law is not None and law.kind == "continuous" and (
-        config.kind == "eta_orthogonality" or config.kind in _GAP_KINDS
-        and config.extras.get("partition_level", "auto") == "auto")
-    if low_q and balanced:
-        out.append(f"q: the balanced partition level of a uniform delay law "
-                   f"needs q > 4, got q = {config.q!r}")
-    elif low_q and config.kind in _GAP_KINDS and config.regime == "general":
-        out.append(f"q: the general regime's predicted exponent needs q > 4, "
-                   f"got q = {config.q!r}")
-    elif low_q and config.kind in _GAP_KINDS and config.rate_assertions:
+    if low_q and config.kind in _GAP_KINDS and config.rate_assertions \
+            and not any(v.startswith("q: ") for v in out):
         out.append(f"q: rate predictions need more than 4 finite moments of "
                    f"the initial data, got q = {config.q!r} (set "
                    f"rate_assertions to false to run anyway)")
     if config.follower_init is not None \
             and config.follower_init.get("family") == "student_t":
-        df = config.follower_init.get("params", {}).get("df", 0)
+        params = config.follower_init.get("params", {})
+        df = params.get("df", 0) if isinstance(params, dict) else 0
         if _is_num(config.q) and _is_num(df) and config.q >= df:
             out.append(f"q: student_t initial data has moments only below "
                        f"df = {df!r}, got q = {config.q!r}")
-    if grid is not None and law is not None and law.b > grid.b + 1e-12:
-        out.append(f"delay_law: delay support reaches {law.b!r}, beyond the "
-                   f"lag span b = {grid.b!r}")
-    ti = config.extras.get("time_index")
-    if config.kind == "eta_orthogonality" and grid is not None \
-            and _is_int(ti) and ti > grid.forward_steps:
-        out.append(f"extras.time_index: {ti} is beyond the last forward "
-                   f"step {grid.forward_steps} of the grid")
-
-
-def _kind_rules(config: ScenarioConfig, out) -> None:
-    Ns = config.Ns
-    if not Ns or any(not _is_int(n) for n in Ns):
-        out.append("Ns: must be a nonempty list of integers")
-    elif config.kind in ("epsilon_nash", "eta_orthogonality"):
-        if len(Ns) != 1:
-            out.append(f"Ns: {config.kind} takes a single population "
-                       f"size, got {len(Ns)}")
-        elif Ns[0] < 2:
-            out.append("Ns: need at least 2 players")
-        elif config.kind == "epsilon_nash" and Ns[0] > 64:
-            out.append("Ns: epsilon_nash is capped at N = 64")
-    else:
-        floor = 2 if config.kind == "wasserstein_gap" else 4
-        if any(b1 <= a1 for a1, b1 in zip(Ns, Ns[1:])):
-            out.append("Ns: must be strictly increasing")
-        if Ns[0] < floor:
-            out.append(f"Ns: minimum population for {config.kind} "
-                       f"is {floor}")
-        if len(Ns) < 3:
-            out.append("Ns: need at least 3 sizes to fit a slope")
-
-    if not _is_int(config.reps) or config.reps < 1:
-        out.append("reps: must be an integer >= 1")
-    elif config.kind in _GAP_KINDS and config.reps < 50:
-        out.append("reps: gap experiments need at least 50 replications")
-    if not _is_int(config.K) or config.K < 100:
-        out.append("K: need at least 100 particles per delay atom")
-    if not _is_num(config.tol) or config.tol <= 0:
-        out.append("tol: must be a positive finite number")
-    if not _is_int(config.seed) or config.seed < 0:
-        out.append("seed: must be an integer >= 0")
-
-    if config.regime is not None and config.regime not in _REGIMES:
-        out.append(f"regime: must be null or one of {_REGIMES}")
-
-    allowed = _EXTRA_KEYS.get(config.kind, ())
-    for key in sorted(set(config.extras) - set(allowed)):
-        out.append(f"extras.{key}: not recognized for kind {config.kind!r}")
-    ex = config.extras
-    if "slope_tol" in ex and (not _is_num(ex["slope_tol"])
-                              or ex["slope_tol"] <= 0):
-        out.append("extras.slope_tol: must be a positive number")
-    if "max_iter" in ex and (not _is_int(ex["max_iter"]) or ex["max_iter"] < 1):
-        out.append("extras.max_iter: must be an integer >= 1")
-    if "damping" in ex and (not _is_num(ex["damping"])
-                            or not 0 < ex["damping"] <= 1):
-        out.append("extras.damping: must lie in (0, 1]")
-    if "partition_level" in ex and ex["partition_level"] != "auto" \
-            and (not _is_int(ex["partition_level"])
-                 or ex["partition_level"] < 1):
-        out.append("extras.partition_level: must be 'auto' or an integer >= 1")
-    if config.kind == "epsilon_nash":
-        devs = ex.get("deviations")
-        if not isinstance(devs, tuple) or not devs:
-            out.append("extras.deviations: epsilon_nash needs a nonempty "
-                       "list of deviations")
-        else:
-            for k, dev in enumerate(devs):
-                if not isinstance(dev, dict) or \
-                        set(dev) - {"leader", "follower"}:
-                    out.append(f"extras.deviations[{k}]: expected keys "
-                               f"leader and/or follower")
-        for cap in ("kappa", "gamma"):
-            if ex.get(cap) is not None and (not _is_num(ex[cap])
-                                            or ex[cap] <= 0):
-                out.append(f"extras.{cap}: must be null or a positive number")
-    if config.kind == "eta_orthogonality":
-        for key in ("panels", "leader_paths"):
-            if not _is_int(ex.get(key)) or ex.get(key, 0) < 1:
-                out.append(f"extras.{key}: must be an integer >= 1")
-        ti = ex.get("time_index")
-        if ti is not None and (not _is_int(ti) or ti < 0):
-            out.append("extras.time_index: must be null or an integer >= 0")
-
-    if config.out_dir is not None and not isinstance(config.out_dir, str):
-        out.append("out_dir: must be null or a string")
 
 
 def validate_config(config: ScenarioConfig) -> list:
@@ -335,25 +288,8 @@ def validate_config(config: ScenarioConfig) -> list:
 
 def _checked(config: ScenarioConfig):
     """(objects of ``_build``, every violation of ``validate_config``)."""
-    out = []
-    if not isinstance(config.name, str) or not config.name:
-        out.append("name: must be a nonempty string")
-    if config.kind not in _KINDS:
-        out.append(f"kind: must be one of {_KINDS}, got {config.kind!r}")
-    for key in sorted(set(config.model) - set(_MODEL_KEYS)):
-        out.append(f"model.{key}: unknown key; expected one of {_MODEL_KEYS}")
-    law_keys = _DELAY_LAWS.get(config.delay_law.get("family"))
-    if law_keys is not None:
-        for key in sorted(set(config.delay_law) - {"family", *law_keys}):
-            out.append(f"delay_law.{key}: unknown key for the "
-                       f"{config.delay_law['family']} family; expected "
-                       f"{law_keys}")
-    if set(config.policies) != {"leader", "follower"}:
-        out.append("policies: must have exactly the keys leader and follower")
-    objects, errors = _build(config)
-    out.extend(errors)
-    _cross_object_rules(config, objects, out)
-    _kind_rules(config, out)
+    objects, out = _build(config)
+    _shape_rules(config, out)
     return objects, out
 
 
@@ -374,14 +310,15 @@ def _policy(role: str, spec) -> Policy:
 
 def _delay_law(spec: dict) -> DelayLaw:
     family = spec.get("family")
-    if family not in _DELAY_LAWS:
+    if not isinstance(family, str) or family not in _DELAY_LAWS:
         raise ParameterError(f"unknown delay law family {family!r}; choose "
                              f"from {tuple(_DELAY_LAWS)}")
     return getattr(DelayLaw, family)(*(spec.get(k) for k in _DELAY_LAWS[family]))
 
 
 def _build(config: ScenarioConfig):
-    """Build every runtime object whose inputs are present.
+    """Build every runtime object whose inputs are present, and check the
+    experiment's arguments with the library checks the run calls.
 
     Returns (objects, errors): objects maps "grid", "model", "delay_law",
     "policies" and "deviations" (the epsilon_nash library) to what could be
@@ -396,18 +333,22 @@ def _build(config: ScenarioConfig):
             errors.append(f"{path}: {type(exc).__name__}: {exc}")
             return None
 
+    def check(path, fn, *args, **kwargs) -> bool:
+        count = len(errors)
+        attempt(path, fn, *args, **kwargs)
+        return len(errors) == count
+
     m = config.model
     grid = attempt("model", TimeGrid.over, m.get("b"), m.get("T"), m.get("h"))
     coeffs = attempt("model", CoefficientSet, m.get("family"),
                      m.get("params", {}), m.get("features", ()))
     objects = {"grid": grid,
                "delay_law": attempt("delay_law", _delay_law, config.delay_law)}
-    before = len(errors)
-    for role in ("leader", "follower"):
-        spec = getattr(config, f"{role}_init")
-        if spec is not None:
-            attempt(f"{role}_init", check_initial, role, spec)
-    if grid is not None and coeffs is not None and len(errors) == before:
+    inits = [check(f"{role}_init", check_initial, role, spec)
+             for role, spec in (("leader", config.leader_init),
+                                ("follower", config.follower_init))
+             if spec is not None]
+    if grid is not None and coeffs is not None and all(inits):
         objects["model"] = attempt(
             "model", ModelSpec, coefficients=coeffs, grid=grid,
             n1=m.get("n1", 1), q=config.q, leader_init=config.leader_init,
@@ -417,8 +358,6 @@ def _build(config: ScenarioConfig):
         for role in ("leader", "follower"))
     if leader is not None and follower is not None:
         objects["policies"] = PolicySet(leader, follower)
-    if config.kind == "eta_orthogonality":
-        attempt("model.family", check_eta_family, m.get("family"))
     devs = config.extras.get("deviations") \
         if config.kind == "epsilon_nash" else None
     profile = objects.get("policies")
@@ -433,12 +372,76 @@ def _build(config: ScenarioConfig):
             objects["deviations"].append(PolicySet(*roles))
             attempt(f"extras.deviations[{k}]", deviated_role, k,
                     objects["deviations"][-1], profile)
+    _experiment_rules(config, objects, check)
     return objects, errors
+
+
+def _run_value(config: ScenarioConfig, key: str):
+    """extras[key], or else the default of the experiment's keyword-only
+    argument key: the value the run passes."""
+    if key in config.extras:
+        return config.extras[key]
+    return inspect.unwrap(_experiment(config.kind)).__kwdefaults__[key]
+
+
+# the field of an experiment argument that does not come from extras.<name>
+_FIELDS = {"N": "Ns", "Ns": "Ns", "reps": "reps", "K": "K", "tol": "tol",
+           "deviation_library": "extras.deviations", "family": "model.family"}
+
+
+def _experiment_rules(config: ScenarioConfig, objects: dict, check) -> None:
+    """The argument checks of the experiment of config.kind, each through
+    check(path, fn, *args), which reports an error under the field path and
+    returns whether fn passed.  Checks whose inputs failed are left out; an
+    unknown kind gets the checks that every kind shares."""
+    kind, ex, Ns = config.kind, config.extras, config.Ns
+    model, law, grid = map(objects.get, ("model", "delay_law", "grid"))
+    if grid is not None and law is not None:
+        check("delay_law", _check_lag_span, law.b, grid)
+    regime = config.regime is None or check("regime", _check_regime,
+                                            config.regime)
+    N = Ns[0] if Ns and all(_is_int(n) for n in Ns) \
+        and (kind in _GAP_KINDS or len(Ns) == 1) else None
+    # argument -> the value the run passes; the solver settings of every
+    # kind, though epsilon_nash reads none of them
+    args = {"K": config.K, "tol": config.tol,
+            **{key: ex[key] for key in ("max_iter", "damping") if key in ex}}
+    if kind in _GAP_KINDS:
+        args.update({"Ns": Ns, "reps": config.reps, "partition_level":
+                     _run_value(config, "partition_level")})
+        if "slope_tol" in ex:
+            args["slope_tol"] = ex["slope_tol"]
+    elif kind == "epsilon_nash":
+        args.update({"N": N, "reps": config.reps, **{
+            cap: ex[cap] for cap in ("kappa", "gamma") if ex.get(cap) is not None}})
+        if isinstance(ex.get("deviations"), tuple):
+            args["deviation_library"] = ex["deviations"]
+    elif kind == "eta_orthogonality":
+        args.update({"family": config.model.get("family"), "N": N,
+                     "panels": ex.get("panels"),
+                     "leader_paths": ex.get("leader_paths")})
+        if grid is not None:
+            check("extras.time_index", _time_index,
+                  _run_value(config, "time_index"), grid.forward_steps)
+    rules = {**_SOLVER_RULES, **(_RULES[kind] if kind in _KINDS else {})}
+    passed = {name: check(_FIELDS.get(name, f"extras.{name}"), _check_rules,
+                          rules, {name: value})
+              for name, value in args.items()
+              if N is not None or name not in ("N", "Ns")}  # else a shape rule
+    # the q rules, one line at most: the balanced partition level first
+    if kind == "epsilon_nash" or model is None or law is None \
+            or not passed.get("Ns", passed.get("N")) \
+            or not passed.get("partition_level", True):
+        return
+    level = (args["partition_level"],) if kind in _GAP_KINDS else ()
+    if check("q", _partition_level, law, model, N, *level) and regime \
+            and kind in _GAP_KINDS and config.regime is not None:
+        check("q", _check_regime, config.regime, model.q)
 
 
 def build_objects(config: ScenarioConfig):
     """(model, policies, delay_law) from a config; raises ConfigError with
-    every constructor error, each under its field path."""
+    every error of ``_build``, each under its field path."""
     objects, errors = _build(config)
     if errors:
         raise ConfigError(errors)
@@ -498,27 +501,22 @@ def _csv_rows(config: ScenarioConfig, report) -> list:
         base = {"scenario": report.scenario, "N": report.N,
                 "reps": report.reps, "slope": "", "slope_stderr": "",
                 "predicted_exponent": "", "verdict": ""}
-        for k, gain in enumerate(report.follower_gains):
-            rows.append(dict(base, quantity=f"follower_gain_{k}",
-                             gap_mean=_fmt(gain),
-                             gap_stderr=_fmt(report.follower_gain_stderrs[k])))
-        for k, gain in enumerate(report.leader_gains):
-            rows.append(dict(base, quantity=f"leader_gain_{k}",
-                             gap_mean=_fmt(gain),
-                             gap_stderr=_fmt(report.leader_gain_stderrs[k])))
-        rows.append(dict(base, quantity="epsilon_hat",
-                         gap_mean=_fmt(report.epsilon_hat), gap_stderr=""))
-        rows.append(dict(base, quantity="epsilon2_hat",
-                         gap_mean=_fmt(report.epsilon2_hat), gap_stderr=""))
+        for role in ("follower", "leader"):
+            rows += [dict(base, quantity=f"{role}_gain_{k}",
+                          gap_mean=_fmt(gain), gap_stderr=_fmt(stderr))
+                     for k, (gain, stderr) in enumerate(zip(
+                         getattr(report, f"{role}_gains"),
+                         getattr(report, f"{role}_gain_stderrs")))]
+        rows += [dict(base, quantity=name, gap_mean=_fmt(getattr(report, name)),
+                      gap_stderr="") for name in ("epsilon_hat", "epsilon2_hat")]
     elif isinstance(report, EtaReport):
         base = {"scenario": report.scenario, "N": report.N,
                 "reps": report.panels * report.leader_paths, "slope": "",
                 "slope_stderr": "", "predicted_exponent": "", "verdict": "",
                 "gap_stderr": ""}
-        rows.append(dict(base, quantity="eta_lhs", gap_mean=_fmt(report.lhs)))
-        rows.append(dict(base, quantity="eta_rhs", gap_mean=_fmt(report.rhs)))
-        rows.append(dict(base, quantity="eta_ratio",
-                         gap_mean=_fmt(report.ratio)))
+        rows += [dict(base, quantity=f"eta_{name}",
+                      gap_mean=_fmt(getattr(report, name)))
+                 for name in ("lhs", "rhs", "ratio")]
     else:
         raise TypeError(f"no CSV mapping for {type(report).__name__}")
     return rows
@@ -554,7 +552,10 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, seed: int,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    if not isinstance(report, dict):
+    if isinstance(report, dict):
+        # an invalid run has no results; an earlier run's must not remain
+        (out_dir / "results.csv").unlink(missing_ok=True)
+    else:
         with open(out_dir / "results.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS,
                                     lineterminator="\n")
@@ -565,27 +566,32 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, seed: int,
 # ---------------------------------------------------------------------------
 # orchestration
 
+def _experiment(kind: str):
+    """The experiment that runs a kind, read from this module's bindings when
+    called, so that a rebinding (perfbench/tracer.py) is the one run."""
+    return {"state_gap": state_gap_experiment,
+            "wasserstein_gap": wasserstein_gap_curve,
+            "cost_gap": cost_gap_experiment,
+            "epsilon_nash": epsilon_nash_certify,
+            "eta_orthogonality": eta_orthogonality_check}[kind]
+
+
 def _dispatch(config: ScenarioConfig, objects: dict, seed: int, threads: int):
     model, policies, delay_law = map(objects.get, ("model", "policies", "delay_law"))
-    ex = config.extras
+    fn, ex = _experiment(config.kind), config.extras
     if config.kind in _GAP_KINDS:
-        fn = {"state_gap": state_gap_experiment,
-              "wasserstein_gap": wasserstein_gap_curve,
-              "cost_gap": cost_gap_experiment}[config.kind]
         return fn(model, policies, delay_law, config.Ns, config.reps,
                   config.K, seed, scenario=config.name, regime=config.regime,
                   tol=config.tol, threads=threads, **ex)
     if config.kind == "epsilon_nash":
-        return epsilon_nash_certify(
-            model, policies, objects["deviations"],
-            config.Ns[0], config.reps, seed,
-            delay_law=delay_law,
-            kappa=math.inf if ex.get("kappa") is None else float(ex["kappa"]),
-            gamma=math.inf if ex.get("gamma") is None else float(ex["gamma"]),
-            scenario=config.name, threads=threads)
-    return eta_orthogonality_check(
-        model, policies, delay_law, config.Ns[0], K=config.K, seed=seed,
-        scenario=config.name, tol=config.tol, threads=threads, **ex)
+        # a null cap takes the experiment's default: no cap
+        caps = {cap: ex[cap] for cap in ("kappa", "gamma")
+                if ex.get(cap) is not None}
+        return fn(model, policies, objects["deviations"], config.Ns[0],
+                  config.reps, seed, delay_law=delay_law,
+                  scenario=config.name, threads=threads, **caps)
+    return fn(model, policies, delay_law, config.Ns[0], K=config.K, seed=seed,
+              scenario=config.name, tol=config.tol, threads=threads, **ex)
 
 
 def _assertions_pass(config: ScenarioConfig, report) -> bool:
@@ -663,171 +669,100 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
 # ---------------------------------------------------------------------------
 # preset library
 
-def _gap_model(family, params, features, T, h, b):
+def _model(family, params, features, T, h, b):
     return {"family": family, "params": params, "features": features,
             "n1": 1, "T": T, "h": h, "b": b}
 
 
 def _affine(gain=0.0, gain_lead=0.0):
-    params = {}
-    if gain:
-        params["gain"] = gain
-    if gain_lead:
-        params["gain_lead"] = gain_lead
-    return {"family": "affine", "params": params}
+    return {"family": "affine", "params": {
+        key: v for key, v in (("gain", gain), ("gain_lead", gain_lead)) if v}}
 
 
-def _preset_degenerate() -> ScenarioConfig:
-    # heavy-tailed initial data with barely more than four moments keeps
-    # the empirical-measure term visible over the whole N range
-    return ScenarioConfig(
-        name="degenerate-delay-n1-1", kind="wasserstein_gap",
-        model=_gap_model(
-            "smooth_nonlinear",
-            {"a1": -0.3, "b1": 0.5, "k1": 0.4, "s1": 0.05, "s1_x": 0.15,
-             "t1": 0.1, "a0": -0.5, "b0": 0.4, "s0": 0.35},
-            ["mean"], 0.25, 1.0 / 64, 0.125),
-        delay_law={"family": "degenerate", "a": 0.125},
-        leader_init={"family": "ou_path",
-                     "params": {"theta": 1.0, "vol": 0.4}},
-        follower_init={"family": "student_t",
-                       "params": {"df": 4.2, "scale": 0.5}},
-        q=4.1,
-        policies={"leader": _affine(gain=-0.3),
-                  "follower": _affine(gain=-0.1, gain_lead=0.6)},
-        Ns=[8, 16, 32, 64, 128, 256], reps=200, K=4096, tol=1e-3, seed=5,
-        regime="degenerate_delta", extras={"slope_tol": 0.25})
-
-
-def _preset_two_atom() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="two-atom-delay-n1-1", kind="state_gap",
-        model=_gap_model(
-            "smooth_nonlinear",
-            {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
-             "a0": -0.5, "b0": 0.4, "k0": 0.4, "s0": 0.3},
-            ["mean"], 1.0, 1.0 / 40, 0.3),
-        delay_law={"family": "discrete", "atoms": [0.1, 0.3],
-                   "weights": [0.5, 0.5]},
-        leader_init=None,
-        follower_init={"family": "normal", "params": {"scale": 0.6}},
-        q=6.0,
-        policies={"leader": _affine(gain=-0.3),
-                  "follower": _affine(gain=-0.2, gain_lead=0.5)},
-        Ns=[8, 16, 32, 64, 128, 256], reps=50, K=2048, tol=1e-3, seed=5,
-        regime="discrete_delta")
-
-
-def _preset_uniform() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="uniform-delay-n1-1", kind="state_gap",
-        model=_gap_model(
-            "smooth_nonlinear",
-            {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
-             "a0": -0.5, "b0": 0.4, "k0": 0.4, "s0": 0.3},
-            ["mean"], 1.0, 1.0 / 32, 0.125),
-        delay_law={"family": "uniform", "lo": 0.0625, "hi": 0.125},
-        leader_init=None,
-        follower_init={"family": "normal", "params": {"scale": 0.6}},
-        q=6.0,
-        policies={"leader": _affine(gain=-0.3),
-                  "follower": _affine(gain=-0.2, gain_lead=0.5)},
-        Ns=[8, 16, 32, 64], reps=50, K=1024, tol=1e-3, seed=5,
-        regime="general")
-
-
-def _preset_sigma0_control_free() -> ScenarioConfig:
-    # leader control enters neither drift nor diffusion of the leader
-    return ScenarioConfig(
-        name="sigma0-control-free-n1-1", kind="state_gap",
-        model=_gap_model(
-            "smooth_nonlinear",
-            {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
-             "a0": -0.5, "s0": 0.3},
-            ["mean"], 0.5, 1.0 / 32, 0.125),
-        delay_law={"family": "uniform", "lo": 0.0625, "hi": 0.125},
-        leader_init=None,
-        follower_init={"family": "normal", "params": {"scale": 0.6}},
-        q=6.0,
-        policies={"leader": {"family": "zero", "params": {}},
-                  "follower": _affine(gain=-0.2, gain_lead=0.5)},
-        Ns=[8, 16, 32, 64], reps=50, K=1024, tol=1e-3, seed=5,
-        regime="sigma0_control_free")
-
-
-def _linear_measure_config(name, kind, reps) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=name, kind=kind,
-        model=_gap_model(
-            "linear_in_measure",
-            {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "k0": 0.4,
-             "s0": 0.3, "kernel": "tanh_mean", "cost1_state": 1.0,
-             "cost1_track": 0.5, "cost0_state": 0.5, "cost1_control": 0.2},
-            ["tanh_mean", "mean"], 1.0, 1.0 / 32, 0.125),
-        delay_law={"family": "discrete", "atoms": [0.0625, 0.125],
-                   "weights": [0.5, 0.5]},
-        leader_init={"family": "ou_path",
-                     "params": {"theta": 1.0, "vol": 0.4}},
-        follower_init={"family": "normal", "params": {"scale": 0.6}},
-        q=6.0,
-        policies={"leader": _affine(gain=-0.2),
-                  "follower": _affine(gain=-0.2, gain_lead=0.4)},
-        Ns=[8, 16, 32, 64, 128, 256], reps=reps, K=4096, tol=1e-3, seed=5,
-        regime="linear_in_measure")
-
-
-def _preset_epsilon_nash() -> ScenarioConfig:
-    # control enters the costs only, so deviation losses are exact
-    return ScenarioConfig(
-        name="epsilon-nash-n16", kind="epsilon_nash",
-        model=_gap_model(
-            "linear_quadratic",
-            {"a1": -0.8, "s1": 0.3, "a0": -0.5, "s0": 0.25,
-             "cost1_control": 1.0, "cost0_control": 1.0},
-            [], 0.5, 1.0 / 16, 0.125),
-        delay_law={"family": "degenerate", "a": 0.125},
-        leader_init=None,
-        follower_init={"family": "normal", "params": {"scale": 0.5}},
-        q=6.0,
-        policies={"leader": {"family": "zero", "params": {}},
-                  "follower": {"family": "zero", "params": {}}},
-        Ns=[16], reps=100, K=256, tol=1e-3, seed=5,
-        extras={"kappa": 5.0, "gamma": 5.0, "deviations": [
-            {"follower": {"family": "constant", "params": {"value": 0.7}}},
-            {"leader": {"family": "constant", "params": {"value": 0.5}}},
-        ]})
-
-
-def _preset_eta() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="eta-orthogonality-n64", kind="eta_orthogonality",
-        model=_gap_model(
-            "linear_in_measure",
-            {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "s0": 0.3,
-             "kernel": "tanh_mean"},
-            ["tanh_mean"], 0.5, 1.0 / 32, 0.125),
-        delay_law={"family": "discrete", "atoms": [0.0625, 0.125],
-                   "weights": [0.5, 0.5]},
-        leader_init=None,
-        follower_init={"family": "normal", "params": {"scale": 0.6}},
-        q=6.0,
-        policies={"leader": _affine(gain=-0.2),
-                  "follower": _affine(gain=-0.2, gain_lead=0.4)},
-        Ns=[64], reps=1, K=2048, tol=1e-3, seed=5,
-        extras={"panels": 500, "leader_paths": 20})
+def _preset(name, kind, model, delay_law, leader, follower,
+            **fields) -> ScenarioConfig:
+    """A preset; unless fields say otherwise: no leader initial path,
+    normal(0, 0.6) followers, q = 6, tol = 1e-3 and seed 5."""
+    return ScenarioConfig(**{
+        "name": name, "kind": kind, "model": model, "delay_law": delay_law,
+        "leader_init": None, "q": 6.0, "tol": 1e-3, "seed": 5,
+        "follower_init": {"family": "normal", "params": {"scale": 0.6}},
+        "policies": {"leader": leader, "follower": follower}, **fields})
 
 
 def presets() -> dict:
     """Name -> ScenarioConfig; at least one scenario per prediction regime."""
+    zero = {"family": "zero", "params": {}}
+    ou = {"family": "ou_path", "params": {"theta": 1.0, "vol": 0.4}}
+    two_atoms = {"family": "discrete", "atoms": [0.0625, 0.125],
+                 "weights": [0.5, 0.5]}
+    uniform = {"family": "uniform", "lo": 0.0625, "hi": 0.125}
+    smooth = {"a1": -0.8, "b1": 0.5, "k1": 0.5, "s1": 0.25, "t1": 0.2,
+              "a0": -0.5, "b0": 0.4, "k0": 0.4, "s0": 0.3}
+    linear = {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "k0": 0.4,
+              "s0": 0.3, "kernel": "tanh_mean", "cost1_state": 1.0,
+              "cost1_track": 0.5, "cost0_state": 0.5, "cost1_control": 0.2}
+    Ns = [8, 16, 32, 64, 128, 256]
     entries = [
-        _preset_degenerate(),
-        _preset_two_atom(),
-        _preset_uniform(),
-        _preset_sigma0_control_free(),
-        _linear_measure_config("linear-in-measure-n1-1", "state_gap", 60),
-        _linear_measure_config("linear-in-measure-cost-n1-1", "cost_gap", 60),
-        _preset_epsilon_nash(),
-        _preset_eta(),
+        # heavy-tailed initial data with barely more than four moments
+        # keeps the empirical-measure term visible over the whole N range
+        _preset("degenerate-delay-n1-1", "wasserstein_gap", _model(
+            "smooth_nonlinear",
+            {"a1": -0.3, "b1": 0.5, "k1": 0.4, "s1": 0.05, "s1_x": 0.15,
+             "t1": 0.1, "a0": -0.5, "b0": 0.4, "s0": 0.35},
+            ["mean"], 0.25, 1.0 / 64, 0.125),
+            {"family": "degenerate", "a": 0.125},
+            _affine(gain=-0.3), _affine(gain=-0.1, gain_lead=0.6),
+            leader_init=ou, q=4.1, follower_init={
+                "family": "student_t", "params": {"df": 4.2, "scale": 0.5}},
+            Ns=Ns, reps=200, K=4096, regime="degenerate_delta",
+            extras={"slope_tol": 0.25}),
+        _preset("two-atom-delay-n1-1", "state_gap",
+                _model("smooth_nonlinear", smooth, ["mean"], 1.0, 1.0 / 40, 0.3),
+                {"family": "discrete", "atoms": [0.1, 0.3],
+                 "weights": [0.5, 0.5]},
+                _affine(gain=-0.3), _affine(gain=-0.2, gain_lead=0.5),
+                Ns=Ns, reps=50, K=2048, regime="discrete_delta"),
+        _preset("uniform-delay-n1-1", "state_gap", _model(
+            "smooth_nonlinear", smooth, ["mean"], 1.0, 1.0 / 32, 0.125),
+            uniform, _affine(gain=-0.3), _affine(gain=-0.2, gain_lead=0.5),
+            Ns=Ns[:4], reps=50, K=1024, regime="general"),
+        # leader control enters neither drift nor diffusion of the leader
+        _preset("sigma0-control-free-n1-1", "state_gap", _model(
+            "smooth_nonlinear", {key: v for key, v in smooth.items()
+                                 if key not in ("b0", "k0")},
+            ["mean"], 0.5, 1.0 / 32, 0.125),
+            uniform, zero, _affine(gain=-0.2, gain_lead=0.5),
+            Ns=Ns[:4], reps=50, K=1024, regime="sigma0_control_free"),
+        *(_preset(name, kind, _model("linear_in_measure", linear,
+                                     ["tanh_mean", "mean"], 1.0, 1.0 / 32,
+                                     0.125),
+                  two_atoms, _affine(gain=-0.2),
+                  _affine(gain=-0.2, gain_lead=0.4), leader_init=ou, Ns=Ns,
+                  reps=60, K=4096, regime="linear_in_measure")
+          for name, kind in (("linear-in-measure-n1-1", "state_gap"),
+                             ("linear-in-measure-cost-n1-1", "cost_gap"))),
+        # control enters the costs only, so deviation losses are exact
+        _preset("epsilon-nash-n16", "epsilon_nash", _model(
+            "linear_quadratic",
+            {"a1": -0.8, "s1": 0.3, "a0": -0.5, "s0": 0.25,
+             "cost1_control": 1.0, "cost0_control": 1.0},
+            [], 0.5, 1.0 / 16, 0.125),
+            {"family": "degenerate", "a": 0.125}, zero, zero,
+            follower_init={"family": "normal", "params": {"scale": 0.5}},
+            Ns=[16], reps=100, K=256, extras={
+                "kappa": 5.0, "gamma": 5.0, "deviations": [
+                    {"follower": {"family": "constant",
+                                  "params": {"value": 0.7}}},
+                    {"leader": {"family": "constant",
+                                "params": {"value": 0.5}}}]}),
+        _preset("eta-orthogonality-n64", "eta_orthogonality", _model(
+            "linear_in_measure",
+            {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "s0": 0.3,
+             "kernel": "tanh_mean"}, ["tanh_mean"], 0.5, 1.0 / 32, 0.125),
+            two_atoms, _affine(gain=-0.2), _affine(gain=-0.2, gain_lead=0.4),
+            Ns=[64], reps=1, K=2048,
+            extras={"panels": 500, "leader_paths": 20}),
     ]
     return {cfg.name: cfg for cfg in entries}
 

@@ -63,6 +63,28 @@ def _reals(name: str, values) -> tuple:
     return tuple(_real(name, v) for v in values)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _at_least(least: int):
+    """The rule of an integer count: (text, test) for ``_check_rules``."""
+    return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
+
+
+def _check_rules(rules: Mapping, args: Mapping) -> None:
+    """ParameterError naming the first argument of args (name -> value) that
+    breaks its rule in rules (name -> (text, test))."""
+    for name, value in args.items():
+        text, test = rules[name]
+        if not test(value):
+            raise ParameterError(f"{name} must be {text}, got {value!r}")
+
+
 def _family_params(label: str, table, family, params, text=()) -> dict:
     """The params of a {family, params} spec as a new dict, every value a
     finite float but those named in text.  A family not in table, params
@@ -159,6 +181,14 @@ class TimeGrid:
         t = self.times[self.zero_index:]
         t.setflags(write=False)
         return t
+
+
+def _check_lag_span(top, grid: TimeGrid) -> None:
+    """ValidationError unless delays up to `top` lag the leader by no more
+    than the lag span b of the grid."""
+    if top > grid.b + _GRID_TOL:
+        raise ValidationError(f"delay support reaches {float(top)!r}, beyond "
+                              f"the lag span b = {grid.b!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -877,9 +907,7 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
     """
     if N < 2:
         raise ValidationError(f"need at least 2 followers, got {N}")
-    if delay_law.b > model.grid.b + _GRID_TOL:
-        raise ValidationError(
-            f"delay bound {delay_law.b!r} exceeds grid history b={model.grid.b!r}")
+    _check_lag_span(delay_law.b, model.grid)
     if draws is None:
         noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
         draws = Draws.sample(model, delay_law, noise, N)

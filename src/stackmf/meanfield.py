@@ -29,8 +29,12 @@ from .dynamics import (
     ModelSpec,
     PolicySet,
     TimeGrid,
+    _at_least,
+    _check_lag_span,
+    _check_rules,
     _euler,
     _follower_draws,
+    _is_real,
     _leader_draws,
     _path_costs,
     _phi_block,
@@ -38,11 +42,18 @@ from .dynamics import (
     snap_delays_to_grid,
 )
 from .errors import ParameterError, ValidationError
-from .measures import DiscreteMeasure, rate_f, w2_exact_1d, w2_exact_lp
+from .measures import DiscreteMeasure, _w2_or_inf, rate_f, w2_exact_1d
 
 _WEIGHT_TOL = 1e-12
 _DISCREPANCY_SUBGRID = 16
 _DISCREPANCY_SUPPORT = 256
+# the rules of the solver's arguments: name -> (text, test)
+_SOLVER_RULES = {
+    "K": _at_least(100),
+    "tol": ("a positive finite real", lambda v: _is_real(v) and 0 < v < math.inf),
+    "max_iter": _at_least(1),
+    "damping": ("a real in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,7 +140,8 @@ def balanced_partition_level(n1: int, q: float, N: int) -> int:
     """Partition level that balances delay-discretization error against the
     empirical-measure rate: ceil(f(N-1)^(-2q/(3q-4))), clamped to [1, 1e4]."""
     if q <= 4:
-        raise ParameterError(f"balanced level needs q > 4, got {q!r}")
+        raise ParameterError(
+            f"the balanced partition level needs q > 4, got q = {q!r}")
     if N < 2:
         raise ParameterError("N must be >= 2")
     if N - 1 >= 2:
@@ -172,20 +184,15 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     from SharedNoise(leader_noise_seed) by the caller); particle initials
     and noises are drawn once and reused across iterations.
     """
-    if K < 100:
-        raise ParameterError(f"K must be >= 100, got {K}")
-    if not (0.0 < damping <= 1.0):
-        raise ParameterError(f"damping must be in (0, 1], got {damping!r}")
-    if tol <= 0 or max_iter < 1:
-        raise ParameterError("tol must be positive and max_iter >= 1")
+    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
+                                     damping=damping))
     atoms = np.array([a for a, _ in delay_partition], dtype=float)
     weights = np.array([w for _, w in delay_partition], dtype=float)
     if atoms.size == 0 or np.any(weights < 0) \
             or abs(weights.sum() - 1.0) > _WEIGHT_TOL:
         raise ValidationError("delay partition weights must sum to 1")
     atoms = snap_delays_to_grid(atoms, model.grid)
-    if atoms.max() > model.grid.b + 1e-12:
-        raise ValidationError("delay atom exceeds grid history")
+    _check_lag_span(atoms.max(), model.grid)
 
     noise = SharedNoise(int(leader_noise_seed))
     grid = model.grid
@@ -247,8 +254,9 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         disc = 0.0
         for a, b in zip(clouds_new, clouds_old):
             mu, nu = DiscreteMeasure(a, uniform), DiscreteMeasure(b, uniform)
+            # squared distances that overflow read as an infinite distance
             disc = max(disc, w2_exact_1d(mu, nu) if model.n1 == 1
-                       else w2_exact_lp(mu, nu)[0])
+                       else _w2_or_inf(mu, nu))
         discrepancies.append(float(disc))
         parts_old, clouds_old = parts_new, clouds_new
         iterations = it
@@ -298,8 +306,7 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
                 f"flow conditions on leader seed {flow.leader_seed}, "
                 f"shared noise has entropy {noise.entropy}")
     delays = snap_delays_to_grid(np.asarray(delays, dtype=float), model.grid)
-    if delays.max(initial=0.0) > model.grid.b + 1e-12:
-        raise ValidationError("delay exceeds grid history")
+    _check_lag_span(delays.max(initial=0.0), model.grid)
     if draws is None:
         draws = Draws(*_leader_draws(model, shared_noise),
                       *_follower_draws(model, shared_noise, delays.size),

@@ -311,13 +311,21 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return float(np.sqrt(max(value, 0.0))), plan
 
 
+def _w2_or_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """W2 of ``w2_exact_lp``, or inf when the squared distances of the
+    (finite) points overflow, as the sums of the quantile route do."""
+    if not np.isfinite(cdist(mu.points, nu.points, "sqeuclidean").max()):
+        return math.inf
+    return w2_exact_lp(mu, nu)[0]
+
+
 def _w2sq_integral(a, b, wb, h: float, m: int) -> float:
     """Rectangle rule: sum over steps k < m of W2^2 h between the uniform
     empirical measure of a[:, k] and (b[:, k], wb).  With n1 = 1 one
     quantile-route call serves all steps, rounded per step as w2_exact_1d
-    rounds; with n1 > 1 one LP per step.  Non-finite points are a
-    ValidationError; a sum made non-finite raises SimulationDivergedError
-    at its step."""
+    rounds; with n1 > 1 one LP per step, up to the first step whose
+    squared distances overflow.  Non-finite points are a ValidationError;
+    a sum made non-finite raises SimulationDivergedError at its step."""
     wa = np.full(a.shape[0], 1.0 / a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         if a.shape[2] == 1:
@@ -326,9 +334,9 @@ def _w2sq_integral(a, b, wb, h: float, m: int) -> float:
             vals = [float(np.sqrt(max(sq, 0.0))) for sq in _w2sq_quantile(
                 a[:, :m, 0].T, wa, b[:, :m, 0].T, wb).tolist()]
         else:
-            vals = [w2_exact_lp(DiscreteMeasure(a[:, k], wa),
-                                DiscreteMeasure(b[:, k], wb))[0]
-                    for k in range(m)]
+            vals = (_w2_or_inf(DiscreteMeasure(a[:, k], wa),
+                               DiscreteMeasure(b[:, k], wb))
+                    for k in range(m))
     total = 0.0
     for k, val in enumerate(vals):
         total += val * val * h

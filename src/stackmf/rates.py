@@ -32,6 +32,11 @@ from .dynamics import (
     ModelSpec,
     PolicySet,
     TimeGrid,
+    _at_least,
+    _check_lag_span,
+    _check_rules,
+    _is_int,
+    _is_real,
     _phi_block,
     evaluate_costs_nplayer,
     path_controls,
@@ -45,6 +50,7 @@ from .errors import (
 )
 from .meanfield import (
     ConditionalLawFlow,
+    _SOLVER_RULES,
     balanced_partition_level,
     evaluate_costs_limit,
     partition_delay_law,
@@ -66,6 +72,41 @@ _REGIMES = ("general", "sigma0_control_free", "discrete_delta",
 _QUANTITIES = ("squared_state_gap", "cost_gap")
 # sharp two-sided rates vs constants-laden upper bounds
 _ONE_SIDED_REGIMES = ("general", "sigma0_control_free", "discrete_delta")
+
+
+def _sizes(least: int):
+    """The rule of a gap experiment's population sizes."""
+    return (f"at least 3 strictly increasing sizes from {least}",
+            lambda Ns: len(Ns) >= 3 and Ns[0] >= least
+            and all(a < b for a, b in zip(Ns, Ns[1:])))
+
+
+_GAP_RULES = {
+    "reps": _at_least(50),
+    "slope_tol": ("a positive finite real",
+                  lambda v: _is_real(v) and 0 < v < math.inf),
+    "partition_level": ("'auto' or an integer >= 1",
+                        lambda v: v == "auto" or _is_int(v) and v >= 1),
+}
+_CAP = ("a positive real (inf: no cap)", lambda v: _is_real(v) and v > 0)
+# the rules of each kind of experiment's arguments: name -> (text, test);
+# the smallest population size of each kind is stated here only
+_RULES = {
+    "state_gap": {"Ns": _sizes(4), **_GAP_RULES},
+    "wasserstein_gap": {"Ns": _sizes(2), **_GAP_RULES},
+    "cost_gap": {"Ns": _sizes(4), **_GAP_RULES},
+    "epsilon_nash": {
+        "N": ("an integer >= 2, capped at 64 for full-game runs",
+              lambda v: _is_int(v) and 2 <= v <= 64),
+        "reps": _at_least(1),
+        "deviation_library": ("a nonempty list", lambda v: len(v) > 0),
+        "kappa": _CAP, "gamma": _CAP},
+    "eta_orthogonality": {
+        "family": ("linear_in_measure, the one family the check targets",
+                   lambda v: v == "linear_in_measure"),
+        "N": _at_least(2), "panels": _at_least(1),
+        "leader_paths": _at_least(1)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +224,16 @@ def _rational(x) -> Fraction:
     return Fraction(x).limit_denominator(10 ** 6)
 
 
+def _check_regime(regime, q=None) -> None:
+    """ParameterError unless regime is one of _REGIMES; the general regime's
+    exponents also need q > 4 (not checked when q is None)."""
+    if regime not in _REGIMES:
+        raise ParameterError(f"unknown regime {regime!r}; choose from {_REGIMES}")
+    if regime == "general" and q is not None and q <= 4:
+        raise ParameterError(
+            f"the general regime's exponents need q > 4, got q = {q!r}")
+
+
 def predicted_exponent(n1: int, q: float, regime: str, quantity: str):
     """Predicted gap exponent for a scenario regime.
 
@@ -190,8 +241,7 @@ def predicted_exponent(n1: int, q: float, regime: str, quantity: str):
     the f-based regimes and to 1/N for linear_in_measure; the string is the
     combined rate in N, with the log factor spelled out when n1 = 4.
     """
-    if regime not in _REGIMES:
-        raise ParameterError(f"unknown regime {regime!r}; choose from {_REGIMES}")
+    _check_regime(regime, q)
     if quantity not in _QUANTITIES:
         raise ParameterError(
             f"unknown quantity {quantity!r}; choose from {_QUANTITIES}")
@@ -199,9 +249,6 @@ def predicted_exponent(n1: int, q: float, regime: str, quantity: str):
         raise ParameterError(f"n1 must be a positive integer, got {n1!r}")
     squared = quantity == "squared_state_gap"
     if regime == "general":
-        if q <= 4:
-            raise ParameterError(
-                f"general-regime exponents require q > 4, got q={q!r}")
         qf = _rational(q)
         expo = (2 * qf - 4) / (3 * qf - 4) if squared else (qf - 2) / (3 * qf - 4)
     elif regime == "sigma0_control_free":
@@ -243,15 +290,6 @@ def _verdict(slope, predicted, regime, tol):
 
 # ---------------------------------------------------------------------------
 # replication plumbing
-
-def _check_ns(Ns, min_n):
-    Ns = [int(n) for n in Ns]
-    if len(Ns) < 3 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValidationError("Ns must be at least 3 strictly increasing sizes")
-    if Ns[0] < min_n:
-        raise ValidationError(f"smallest N must be >= {min_n}, got {Ns[0]}")
-    return tuple(Ns)
-
 
 _unit_fn = None     # set in each forked worker only; see _run_replications
 
@@ -318,15 +356,25 @@ def _replicate(run_block, seed, reps, threads, block=_BLOCK):
     return tuple(np.concatenate(rows) for rows in zip(*results))
 
 
-def _partition_for(law: DelayLaw, model: ModelSpec, N: int, level):
-    """Delay partition used by the limit solve for population size N."""
+def _partition_level(law: DelayLaw, model: ModelSpec, N: int, level="auto"):
+    """Level at which the limit solve for population size N splits a uniform
+    delay law: `level`, or at "auto" the balanced level, which needs q > 4.
+    None for a law of atoms, which the solve takes atom by atom."""
+    if law.kind != "continuous":
+        return None
+    return balanced_partition_level(model.n1, model.q, N) \
+        if level == "auto" else int(level)
+
+
+def _partition_for(law: DelayLaw, model: ModelSpec, N: int, *level):
+    """Delay partition used by the limit solve for population size N, at
+    the ``_partition_level`` of the optional `level`."""
     if law.kind == "degenerate":
         return ((law.a, 1.0),)
     if law.kind == "discrete":
         return tuple((float(a), float(p)) for a, p in zip(law.atoms, law.probs))
-    if level == "auto":
-        level = balanced_partition_level(model.n1, model.q, N)
-    return tuple(partition_delay_law(law, int(level)))
+    return tuple(partition_delay_law(law, _partition_level(law, model, N,
+                                                           *level)))
 
 
 def _flow_support(flow: ConditionalLawFlow, cap: int, rng):
@@ -393,8 +441,10 @@ def _aggregate(rows):
 
 
 def _fit_or_undefined(Ns, means):
+    # no slope through a zero or a non-finite mean; the latter then fails
+    # the run as a non-finite report
     means = np.asarray(means, float)
-    if np.any(means <= 0):
+    if np.any(means <= 0) or not np.isfinite(means).all():
         return None, None, None
     return fit_slope(Ns, means)
 
@@ -414,7 +464,7 @@ def _check_failures(flags, reps):
 def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
                     Ns, reps: int, K: int, seed, scenario, regime, tol,
                     max_iter, damping, partition_level, slope_tol, threads,
-                    *, min_n: int, curve_names, quantity: str,
+                    *, kind: str, curve_names, quantity: str,
                     rate_quantity: str, nplayer: bool, twin_size, measure,
                     twin_costs: bool = False) -> GapReport:
     """Blocks of replications shared by the three gap experiments.
@@ -431,15 +481,20 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     a serial loop; twin followers do not interact, so the bytes are the
     same.  Means over replications become the curves; the slope is fitted
     on `quantity` and compared with the prediction for `rate_quantity`.
+    Every argument is checked before the first replication.
     """
-    Ns = _check_ns(Ns, min_n)
-    if reps < 50:
-        raise ValidationError(f"need reps >= 50, got {reps}")
+    Ns = tuple(int(n) for n in Ns)
+    _check_rules(_RULES[kind], dict(Ns=Ns, reps=reps, slope_tol=slope_tol,
+                                    partition_level=partition_level))
+    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
+                                     damping=damping))
+    _check_lag_span(delay_law.b, model.grid)
+    parts = {N: _partition_for(delay_law, model, N, partition_level)
+             for N in Ns}
     pred = rate = None
     if regime is not None:
         pred = predicted_n_slope(model.n1, model.q, regime, rate_quantity)
         rate = predicted_exponent(model.n1, model.q, regime, rate_quantity)[1]
-    parts = {N: _partition_for(delay_law, model, N, partition_level) for N in Ns}
 
     def run_block(noises):
         samples = [Draws.sample(model, delay_law, noise, Ns[-1])
@@ -519,7 +574,8 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
-        max_iter, damping, partition_level, slope_tol, threads, min_n=4,
+        max_iter, damping, partition_level, slope_tol, threads,
+        kind="state_gap",
         curve_names=("leader_sq_gap", "follower_sq_gap", "squared_state_gap",
                      "w2_time_integral"),
         quantity="squared_state_gap", rate_quantity="squared_state_gap",
@@ -549,8 +605,9 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
     # the W2^2 term carries one power of f(N-1)
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
-        max_iter, damping, partition_level, slope_tol, threads, min_n=2,
-        curve_names=("w2_time_integral",), quantity="w2_time_integral",
+        max_iter, damping, partition_level, slope_tol, threads,
+        kind="wasserstein_gap", curve_names=("w2_time_integral",),
+        quantity="w2_time_integral",
         rate_quantity="squared_state_gap", nplayer=False,
         twin_size=lambda N: N - 1, measure=measure)
 
@@ -579,8 +636,9 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
-        max_iter, damping, partition_level, slope_tol, threads, min_n=4,
-        curve_names=("cost_gap", "leader_cost_gap"), quantity="cost_gap",
+        max_iter, damping, partition_level, slope_tol, threads,
+        kind="cost_gap", curve_names=("cost_gap", "leader_cost_gap"),
+        quantity="cost_gap",
         rate_quantity="cost_gap", nplayer=True, twin_size=lambda N: N,
         measure=measure, twin_costs=True)
 
@@ -654,13 +712,11 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
     estimated along the runs and checked against kappa (followers, per
     realized delay) and gamma (leader).
     """
-    if N < 2 or N > 64:
-        raise ValidationError(f"N must be in [2, 64] for full-game runs, got {N}")
-    if reps < 1:
-        raise ValidationError("need at least 1 replication")
     library = list(deviation_library)
-    if not library:
-        raise ValidationError("deviation library must be nonempty")
+    _check_rules(_RULES["epsilon_nash"], dict(
+        N=N, reps=reps, deviation_library=library, kappa=kappa, gamma=gamma))
+    kappa, gamma = float(kappa), float(gamma)
+    _check_lag_span(delay_law.b, model.grid)
     follower_devs, leader_devs = [], []
     for k, dev in enumerate(library):
         if deviated_role(k, dev, profile) == "leader":
@@ -736,12 +792,14 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
 # ---------------------------------------------------------------------------
 # orthogonality diagnostic
 
-def check_eta_family(family) -> None:
-    """ParameterError unless family is linear_in_measure, the only
-    coefficient family the orthogonality check targets."""
-    if family != "linear_in_measure":
-        raise ParameterError(f"the orthogonality check targets the "
-                             f"linear_in_measure family, got {family!r}")
+def _time_index(time_index, m: int) -> int:
+    """The forward step that the orthogonality check reads: time_index, or
+    m // 2 when it is None.  ParameterError unless an integer in [0, m]."""
+    s = m // 2 if time_index is None else time_index
+    if not (_is_int(s) and 0 <= s <= m):
+        raise ParameterError(f"time_index must be None or an integer in "
+                             f"[0, {m}], got {time_index!r}")
+    return int(s)
 
 
 def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
@@ -759,16 +817,15 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     at one fixed grid time and centered per leader path; their ratio is
     near 1 exactly when the cross terms vanish.
     """
-    check_eta_family(model.coefficients.family)
-    if N < 2 or panels < 1 or leader_paths < 1:
-        raise ValidationError("need N >= 2, panels >= 1, leader_paths >= 1")
-    m = model.grid.forward_steps
-    s = m // 2 if time_index is None else int(time_index)
-    if not 0 <= s <= m:
-        raise ValidationError(f"time index {s} outside the forward grid")
+    _check_rules(_RULES["eta_orthogonality"], dict(
+        family=model.coefficients.family, N=N, panels=panels,
+        leader_paths=leader_paths))
+    s = _time_index(time_index, model.grid.forward_steps)
+    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
+                                     damping=damping))
+    _check_lag_span(delay_law.b, model.grid)
     kernel = model.coefficients.params["kernel"]
-
-    part = _partition_for(delay_law, model, N, "auto")
+    part = _partition_for(delay_law, model, N)
 
     # one leader path a unit: it already steps panels * (N - 1) followers
     def run_path(noises):
@@ -791,6 +848,10 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     total = leader_paths * panels
     lhs = float(sum(lhs_paths)) / total
     rhs = float(sum(rhs_paths)) / total / (N - 1)
+    if not rhs > 0:
+        raise ExperimentInvalidError(
+            f"the centered kernel vanishes on every panel (rhs = {rhs!r}), "
+            f"so the ratio lhs / rhs is undefined")
     return EtaReport(scenario=scenario, N=int(N), panels=int(panels),
                      leader_paths=int(leader_paths), time_index=s,
                      lhs=lhs, rhs=rhs, fixed_point_failures=fails)

@@ -174,6 +174,16 @@ class TestValidation:
         assert "seed: must be an integer >= 0" in validate_config(
             dataclasses.replace(small_state_gap(), seed=-1))
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+    def test_rate_assertions_must_be_a_boolean(self, value):
+        # "false" is truthy: the run would enforce the assertions it names
+        cfg = presets()["uniform-delay-n1-1"]
+        assert validate_config(dataclasses.replace(
+            cfg, rate_assertions=value)) == [
+            "rate_assertions: must be true or false"]
+        assert validate_config(dataclasses.replace(
+            cfg, rate_assertions=False)) == []
+
     def test_single_population_kinds(self):
         cfg = presets()["epsilon-nash-n16"]
         assert any("single population" in e for e in validate_config(
@@ -444,16 +454,24 @@ class TestRunExperiment:
         assert report["error_type"] == "SimulationDivergedError"
         assert "non-finite cost" in report["reason"]
 
-    @pytest.mark.parametrize("name, T", [("degenerate-delay-n1-1", 0.125),
-                                         ("two-atom-delay-n1-1", 0.25),
-                                         ("uniform-delay-n1-1", 0.25)])
-    def test_w2_overflow_is_a_typed_divergence(self, name, T, tmp_path):
+    @pytest.mark.parametrize("name, T, n1", [
+        pytest.param(name, T, n1, id=f"{name}-{T}" + ("-n1-2" if n1 == 2 else ""))
+        for name, T, n1 in [("degenerate-delay-n1-1", 0.125, 1),
+                            ("two-atom-delay-n1-1", 0.25, 1),
+                            ("uniform-delay-n1-1", 0.25, 1),
+                            ("degenerate-delay-n1-1", 0.0625, 2),
+                            ("two-atom-delay-n1-1", 0.25, 2),
+                            ("uniform-delay-n1-1", 0.25, 2)]])
+    def test_w2_overflow_is_a_typed_divergence(self, name, T, n1, tmp_path):
         # finite follower states too far apart to square: the W2 integral
         # overflows at forward step 0, where it used to reach report.json
-        # as Infinity (state gaps) or fail the slope fit (W2 curve)
+        # as Infinity (state gaps) or fail the slope fit (W2 curve); at
+        # n1 = 2 the Picard stopping rule reads the overflow as an infinite
+        # discrepancy and the per-step LP route stops at that step
         cfg = presets()[name]
         cfg = dataclasses.replace(
-            cfg, Ns=[4, 8, 16], reps=50, K=128, model=dict(cfg.model, T=T),
+            cfg, Ns=[4, 8, 16], reps=50, K=128,
+            model=dict(cfg.model, T=T, n1=n1),
             follower_init={"family": "normal", "params": {"scale": 1e160}})
         assert validate_config(cfg) == []
         rc = run_experiment(cfg, out_dir=tmp_path / "w", stream=io.StringIO())
@@ -485,6 +503,25 @@ class TestRunExperiment:
         assert "non-finite value in the report" in report["reason"]
         assert not (tmp_path / "e" / "results.csv").exists()
         assert buf.getvalue().startswith("invalid: [ExperimentInvalidError]")
+
+    def test_failed_run_leaves_no_stale_results(self, tmp_path):
+        # a run that fails after an earlier one into the same directory
+        # must not leave the earlier results.csv beside its own report
+        cfg = dataclasses.replace(presets()["epsilon-nash-n16"], Ns=[8],
+                                  reps=20)
+        out = tmp_path / "same"
+        assert run_experiment(cfg, out_dir=out, stream=io.StringIO()) == 0
+        assert (out / "results.csv").exists()
+        failing = dataclasses.replace(cfg, extras=dict(cfg.extras,
+                                                       kappa=0.01))
+        assert run_experiment(failing, out_dir=out,
+                              stream=io.StringIO()) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "invalid"
+        assert "norm cap" in report["reason"]
+        assert not (out / "results.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == config_hash(failing)
 
     def test_failed_rate_assertion_exits_one(self, tmp_path):
         cfg = dataclasses.replace(small_state_gap(),
