@@ -20,10 +20,10 @@ A scenario is a JSON document with the following top-level keys (see
   policies       {"leader": {"family", "params"}, "follower": {...}}
   Ns             population sizes (one entry for epsilon_nash and
                  eta_orthogonality)
-  reps, K, tol   replications, particle count, fixed-point tolerance
   seed           master seed; every emitted number is a function of
                  (config, seed)
-  regime         prediction regime for rate experiments, or null
+  reps, K, tol,  replications, particle count, fixed-point tolerance and
+  regime         prediction regime; null where the kind does not read it
   rate_assertions  when true, a rate experiment exits nonzero unless its
                  verdict is "pass"
   extras         kind-specific knobs, see _EXTRA_KEYS
@@ -40,6 +40,7 @@ Nothing in the output depends on the worker count.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -131,10 +132,10 @@ class ScenarioConfig:
     q: float
     policies: dict
     Ns: tuple
-    reps: int
-    K: int
-    tol: float
     seed: int
+    reps: int | None = None
+    K: int | None = None
+    tol: float | None = None
     regime: str | None = None
     rate_assertions: bool = True
     extras: dict = field(default_factory=dict)
@@ -167,12 +168,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError([f"unknown top-level key {k!r}" for k in unknown])
-    missing = sorted(n for n in names
-                     if n not in data
-                     and ScenarioConfig.__dataclass_fields__[n].default
-                     is dataclasses.MISSING
-                     and ScenarioConfig.__dataclass_fields__[n].default_factory
-                     is dataclasses.MISSING)
+    missing = sorted(f.name for f in dataclasses.fields(ScenarioConfig)
+                     if f.name not in data and f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
     if missing:
         raise ConfigError([f"missing required key {k!r}" for k in missing])
     wrong = [f"{k}: must be a JSON {'array' if k == 'Ns' else 'object'}, "
@@ -235,16 +233,17 @@ def _shape_rules(config: ScenarioConfig, out) -> None:
     if set(config.policies) != {"leader", "follower"}:
         out.append("policies: must have exactly the keys leader and follower")
 
+    takes = _parameters(config.kind) if config.kind in _KINDS else {}
     Ns = config.Ns
     if not Ns or not all(_is_int(n) for n in Ns):
         out.append("Ns: must be a nonempty list of integers")
-    elif config.kind in ("epsilon_nash", "eta_orthogonality") and len(Ns) != 1:
+    elif "N" in takes and len(Ns) != 1:
         out.append(f"Ns: {config.kind} takes a single population size, "
                    f"got {len(Ns)}")
-    # the orthogonality check runs panels x leader_paths, never reps
-    if config.kind == "eta_orthogonality" and (not _is_int(config.reps)
-                                               or config.reps < 1):
-        out.append("reps: must be an integer >= 1")
+    for name in _ARGUMENT_FIELDS if takes else ():
+        if name not in takes and getattr(config, name) is not None:
+            out.append(f"{name}: {config.kind} does not read {name}; leave "
+                       f"it out or set it to null")
     if not _is_int(config.seed) or config.seed < 0:
         out.append("seed: must be an integer >= 0")
     if not isinstance(config.rate_assertions, bool):
@@ -256,10 +255,7 @@ def _shape_rules(config: ScenarioConfig, out) -> None:
     for key in sorted(set(config.extras) - set(allowed)):
         out.append(f"extras.{key}: not recognized for kind {config.kind!r}")
     devs = config.extras.get("deviations")
-    if config.kind == "epsilon_nash" and not isinstance(devs, tuple):
-        out.append("extras.deviations: epsilon_nash needs a list of "
-                   "deviations")
-    elif config.kind == "epsilon_nash":
+    if config.kind == "epsilon_nash" and isinstance(devs, tuple):
         for k, dev in enumerate(devs):
             if not isinstance(dev, dict) or set(dev) - {"leader", "follower"}:
                 out.append(f"extras.deviations[{k}]: expected keys leader "
@@ -361,7 +357,7 @@ def _build(config: ScenarioConfig):
     devs = config.extras.get("deviations") \
         if config.kind == "epsilon_nash" else None
     profile = objects.get("policies")
-    objects["deviations"] = []
+    library = []
     for k, dev in enumerate(devs if isinstance(devs, tuple) else ()):
         roles = [attempt(f"extras.deviations[{k}].{role}", _policy, role,
                          dev[role])
@@ -369,74 +365,91 @@ def _build(config: ScenarioConfig):
                  else getattr(profile, role, None)
                  for role in ("leader", "follower")]
         if profile is not None and None not in roles:
-            objects["deviations"].append(PolicySet(*roles))
-            attempt(f"extras.deviations[{k}]", deviated_role, k,
-                    objects["deviations"][-1], profile)
+            library.append(PolicySet(*roles))
+            attempt(f"extras.deviations[{k}]", deviated_role, k, library[-1],
+                    profile)
+    if isinstance(devs, tuple) and len(library) == len(devs):
+        objects["deviations"] = library
     _experiment_rules(config, objects, check)
     return objects, errors
 
 
-def _run_value(config: ScenarioConfig, key: str):
-    """extras[key], or else the default of the experiment's keyword-only
-    argument key: the value the run passes."""
-    if key in config.extras:
-        return config.extras[key]
-    return inspect.unwrap(_experiment(config.kind)).__kwdefaults__[key]
-
-
+# top-level fields that are experiment arguments of the same name; the
+# experiments of some kinds do not take them
+_ARGUMENT_FIELDS = ("reps", "K", "tol", "regime")
 # the field of an experiment argument that does not come from extras.<name>
 _FIELDS = {"N": "Ns", "Ns": "Ns", "reps": "reps", "K": "K", "tol": "tol",
            "deviation_library": "extras.deviations", "family": "model.family"}
 
 
+# cached per function object, so a rebound experiment is read afresh
+_signature = functools.cache(inspect.signature)
+
+
+def _parameters(kind: str):
+    """Name -> inspect.Parameter of the experiment that runs kind."""
+    return _signature(_experiment(kind)).parameters
+
+
+def _arguments(config: ScenarioConfig, objects: dict) -> dict:
+    """Name -> value of each argument but seed and threads that the
+    experiment of config.kind takes: the objects of ``_build``, the sizes,
+    the scenario name, the ``_ARGUMENT_FIELDS`` and the extras.  A null
+    value of an argument with a default is left out, so the experiment's
+    default holds (for kappa and gamma: no cap).  Until objects hold the
+    whole deviation library, the config's deviations stand in for it."""
+    params = _parameters(config.kind)
+    supplied = {
+        **config.extras, "scenario": config.name,
+        "Ns": config.Ns, "N": config.Ns[0] if config.Ns else None,
+        **{name: getattr(config, name) for name in _ARGUMENT_FIELDS},
+        "model": objects.get("model"), "delay_law": objects.get("delay_law"),
+        "policies": objects.get("policies"),
+        "profile": objects.get("policies"),
+        "deviation_library": objects.get("deviations",
+                                         config.extras.get("deviations"))}
+    return {name: value for name, value in supplied.items() if name in params
+            and (value is not None or params[name].default is params[name].empty)}
+
+
 def _experiment_rules(config: ScenarioConfig, objects: dict, check) -> None:
-    """The argument checks of the experiment of config.kind, each through
-    check(path, fn, *args), which reports an error under the field path and
-    returns whether fn passed.  Checks whose inputs failed are left out; an
-    unknown kind gets the checks that every kind shares."""
-    kind, ex, Ns = config.kind, config.extras, config.Ns
+    """The argument checks of the experiment of config.kind, on the
+    arguments of ``_arguments``, each through check(path, fn, *args), which
+    reports an error under the field path and returns whether fn passed.
+    Checks whose inputs failed are left out; an unknown kind gets the lag
+    span check only."""
     model, law, grid = map(objects.get, ("model", "delay_law", "grid"))
     if grid is not None and law is not None:
         check("delay_law", _check_lag_span, law.b, grid)
-    regime = config.regime is None or check("regime", _check_regime,
-                                            config.regime)
-    N = Ns[0] if Ns and all(_is_int(n) for n in Ns) \
-        and (kind in _GAP_KINDS or len(Ns) == 1) else None
-    # argument -> the value the run passes; the solver settings of every
-    # kind, though epsilon_nash reads none of them
-    args = {"K": config.K, "tol": config.tol,
-            **{key: ex[key] for key in ("max_iter", "damping") if key in ex}}
-    if kind in _GAP_KINDS:
-        args.update({"Ns": Ns, "reps": config.reps, "partition_level":
-                     _run_value(config, "partition_level")})
-        if "slope_tol" in ex:
-            args["slope_tol"] = ex["slope_tol"]
-    elif kind == "epsilon_nash":
-        args.update({"N": N, "reps": config.reps, **{
-            cap: ex[cap] for cap in ("kappa", "gamma") if ex.get(cap) is not None}})
-        if isinstance(ex.get("deviations"), tuple):
-            args["deviation_library"] = ex["deviations"]
-    elif kind == "eta_orthogonality":
-        args.update({"family": config.model.get("family"), "N": N,
-                     "panels": ex.get("panels"),
-                     "leader_paths": ex.get("leader_paths")})
-        if grid is not None:
-            check("extras.time_index", _time_index,
-                  _run_value(config, "time_index"), grid.forward_steps)
-    rules = {**_SOLVER_RULES, **(_RULES[kind] if kind in _KINDS else {})}
+    if config.kind not in _KINDS:
+        return
+    params, args = _parameters(config.kind), _arguments(config, objects)
+    # the value the run passes for each argument
+    run = {name: p.default for name, p in params.items()} | args
+    regime = args.get("regime")
+    regime_ok = regime is None or check("regime", _check_regime, regime)
+    if grid is not None and "time_index" in params:
+        check("extras.time_index", _time_index, run["time_index"],
+              grid.forward_steps)
+    Ns = config.Ns
+    sized = Ns and all(_is_int(n) for n in Ns) \
+        and ("N" not in params or len(Ns) == 1)        # else a shape rule
+    rules = {**_SOLVER_RULES, **_RULES[config.kind]}
     passed = {name: check(_FIELDS.get(name, f"extras.{name}"), _check_rules,
                           rules, {name: value})
-              for name, value in args.items()
-              if N is not None or name not in ("N", "Ns")}  # else a shape rule
-    # the q rules, one line at most: the balanced partition level first
-    if kind == "epsilon_nash" or model is None or law is None \
-            or not passed.get("Ns", passed.get("N")) \
-            or not passed.get("partition_level", True):
+              for name, value in {"family": config.model.get("family"),
+                                  **args}.items()
+              if name in rules and (sized or name not in ("N", "Ns"))}
+    # the q rules of an experiment that solves the conditional law, one
+    # line at most: the balanced partition level first
+    if "K" not in params or model is None or law is None or not sized \
+            or not all(passed.get(name, True)
+                       for name in ("N", "Ns", "partition_level")):
         return
-    level = (args["partition_level"],) if kind in _GAP_KINDS else ()
-    if check("q", _partition_level, law, model, N, *level) and regime \
-            and kind in _GAP_KINDS and config.regime is not None:
-        check("q", _check_regime, config.regime, model.q)
+    level = [run["partition_level"]] if "partition_level" in params else []
+    if check("q", _partition_level, law, model, Ns[0], *level) \
+            and regime is not None and regime_ok:
+        check("q", _check_regime, regime, model.q)
 
 
 def build_objects(config: ScenarioConfig):
@@ -480,46 +493,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_rows(config: ScenarioConfig, report) -> list:
-    rows = []
+def _csv_rows(report) -> list:
+    """The rows of results.csv; a column that a row leaves out is empty."""
     if isinstance(report, GapReport):
-        fitted = report.quantity
-        for name in sorted(report.curves):
-            means, stderrs = report.curves[name]
-            main = name == fitted
-            for i, N in enumerate(report.Ns):
-                rows.append({
-                    "scenario": report.scenario, "N": N, "reps": report.reps,
-                    "gap_mean": _fmt(means[i]), "gap_stderr": _fmt(stderrs[i]),
-                    "quantity": name,
-                    "slope": _fmt(report.slope) if main else "",
-                    "slope_stderr": _fmt(report.slope_stderr) if main else "",
-                    "predicted_exponent":
-                        _fmt(report.predicted_rate) if main else "",
-                    "verdict": report.verdict if main else ""})
-    elif isinstance(report, EpsilonReport):
+        fit = {"slope": _fmt(report.slope),
+               "slope_stderr": _fmt(report.slope_stderr),
+               "predicted_exponent": _fmt(report.predicted_rate),
+               "verdict": report.verdict}
+        return [{"scenario": report.scenario, "N": N, "reps": report.reps,
+                 "gap_mean": _fmt(mean), "gap_stderr": _fmt(stderr),
+                 "quantity": name, **(fit if name == report.quantity else {})}
+                for name in sorted(report.curves)
+                for N, mean, stderr in zip(report.Ns, *report.curves[name])]
+    if isinstance(report, EpsilonReport):
+        base = {"scenario": report.scenario, "N": report.N, "reps": report.reps}
+        gains = [dict(base, quantity=f"{role}_gain_{k}", gap_mean=_fmt(gain),
+                      gap_stderr=_fmt(stderr))
+                 for role in ("follower", "leader")
+                 for k, (gain, stderr) in enumerate(zip(
+                     getattr(report, f"{role}_gains"),
+                     getattr(report, f"{role}_gain_stderrs")))]
+        return gains + [dict(base, quantity=name,
+                             gap_mean=_fmt(getattr(report, name)))
+                        for name in ("epsilon_hat", "epsilon2_hat")]
+    if isinstance(report, EtaReport):
         base = {"scenario": report.scenario, "N": report.N,
-                "reps": report.reps, "slope": "", "slope_stderr": "",
-                "predicted_exponent": "", "verdict": ""}
-        for role in ("follower", "leader"):
-            rows += [dict(base, quantity=f"{role}_gain_{k}",
-                          gap_mean=_fmt(gain), gap_stderr=_fmt(stderr))
-                     for k, (gain, stderr) in enumerate(zip(
-                         getattr(report, f"{role}_gains"),
-                         getattr(report, f"{role}_gain_stderrs")))]
-        rows += [dict(base, quantity=name, gap_mean=_fmt(getattr(report, name)),
-                      gap_stderr="") for name in ("epsilon_hat", "epsilon2_hat")]
-    elif isinstance(report, EtaReport):
-        base = {"scenario": report.scenario, "N": report.N,
-                "reps": report.panels * report.leader_paths, "slope": "",
-                "slope_stderr": "", "predicted_exponent": "", "verdict": "",
-                "gap_stderr": ""}
-        rows += [dict(base, quantity=f"eta_{name}",
-                      gap_mean=_fmt(getattr(report, name)))
-                 for name in ("lhs", "rhs", "ratio")]
-    else:
-        raise TypeError(f"no CSV mapping for {type(report).__name__}")
-    return rows
+                "reps": report.panels * report.leader_paths}
+        return [dict(base, quantity=f"eta_{name}",
+                     gap_mean=_fmt(getattr(report, name)))
+                for name in ("lhs", "rhs", "ratio")]
+    raise TypeError(f"no CSV mapping for {type(report).__name__}")
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -560,7 +563,7 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, seed: int,
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS,
                                     lineterminator="\n")
             writer.writeheader()
-            writer.writerows(_csv_rows(config, report))
+            writer.writerows(_csv_rows(report))
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +580,8 @@ def _experiment(kind: str):
 
 
 def _dispatch(config: ScenarioConfig, objects: dict, seed: int, threads: int):
-    model, policies, delay_law = map(objects.get, ("model", "policies", "delay_law"))
-    fn, ex = _experiment(config.kind), config.extras
-    if config.kind in _GAP_KINDS:
-        return fn(model, policies, delay_law, config.Ns, config.reps,
-                  config.K, seed, scenario=config.name, regime=config.regime,
-                  tol=config.tol, threads=threads, **ex)
-    if config.kind == "epsilon_nash":
-        # a null cap takes the experiment's default: no cap
-        caps = {cap: ex[cap] for cap in ("kappa", "gamma")
-                if ex.get(cap) is not None}
-        return fn(model, policies, objects["deviations"], config.Ns[0],
-                  config.reps, seed, delay_law=delay_law,
-                  scenario=config.name, threads=threads, **caps)
-    return fn(model, policies, delay_law, config.Ns[0], K=config.K, seed=seed,
-              scenario=config.name, tol=config.tol, threads=threads, **ex)
+    return _experiment(config.kind)(**_arguments(config, objects), seed=seed,
+                                    threads=threads)
 
 
 def _assertions_pass(config: ScenarioConfig, report) -> bool:
@@ -603,14 +593,16 @@ def _assertions_pass(config: ScenarioConfig, report) -> bool:
 
 def _plan_lines(config: ScenarioConfig, seed: int, threads: int,
                 out_dir: Path) -> list:
+    args, params = _arguments(config, {}), _parameters(config.kind)
     # worker processes the run uses, over leader paths or replication blocks
-    units = config.extras["leader_paths"] \
-        if config.kind == "eta_orthogonality" else -(-config.reps // _BLOCK)
+    units = args["leader_paths"] if "leader_paths" in args \
+        else -(-args["reps"] // _BLOCK)
+    read = "".join(f" {name}={_fmt(getattr(config, name)) or '-'}"
+                   for name in _ARGUMENT_FIELDS if name in params)
     return [f"scenario {config.name} ({config.kind})",
-            f"  Ns={list(config.Ns)} reps={config.reps} K={config.K} "
-            f"seed={seed} threads={_workers(threads, units)}",
-            f"  regime={config.regime or '-'} "
-            f"rate_assertions={config.rate_assertions}",
+            f"  Ns={list(config.Ns)}{read} seed={seed} "
+            f"threads={_workers(threads, units)}",
+            f"  rate_assertions={config.rate_assertions}",
             f"  outputs: {out_dir}/results.csv, report.json, manifest.json"]
 
 
@@ -623,12 +615,10 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
     invalid experiment (reported machine-readably in report.json).
     """
     stream = stream or sys.stdout
-    objects, violations = _checked(config)
-    if violations:
-        for v in violations:
-            print(f"invalid-config: {v}", file=stream)
-        return 2
     try:
+        objects, violations = _checked(config)
+        if violations:
+            raise ConfigError(violations)
         threads = resolve_threads(threads)
         seed = config.seed if seed is None else int(seed)
         if seed < 0:
@@ -750,7 +740,7 @@ def presets() -> dict:
             [], 0.5, 1.0 / 16, 0.125),
             {"family": "degenerate", "a": 0.125}, zero, zero,
             follower_init={"family": "normal", "params": {"scale": 0.5}},
-            Ns=[16], reps=100, K=256, extras={
+            Ns=[16], reps=100, tol=None, extras={
                 "kappa": 5.0, "gamma": 5.0, "deviations": [
                     {"follower": {"family": "constant",
                                   "params": {"value": 0.7}}},
@@ -761,8 +751,7 @@ def presets() -> dict:
             {"a1": -0.8, "k1": 0.5, "s1": 0.3, "a0": -0.5, "s0": 0.3,
              "kernel": "tanh_mean"}, ["tanh_mean"], 0.5, 1.0 / 32, 0.125),
             two_atoms, _affine(gain=-0.2), _affine(gain=-0.2, gain_lead=0.4),
-            Ns=[64], reps=1, K=2048,
-            extras={"panels": 500, "leader_paths": 20}),
+            Ns=[64], K=2048, extras={"panels": 500, "leader_paths": 20}),
     ]
     return {cfg.name: cfg for cfg in entries}
 

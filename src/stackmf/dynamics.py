@@ -45,6 +45,7 @@ from .errors import (
 )
 
 _GRID_TOL = 1e-12
+_MAX_STEPS = 100_000      # on [-b, T]; the presets take at most 52
 
 FEATURE_NAMES = ("mean", "second_moment", "tanh_mean")
 
@@ -134,6 +135,9 @@ class TimeGrid:
             raise ValidationError(f"t0 must be <= 0, got {t0!r}")
         if t1 <= 0:
             raise ValidationError(f"t1 must be positive, got {t1!r}")
+        if not (t1 - t0) / h <= _MAX_STEPS:
+            raise ValidationError(f"step h = {h!r} cuts [{t0!r}, {t1!r}] "
+                                  f"into more than {_MAX_STEPS} steps")
         for name, span in (("the lag span b", -t0), ("the horizon T", t1)):
             k = round(span / h)
             if abs(k * h - span) > _GRID_TOL:

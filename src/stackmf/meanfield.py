@@ -256,7 +256,7 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
             mu, nu = DiscreteMeasure(a, uniform), DiscreteMeasure(b, uniform)
             # squared distances that overflow read as an infinite distance
             disc = max(disc, w2_exact_1d(mu, nu) if model.n1 == 1
-                       else _w2_or_inf(mu, nu))
+                       else _w2_or_inf(mu, nu)[0])
         discrepancies.append(float(disc))
         parts_old, clouds_old = parts_new, clouds_new
         iterations = it

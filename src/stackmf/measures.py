@@ -184,14 +184,15 @@ def _w2sq_quantile(x, wx, y, wy) -> np.ndarray:
 
     Weights exactly 1/len in every entry, on both sides, take the uniform
     core and its cached grid; any other weights take the general route,
-    one slice at a time.
+    one slice at a time.  Squares that overflow give inf.
     """
     x, wx, y, wy = (np.asarray(v, float) for v in (x, wx, y, wy))
-    if (wx == 1.0 / wx.size).all() and (wy == 1.0 / wy.size).all():
-        return _w2sq_uniform_1d(x, y)
-    rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
-    return np.array([_w2sq_weighted(xs, wx, ys, wy)
-                     for xs, ys in rows]).reshape(x.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (wx == 1.0 / wx.size).all() and (wy == 1.0 / wy.size).all():
+            return _w2sq_uniform_1d(x, y)
+        rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+        return np.array([_w2sq_weighted(xs, wx, ys, wy)
+                         for xs, ys in rows]).reshape(x.shape[:-1])
 
 
 def _w2sq_weighted(x, wx, y, wy) -> float:
@@ -237,20 +238,8 @@ def _w2sq_uniform_1d(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact W2, LP route
 
-
-def _sq_costs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean costs of two non-empty (n, d) point clouds.  A
-    non-finite entry (non-finite points, or a square that overflows) is a
-    ValidationError here; the column reduction would turn an all-inf
-    column into nan."""
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        raise ValidationError("empty point cloud")
-    cost = cdist(x, y, "sqeuclidean")
-    if not np.isfinite(cost.max()):
-        raise ValidationError(
-            "non-finite squared distance: non-finite points, or points too "
-            "far apart to square")
-    return cost
+_NON_FINITE = ("non-finite squared distance: non-finite points, or points "
+               "too far apart to square")
 
 
 def _assign(cost: np.ndarray):
@@ -290,13 +279,26 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     machine-precision marginals.  The plan is priced on the original costs.
     Squared distances that overflow are a ValidationError.
     """
+    value, plan = _w2_or_inf(mu, nu, support_cap)
+    if plan is None:
+        raise ValidationError(_NON_FINITE)
+    return value, plan
+
+
+def _w2_or_inf(mu: DiscreteMeasure, nu: DiscreteMeasure,
+               support_cap: int = 512):
+    """(W2, plan) of ``w2_exact_lp`` from one cost matrix, or (inf, None)
+    when the squared distances of the (finite) points overflow, as the sums
+    of the quantile route do."""
     if mu.dim != nu.dim:
         raise DimensionError(f"dimension mismatch {mu.dim} vs {nu.dim}")
     n, m = mu.n_points, nu.n_points
     if n > support_cap or m > support_cap:
         raise CapacityError(
             f"support sizes ({n}, {m}) exceed cap {support_cap}")
-    cost = _sq_costs(mu.points, nu.points)
+    cost = cdist(mu.points, nu.points, "sqeuclidean")
+    if not np.isfinite(cost.max()):
+        return math.inf, None
     uniform = (n == m
                and np.abs(mu.weights - 1.0 / n).max() < 1e-12
                and np.abs(nu.weights - 1.0 / n).max() < 1e-12)
@@ -309,14 +311,6 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
     plan = TransportPlan(mu, nu, matrix)
     value = float(np.sum(matrix * cost))
     return float(np.sqrt(max(value, 0.0))), plan
-
-
-def _w2_or_inf(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """W2 of ``w2_exact_lp``, or inf when the squared distances of the
-    (finite) points overflow, as the sums of the quantile route do."""
-    if not np.isfinite(cdist(mu.points, nu.points, "sqeuclidean").max()):
-        return math.inf
-    return w2_exact_lp(mu, nu)[0]
 
 
 def _w2sq_integral(a, b, wb, h: float, m: int) -> float:
@@ -335,7 +329,7 @@ def _w2sq_integral(a, b, wb, h: float, m: int) -> float:
                 a[:, :m, 0].T, wa, b[:, :m, 0].T, wb).tolist()]
         else:
             vals = (_w2_or_inf(DiscreteMeasure(a[:, k], wa),
-                               DiscreteMeasure(b[:, k], wb))
+                               DiscreteMeasure(b[:, k], wb))[0]
                     for k in range(m))
     total = 0.0
     for k, val in enumerate(vals):
@@ -364,7 +358,13 @@ def w2sq_uniform_samples(x: np.ndarray, y: np.ndarray) -> float:
         y = y[:, None]
     if x.shape != y.shape:
         raise DimensionError("clouds must have identical shapes")
-    rows, cols = _assign(_sq_costs(x, y))
+    if x.shape[0] == 0:
+        raise ValidationError("empty point cloud")
+    cost = cdist(x, y, "sqeuclidean")
+    # the column reduction would turn an all-inf column into nan
+    if not np.isfinite(cost.max()):
+        raise ValidationError(_NON_FINITE)
+    rows, cols = _assign(cost)
     sq = np.concatenate([
         np.diagonal(cdist(x[rows[i:i + 64]], y[cols[i:i + 64]], "sqeuclidean"))
         for i in range(0, rows.size, 64)])

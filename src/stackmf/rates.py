@@ -99,7 +99,8 @@ _RULES = {
         "N": ("an integer >= 2, capped at 64 for full-game runs",
               lambda v: _is_int(v) and 2 <= v <= 64),
         "reps": _at_least(1),
-        "deviation_library": ("a nonempty list", lambda v: len(v) > 0),
+        "deviation_library": ("a nonempty list", lambda v: isinstance(
+            v, (list, tuple)) and len(v) > 0),
         "kappa": _CAP, "gamma": _CAP},
     "eta_orthogonality": {
         "family": ("linear_in_measure, the one family the check targets",
@@ -415,10 +416,11 @@ def _w2_time_integral(paths, flow: ConditionalLawFlow, rng,
 
 
 def _sup_sq_gap(a, b):
-    """Per-path sup over the grid of the squared euclidean gap."""
+    """Per-path sup over the grid of the squared euclidean gap; a square
+    that overflows is inf, which the caller reads as a divergence."""
     gap = np.asarray(a, float) - np.asarray(b, float)
-    sq = np.sum(gap * gap, axis=-1)
-    return sq.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(gap * gap, axis=-1).max(axis=-1)
 
 
 def _atom_sup_mean(values, delays):
@@ -430,13 +432,12 @@ def _atom_sup_mean(values, delays):
 
 
 def _aggregate(rows):
-    """(reps, nN) array -> per-N mean and standard error tuples."""
+    """(reps, nN) array, reps >= 2 -> per-N mean and standard error
+    tuples; overflow gives non-finite values, which the report rejects."""
     arr = np.asarray(rows, dtype=float)
-    means = arr.mean(axis=0)
-    if arr.shape[0] > 1:
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = arr.mean(axis=0)
         stderrs = arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
-    else:
-        stderrs = np.zeros(arr.shape[1])
     return tuple(float(v) for v in means), tuple(float(v) for v in stderrs)
 
 

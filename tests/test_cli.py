@@ -1,9 +1,11 @@
 """Config round trips, validation, presets, orchestration, determinism."""
 import dataclasses
+import functools
 import inspect
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -233,6 +235,67 @@ class TestValidation:
         assert validate_config(cfg) == []
         buf = io.StringIO()
         assert run_experiment(cfg, out_dir=tmp_path / "u", stream=buf) == 0
+
+
+class _Recorded(Exception):
+    """The experiment was called; its arguments are recorded."""
+
+
+class TestArgumentMap:
+    """Each kind's experiment gets the top-level fields it reads, and a
+    field that it does not read, or a required one left null, is one
+    violation under that field's path."""
+
+    UNREAD = {"epsilon_nash": ("K", "tol", "regime"),
+              "eta_orthogonality": ("reps", "regime")}
+    FIELDS = ("K", "tol", "reps", "regime")
+
+    def record(self, cfg, monkeypatch, tmp_path):
+        """The arguments that running cfg passes to its experiment."""
+        from stackmf import cli
+        fn = cli._experiment(cfg.kind)
+        calls = []
+
+        @functools.wraps(fn)
+        def recorder(*args, **kwargs):
+            calls.append(inspect.signature(fn).bind(*args, **kwargs).arguments)
+            raise _Recorded
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, fn.__name__, recorder)
+            with pytest.raises(_Recorded):
+                run_experiment(cfg, out_dir=tmp_path, stream=io.StringIO())
+        (call,) = calls
+        return call
+
+    @pytest.mark.parametrize("name", sorted(presets()))
+    def test_read_fields_reach_the_experiment(self, name, monkeypatch,
+                                              tmp_path):
+        cfg = presets()[name]
+        unread = self.UNREAD.get(cfg.kind, ())
+        assert all(getattr(cfg, f) is None for f in unread), name
+        call = self.record(cfg, monkeypatch, tmp_path)
+        for f in self.FIELDS:
+            if getattr(cfg, f) is not None:
+                assert call[f] == getattr(cfg, f), (name, f)
+        assert not set(unread) & set(call), name
+        if "tol" not in unread:
+            # a null tolerance takes the experiment's default
+            call = self.record(dataclasses.replace(cfg, tol=None),
+                               monkeypatch, tmp_path)
+            assert "tol" not in call, name
+
+    @pytest.mark.parametrize("name", sorted(presets()))
+    def test_unread_or_missing_field_is_one_violation(self, name):
+        cfg = presets()[name]
+        unread = self.UNREAD.get(cfg.kind, ())
+        changes = [(f, {"regime": "general", "tol": 1e-3}.get(f, 128))
+                   for f in unread]
+        changes += [(f, None) for f in ("K", "reps") if f not in unread]
+        for f, value in changes:
+            errs = validate_config(dataclasses.replace(cfg, **{f: value}))
+            assert len(errs) == 1 and errs[0].startswith(f"{f}: "), \
+                (name, f, errs)
 
 
 class TestPresets:
@@ -481,6 +544,36 @@ class TestRunExperiment:
         assert report["status"] == "invalid"
         assert report["error_type"] == "SimulationDivergedError"
         assert report["reason"] == "non-finite W2 integral at forward step 0"
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path):
+        # numpy cannot allocate a grid of 4e161 steps; the grid says so
+        cfg = dataclasses.replace(small_state_gap(), model=dict(
+            small_state_gap().model, T=1e160))
+        errs = validate_config(cfg)
+        assert errs == ["model: ValidationError: step h = 0.025 cuts "
+                        "[-0.3, 1e+160] into more than 100000 steps"]
+        buf = io.StringIO()
+        assert run_experiment(cfg, out_dir=tmp_path / "g", stream=buf) == 2
+        assert buf.getvalue() == f"invalid-config: {errs[0]}\n"
+        assert not (tmp_path / "g").exists()
+
+    def test_overflow_ends_typed_without_warnings(self, tmp_path):
+        # the squares of the W2 routes, of the state gaps and of the
+        # standard error overflow; each site expects it
+        cfg = small_state_gap()
+        cfg = dataclasses.replace(cfg, K=128, model=dict(
+            cfg.model, T=0.25, params=dict(cfg.model["params"], k1=1e160)))
+        reasons = []
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert run_experiment(cfg, out_dir=tmp_path / action,
+                                      stream=io.StringIO()) == 2
+            report = json.loads((tmp_path / action / "report.json").read_text())
+            reasons.append((report["error_type"], report["reason"]))
+        assert reasons[0] == reasons[1]
+        assert reasons[0][0] == "ExperimentInvalidError"
+        assert reasons[0][1].startswith("non-finite value in the report")
 
     @staticmethod
     def reject_constant(token):

@@ -445,6 +445,26 @@ class TestExactW2Errors:
         with pytest.raises(ValidationError, match="non-finite"):
             w2_exact_lp(*far)
 
+    @pytest.mark.parametrize("m", [3, 2])   # assignment and LP branches
+    def test_one_cost_matrix_per_lp_call(self, m, monkeypatch):
+        # the overflow test of the W2 integral's n1 > 1 route reuses the
+        # matrix that the solve prices
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "cdist", counted)
+        rng = np.random.default_rng(3)
+        w2_exact_lp(uniform_on(rng.standard_normal((3, 2))),
+                    uniform_on(rng.standard_normal((m, 2))))
+        assert len(calls) == 1
+        a, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((m, 4, 2))
+        calls.clear()
+        measures._w2sq_integral(a, b, np.full(m, 1.0 / m), 0.25, 4)
+        assert len(calls) == 4          # one per forward step
+
 
 class TestEmpiricalRateCurve:
     @pytest.mark.parametrize("dim, Ns, reps", [

@@ -50,9 +50,13 @@ def _leaves(node, path=()):
 
 
 def _own_size(data, path):
+    """The config's own size at path; a null field is one the kind does not
+    read, so no value there makes a run longer."""
     own = data
     for key in path:
         own = own[key]
+    if own is None:
+        return math.inf
     return max(own) if isinstance(own, list) else own
 
 
