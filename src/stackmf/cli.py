@@ -24,8 +24,9 @@ A scenario is a JSON document with the following top-level keys (see
                  (config, seed)
   reps, K, tol,  replications, particle count, fixed-point tolerance and
   regime         prediction regime; null where the kind does not read it
-  rate_assertions  when true, a rate experiment exits nonzero unless its
-                 verdict is "pass"
+  rate_assertions  true or false for a gap kind: when true, the run exits
+                 nonzero unless its verdict is "pass"; null for
+                 epsilon_nash and eta_orthogonality, which have no verdict
   extras         kind-specific knobs, see _EXTRA_KEYS
   out_dir        default output directory, overridable with --out
 
@@ -55,6 +56,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._pool import _workers
 from ._rng import STREAM_LAYOUT
 from .dynamics import (
     CoefficientSet,
@@ -93,7 +95,6 @@ from .rates import (
     _check_regime,
     _partition_level,
     _time_index,
-    _workers,
 )
 
 _KINDS = ("state_gap", "wasserstein_gap", "cost_gap", "epsilon_nash",
@@ -137,7 +138,7 @@ class ScenarioConfig:
     K: int | None = None
     tol: float | None = None
     regime: str | None = None
-    rate_assertions: bool = True
+    rate_assertions: bool | None = None
     extras: dict = field(default_factory=dict)
     out_dir: str | None = None
 
@@ -246,8 +247,12 @@ def _shape_rules(config: ScenarioConfig, out) -> None:
                        f"it out or set it to null")
     if not _is_int(config.seed) or config.seed < 0:
         out.append("seed: must be an integer >= 0")
-    if not isinstance(config.rate_assertions, bool):
-        out.append("rate_assertions: must be true or false")
+    if config.kind in _GAP_KINDS:
+        if not isinstance(config.rate_assertions, bool):
+            out.append("rate_assertions: must be true or false")
+    elif config.kind in _KINDS and config.rate_assertions is not None:
+        out.append(f"rate_assertions: {config.kind} has no verdict to "
+                   f"assert; leave it out or set it to null")
     if config.out_dir is not None and not isinstance(config.out_dir, str):
         out.append("out_dir: must be null or a string")
 
@@ -602,7 +607,8 @@ def _plan_lines(config: ScenarioConfig, seed: int, threads: int,
     return [f"scenario {config.name} ({config.kind})",
             f"  Ns={list(config.Ns)}{read} seed={seed} "
             f"threads={_workers(threads, units)}",
-            f"  rate_assertions={config.rate_assertions}",
+            *([f"  rate_assertions={config.rate_assertions}"]
+              if config.kind in _GAP_KINDS else []),
             f"  outputs: {out_dir}/results.csv, report.json, manifest.json"]
 
 
@@ -672,10 +678,12 @@ def _affine(gain=0.0, gain_lead=0.0):
 def _preset(name, kind, model, delay_law, leader, follower,
             **fields) -> ScenarioConfig:
     """A preset; unless fields say otherwise: no leader initial path,
-    normal(0, 0.6) followers, q = 6, tol = 1e-3 and seed 5."""
+    normal(0, 0.6) followers, q = 6, tol = 1e-3, seed 5, and rate
+    assertions on for a gap kind."""
     return ScenarioConfig(**{
         "name": name, "kind": kind, "model": model, "delay_law": delay_law,
         "leader_init": None, "q": 6.0, "tol": 1e-3, "seed": 5,
+        "rate_assertions": True if kind in _GAP_KINDS else None,
         "follower_init": {"family": "normal", "params": {"scale": 0.6}},
         "policies": {"leader": leader, "follower": follower}, **fields})
 

@@ -33,7 +33,10 @@ class SimulationDivergedError(StackmfError):
 
 
 class ExperimentInvalidError(StackmfError):
-    """Too many failed replications to trust the experiment."""
+    """The experiment ran, but its result does not stand: too many failed
+    replications, a non-finite report, a vanishing orthogonality kernel,
+    or an epsilon-Nash deviation whose estimated control norm misses its
+    cap."""
 
 
 class ConfigError(ValidationError):

@@ -23,6 +23,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
+from ._pool import _run_replications
 from .errors import (CapacityError, DimensionError, ParameterError,
                      SimulationDivergedError, ValidationError)
 
@@ -262,7 +263,8 @@ def _transport_lp(cost: np.ndarray, wp: np.ndarray, wq: np.ndarray) -> np.ndarra
     b = np.concatenate([wp, wq[:-1]])
     res = linprog(cost.ravel(), A_eq=A, b_eq=b, bounds=(0, None),
                   method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise ValidationError(f"transport LP failed: {res.message}")
@@ -387,6 +389,11 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     In dimension 1 the Gaussian decay is E W2^2 ~ log log N / N (Bobkov &
     Ledoux, Mem. AMS 2019), sharper than the upper bound in `rate_f`.
 
+    Every sample is drawn here first, in stream order.  The solves then run
+    on one forked worker per CPU this process may use (``_pool``), at most
+    one per solve: the affinity mask (``taskset``) limits them, and on one
+    CPU they run here, with no pool.  The worker count moves no byte.
+
     reps may be an int or a per-N sequence.  Returns (means, stderrs).
     dim < 1, an empty Ns, an N < 1 or fewer than 2 replications (no
     standard error) is a ParameterError.
@@ -410,14 +417,22 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
 
     if dim == 1:
         ref = np.sort(generator(seed, 0).standard_normal(ref_ratio * max(Ns)))
-    means, errs = [], []
+    samples = []
     for k, (N, R) in enumerate(zip(Ns, reps)):
         gen = generator(seed, 1, k)
-        vals = np.empty(R)
-        for r in range(R):
-            vals[r] = (_w2sq_uniform_1d(gen.standard_normal(N), ref) if dim == 1
-                       else w2sq_uniform_samples(gen.standard_normal((N, dim)),
-                                                 gen.standard_normal((N, dim))))
+        samples += [gen.standard_normal(N) if dim == 1
+                    else (gen.standard_normal((N, dim)),
+                          gen.standard_normal((N, dim))) for _ in range(R)]
+
+    def solve(i):
+        return float(_w2sq_uniform_1d(samples[i], ref) if dim == 1
+                     else w2sq_uniform_samples(*samples[i]))
+
+    # as many workers as solves, capped by the CPUs this process may use
+    solved = iter(_run_replications(solve, len(samples), len(samples)))
+    means, errs = [], []
+    for R in reps:
+        vals = np.array([next(solved) for _ in range(R)])
         means.append(vals.mean())
         errs.append(vals.std(ddof=1) / np.sqrt(R))
     return np.array(means), np.array(errs)

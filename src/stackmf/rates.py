@@ -11,20 +11,20 @@ for the scenario's regime.
 Replications are independent and seeded by (master seed, index); one
 driver, ``_replicate``, runs them in blocks, and neither the block size nor
 the number of worker processes changes the numbers.  With more than one
-worker, forked processes map the blocks; there are never more workers than
-blocks or CPUs this process may use.
+worker, forked processes (``_pool``) map the blocks; there are never more
+workers than blocks or CPUs this process may use.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import math
-import os
 import types
 from fractions import Fraction
 
 import numpy as np
 
+from ._pool import _run_replications
 from ._rng import REPLICATION, SharedNoise, child_entropy
 from .dynamics import (
     DelayLaw,
@@ -291,51 +291,6 @@ def _verdict(slope, predicted, regime, tol):
 
 # ---------------------------------------------------------------------------
 # replication plumbing
-
-_unit_fn = None     # set in each forked worker only; see _run_replications
-
-
-def _set_unit(fn):
-    global _unit_fn
-    _unit_fn = fn
-
-
-def _call_unit(i):
-    return _unit_fn(i)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _workers(threads, units) -> int:
-    """`threads` capped by the units and the CPUs this process may use."""
-    return min(int(threads or 1), units, _usable_cpus())
-
-
-def _run_replications(fn, units, threads):
-    """fn(i) for i in range(units), results and the first error in order.
-
-    A unit is a block of replications (``_replicate``); its result depends
-    on its index only.  One worker (``_workers``) runs the units here, with
-    no pool.  Units are closures, which do not pickle, so the workers are
-    forked: each inherits `fn` as its initializer argument, unpickled, and
-    maps `_call_unit` over the indices.  A spawned worker would also import
-    numpy and scipy again, which costs as much as a whole small run.  A
-    worker that dies raises BrokenProcessPool."""
-    workers = _workers(threads, units)
-    if workers <= 1:
-        return [fn(i) for i in range(units)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_unit, initargs=(fn,)) as pool:
-        return list(pool.map(_call_unit, range(units)))
-
 
 def _replicate(run_block, seed, reps, threads, block=_BLOCK):
     """run_block(noises) over blocks of `block` replications, replication
@@ -753,14 +708,14 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
     for a, (k, _) in enumerate(follower_devs, start=1):
         worst = _atom_sup_mean(denergy[:, a], delta0)
         if worst > kappa + 1e-9:
-            raise ValidationError(
+            raise ExperimentInvalidError(
                 f"deviation {k} violates the follower norm cap: "
                 f"sup_delta E|v1|^2 = {worst!r} > kappa = {kappa!r}")
     off = 1 + len(follower_devs)
     for a, (k, _) in enumerate(leader_devs):
         mean_energy = float(lenergy[:, off + a].mean())
         if mean_energy > gamma + 1e-9:
-            raise ValidationError(
+            raise ExperimentInvalidError(
                 f"deviation {k} violates the leader norm cap: "
                 f"E|v0|^2 = {mean_energy!r} > gamma = {gamma!r}")
 

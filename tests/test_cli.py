@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackmf import rates
+from stackmf import _pool, rates
 from stackmf.cli import (
     _EXTRA_KEYS,
     CSV_COLUMNS,
@@ -292,6 +292,9 @@ class TestArgumentMap:
         changes = [(f, {"regime": "general", "tol": 1e-3}.get(f, 128))
                    for f in unread]
         changes += [(f, None) for f in ("K", "reps") if f not in unread]
+        # a gap preset's true may not be null, the others' null not set
+        changes += [("rate_assertions", v) for v in (
+            (None,) if cfg.rate_assertions else (True, False))]
         for f, value in changes:
             errs = validate_config(dataclasses.replace(cfg, **{f: value}))
             assert len(errs) == 1 and errs[0].startswith(f"{f}: "), \
@@ -442,7 +445,7 @@ class TestRunExperiment:
 
     def test_dry_run_prints_the_workers_it_uses(self, monkeypatch):
         # one unit per eta leader path, per block of 8 replications else
-        monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         eta = dataclasses.replace(
             presets()["eta-orthogonality-n64"],
             extras={"panels": 500, "leader_paths": 1})

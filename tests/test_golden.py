@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 import scipy
 
+from stackmf import _pool
 from stackmf.cli import presets, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -70,19 +71,25 @@ def installed_versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def run_case(name, out_dir: Path) -> None:
-    run_experiment(case_config(name), threads=1, out_dir=out_dir,
+def run_case(name, out_dir: Path, threads=1) -> None:
+    run_experiment(case_config(name), threads=threads, out_dir=out_dir,
                    stream=io.StringIO())
 
 
-@pytest.mark.parametrize("name", ALL_CASES)
-def test_golden_bytes(name, tmp_path):
+# every case at one worker, and again at two workers: the worker count
+# moves no byte
+@pytest.mark.parametrize("name, threads", [
+    *(pytest.param(name, 1, id=name) for name in ALL_CASES),
+    *(pytest.param(name, 2, id=f"{name}-2-workers") for name in ALL_CASES)])
+def test_golden_bytes(name, threads, tmp_path, monkeypatch):
+    # two CPUs, so that two workers run on any box
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
     recorded = json.loads(VERSIONS_FILE.read_text())
     installed = installed_versions()
     assert recorded == installed, (
         f"goldens were recorded with {recorded}, installed are {installed}; "
         f"regenerate them on purpose or install the recorded versions")
-    run_case(name, tmp_path)
+    run_case(name, tmp_path, threads)
     for fname in FILES:
         got = (tmp_path / fname).read_bytes()
         want = (GOLDEN_DIR / name / fname).read_bytes()

@@ -4,7 +4,9 @@ The 1-D quantile route and the LP route are independent implementations and
 are cross-checked against each other and against a brute-force coupling
 enumeration on tiny instances.
 """
+import concurrent.futures
 import itertools
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from stackmf import measures
-
+from stackmf import _pool, measures
+from stackmf._rng import generator
 from stackmf.errors import (
     CapacityError,
     DimensionError,
@@ -494,6 +496,39 @@ class TestEmpiricalRateCurve:
         a = empirical_rate_curve(2, [8, 16], reps=5, seed=9)[0]
         b = empirical_rate_curve(2, [8, 16], reps=5, seed=9)[0]
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_same_bytes_at_one_and_two_workers(self, dim, monkeypatch):
+        # the reference is the serial loop: each N draws from its own
+        # stream, x before y, and its replications are solved in order
+        Ns, reps, seed = [8, 32, 64], [5, 4, 3], 7
+        ref = np.sort(generator(seed, 0).standard_normal(20 * max(Ns)))
+        want = []
+        for k, (N, R) in enumerate(zip(Ns, reps)):
+            gen = generator(seed, 1, k)
+            vals = np.empty(R)
+            for r in range(R):
+                x = gen.standard_normal(N if dim == 1 else (N, dim))
+                vals[r] = (measures._w2sq_uniform_1d(x, ref) if dim == 1 else
+                           w2sq_uniform_samples(x, gen.standard_normal(x.shape)))
+            want.append((vals.mean(), vals.std(ddof=1) / np.sqrt(R)))
+        want = np.array(want).T
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                sizes.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        for cpus in (1, 2):
+            monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
+            got = np.array(empirical_rate_curve(dim, Ns, reps, seed=seed))
+            assert got.tobytes() == want.tobytes(), cpus
+            assert multiprocessing.active_children() == []
+        assert sizes == [2]     # one pool over every solve, on 2 CPUs only
 
 
 class TestUniformCore:

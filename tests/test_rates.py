@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackmf import _rng, dynamics, measures, rates
+from stackmf import _pool, _rng, dynamics, measures, rates
 from stackmf._rng import REPLICATION, SharedNoise, child_entropy
 from stackmf.dynamics import (
     CoefficientSet,
@@ -543,11 +543,11 @@ class TestEpsilonNashCertify:
 
     def test_norm_cap_violation_names_deviation(self):
         dev = PolicySet(Policy("zero"), Policy("constant", {"value": 0.7}))
-        with pytest.raises(ValidationError, match="deviation 0"):
+        with pytest.raises(ExperimentInvalidError, match="deviation 0"):
             epsilon_nash_certify(nash_model(), ZERO_POLICIES, [dev], 16, 5,
                                  11, delay_law=self.LAW, kappa=0.2)
         lead = PolicySet(Policy("constant", {"value": 0.7}), Policy("zero"))
-        with pytest.raises(ValidationError, match="deviation 0"):
+        with pytest.raises(ExperimentInvalidError, match="deviation 0"):
             epsilon_nash_certify(nash_model(), ZERO_POLICIES, [lead], 16, 5,
                                  11, delay_law=self.LAW, gamma=0.2)
 
@@ -723,10 +723,10 @@ class TestProcessDriver:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
 
     def test_results_in_index_order_from_workers(self):
-        out = rates._run_replications(lambda i: (i, os.getpid()), 6, 2)
+        out = _pool._run_replications(lambda i: (i, os.getpid()), 6, 2)
         assert [i for i, _ in out] == list(range(6))
         assert os.getpid() not in {pid for _, pid in out}
 
@@ -740,7 +740,7 @@ class TestProcessDriver:
             return i
 
         with pytest.raises(SimulationDivergedError) as got:
-            rates._run_replications(unit, 6, 2)
+            _pool._run_replications(unit, 6, 2)
         assert (got.value.step, str(got.value)) == (1, "unit 1")
 
     def test_dead_worker_raises_broken_pool(self):
@@ -749,7 +749,7 @@ class TestProcessDriver:
 
         def call():
             try:
-                rates._run_replications(
+                _pool._run_replications(
                     lambda i: os._exit(1) if i == 2 else i, 6, 2)
             except BaseException as exc:
                 raised.append(exc)
@@ -771,12 +771,12 @@ class TestProcessDriver:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             Recording)
-        assert rates._run_replications(lambda i: i, 3, 8) == [0, 1, 2]
-        monkeypatch.setattr(rates, "_usable_cpus", lambda: 3)
-        assert rates._run_replications(lambda i: i, 6, 8) == list(range(6))
-        assert rates._run_replications(lambda i: i, 2, 8) == [0, 1]
+        assert _pool._run_replications(lambda i: i, 3, 8) == [0, 1, 2]
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
+        assert _pool._run_replications(lambda i: i, 6, 8) == list(range(6))
+        assert _pool._run_replications(lambda i: i, 2, 8) == [0, 1]
         assert sizes == [2, 3, 2]
-        assert rates._unit_fn is None     # set in the workers only
+        assert _pool._unit_fn is None     # set in the workers only
 
 
 class TestDivergenceOrder:
@@ -855,7 +855,7 @@ class TestDivergenceOrder:
         # a stand-in that diverges on chosen (replication, arm) pairs: the
         # block of replications 0-7 steps arm 0 of replication 5 before arm
         # 2 of replication 3, a serial loop the other way round
-        monkeypatch.setattr(rates, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         ents = [child_entropy(21, REPLICATION, r) for r in range(16)]
         bad = {(ents[5], 0), (ents[3], 2), (ents[9], 0)}
         arms = []
@@ -909,7 +909,7 @@ class TestOneDriverForEveryKind:
         cfg = dataclasses.replace(presets()["epsilon-nash-n16"], Ns=[N],
                                   reps=reps, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rates, "_usable_cpus", lambda: 2)
+            mp.setattr(_pool, "_usable_cpus", lambda: 2)
             self._run_both(cfg)
 
     @settings(max_examples=4, deadline=None)
@@ -922,5 +922,5 @@ class TestOneDriverForEveryKind:
             base, Ns=[N], K=100, seed=seed, model=dict(base.model, T=0.25),
             extras={"panels": panels, "leader_paths": paths})
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rates, "_usable_cpus", lambda: 2)
+            mp.setattr(_pool, "_usable_cpus", lambda: 2)
             self._run_both(cfg)
