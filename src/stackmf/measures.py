@@ -190,7 +190,7 @@ def _w2sq_quantile(x, wx, y, wy) -> np.ndarray:
     x, wx, y, wy = (np.asarray(v, float) for v in (x, wx, y, wy))
     with np.errstate(over="ignore", invalid="ignore"):
         if (wx == 1.0 / wx.size).all() and (wy == 1.0 / wy.size).all():
-            return _w2sq_uniform_1d(x, y)
+            return _w2sq_uniform_1d(np.sort(x, axis=-1), np.sort(y, axis=-1))
         rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
         return np.array([_w2sq_weighted(xs, wx, ys, wy)
                          for xs, ys in rows]).reshape(x.shape[:-1])
@@ -226,12 +226,13 @@ def _uniform_grid(n: int, m: int):
 
 
 def _w2sq_uniform_1d(a, b) -> np.ndarray:
-    """W2^2 per slice between uniform 1-D float clouds a (..., n), b (..., m).
+    """W2^2 per slice between uniform 1-D float clouds a (..., n), b (..., m),
+    each already sorted along its last axis.
 
     Each slice is summed as its own 1-D array, as in the general route: a
     2-D sum along the last axis can round differently."""
     widths, xi, yi = _uniform_grid(a.shape[-1], b.shape[-1])
-    d = np.sort(a, axis=-1)[..., xi] - np.sort(b, axis=-1)[..., yi]
+    d = a[..., xi] - b[..., yi]
     terms = (widths * d * d).reshape(-1, widths.size)
     return np.array([np.sum(row) for row in terms]).reshape(a.shape[:-1])
 
@@ -425,7 +426,7 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
                           gen.standard_normal((N, dim))) for _ in range(R)]
 
     def solve(i):
-        return float(_w2sq_uniform_1d(samples[i], ref) if dim == 1
+        return float(_w2sq_uniform_1d(np.sort(samples[i]), ref) if dim == 1
                      else w2sq_uniform_samples(*samples[i]))
 
     # as many workers as solves, capped by the CPUs this process may use

@@ -514,26 +514,23 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
     law for it, then for each N simulate the bundle and the synchronously
     coupled limit pair from shared streams.  Records the leader sup-squared
     gap, the follower gap as sup over realized delay atoms of the per-atom
-    mean, their sum (the fitted quantity), and the time integral of W2^2
-    between the leave-one-out limit empirical and the flow.
+    mean, and their sum (the fitted quantity).
     """
     def measure(noises, flows, N, bundle, twin):
         rows = []
-        for r, (noise, flow) in enumerate(zip(noises, flows)):
-            x1 = twin[1][r, :N]
+        for r in range(len(noises)):
             lead = float(_sup_sq_gap(bundle.leader_path[r], twin[0][r]))
-            fol = _atom_sup_mean(_sup_sq_gap(bundle.follower_paths[r], x1),
-                                 bundle.delays[r])
-            w2 = _w2_time_integral(x1[1:], flow, noise.subsample(1, N))
-            rows.append((lead, fol, lead + fol, w2))
+            fol = _atom_sup_mean(
+                _sup_sq_gap(bundle.follower_paths[r], twin[1][r, :N]),
+                bundle.delays[r])
+            rows.append((lead, fol, lead + fol))
         return rows
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
         max_iter, damping, partition_level, slope_tol, threads,
         kind="state_gap",
-        curve_names=("leader_sq_gap", "follower_sq_gap", "squared_state_gap",
-                     "w2_time_integral"),
+        curve_names=("leader_sq_gap", "follower_sq_gap", "squared_state_gap"),
         quantity="squared_state_gap", rate_quantity="squared_state_gap",
         nplayer=True, twin_size=lambda N: N, measure=measure)
 

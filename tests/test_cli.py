@@ -76,6 +76,15 @@ class TestValidation:
         for name, cfg in presets().items():
             assert validate_config(cfg) == [], name
 
+    def test_state_gap_presets_valid_as_the_w2_kind(self):
+        # the W2 time integral of a state-gap config is measured by the
+        # same config under kind wasserstein_gap
+        names = [n for n, cfg in presets().items() if cfg.kind == "state_gap"]
+        assert names
+        for name in names:
+            cfg = dataclasses.replace(presets()[name], kind="wasserstein_gap")
+            assert validate_config(cfg) == [], name
+
     def test_low_q_blocks_rate_experiments(self):
         cfg = dataclasses.replace(small_state_gap(), q=3.0)
         errs = validate_config(cfg)
@@ -530,14 +539,14 @@ class TestRunExperiment:
                             ("uniform-delay-n1-1", 0.25, 2)]])
     def test_w2_overflow_is_a_typed_divergence(self, name, T, n1, tmp_path):
         # finite follower states too far apart to square: the W2 integral
-        # overflows at forward step 0, where it used to reach report.json
-        # as Infinity (state gaps) or fail the slope fit (W2 curve); at
-        # n1 = 2 the Picard stopping rule reads the overflow as an infinite
-        # discrepancy and the per-step LP route stops at that step
-        cfg = presets()[name]
+        # overflows at forward step 0; at n1 = 2 the Picard stopping rule
+        # reads the overflow as an infinite discrepancy and the per-step LP
+        # route stops at that step.  The state-gap presets run as the W2
+        # kind, the one that measures the integral, for both laws at both n1
+        base = presets()[name]
         cfg = dataclasses.replace(
-            cfg, Ns=[4, 8, 16], reps=50, K=128,
-            model=dict(cfg.model, T=T, n1=n1),
+            base, kind="wasserstein_gap", Ns=[4, 8, 16], reps=50, K=128,
+            model=dict(base.model, T=T, n1=n1),
             follower_init={"family": "normal", "params": {"scale": 1e160}})
         assert validate_config(cfg) == []
         rc = run_experiment(cfg, out_dir=tmp_path / "w", stream=io.StringIO())
@@ -547,6 +556,12 @@ class TestRunExperiment:
         assert report["status"] == "invalid"
         assert report["error_type"] == "SimulationDivergedError"
         assert report["reason"] == "non-finite W2 integral at forward step 0"
+        if base.kind == "state_gap":
+            # the state gaps of the same config still end in strict JSON
+            cfg = dataclasses.replace(cfg, kind="state_gap")
+            run_experiment(cfg, out_dir=tmp_path / "s", stream=io.StringIO())
+            json.loads((tmp_path / "s" / "report.json").read_text(),
+                       parse_constant=self.reject_constant)
 
     def test_oversized_grid_is_a_config_error(self, tmp_path):
         # numpy cannot allocate a grid of 4e161 steps; the grid says so

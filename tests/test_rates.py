@@ -226,8 +226,9 @@ class TestStateGapExperiment:
         assert rep.curves["leader_sq_gap"][0] == (0.0, 0.0, 0.0)
         assert rep.slope is None
         assert rep.verdict == "undefined"
-        # measures never coincide exactly, so the W2 term stays positive
-        assert all(v > 0 for v in rep.curves["w2_time_integral"][0])
+        # the W2 term is the wasserstein_gap kind's curve alone
+        assert set(rep.curves) == {"leader_sq_gap", "follower_sq_gap",
+                                   "squared_state_gap"}
 
     def test_nonconvergent_fixed_point_invalidates(self):
         model = make_model(
@@ -269,6 +270,14 @@ class TestStateGapExperiment:
 
 
 class TestWassersteinGapCurve:
+    def test_no_interaction_w2_term_positive(self):
+        # the state gaps of this model are zero (TestStateGapExperiment);
+        # measures never coincide exactly, so the W2 term stays positive
+        rep = wasserstein_gap_curve(
+            no_interaction_model(), ZERO_POLICIES, DelayLaw.degenerate(0.125),
+            [4, 8, 16], 50, 128, 7)
+        assert all(v > 0 for v in rep.curves["w2_time_integral"][0])
+
     def test_minimum_population_is_two(self):
         model = no_interaction_model()
         with pytest.raises(ValidationError):
@@ -621,7 +630,7 @@ _KIND_PRESETS = {"state_gap": "two-atom-delay-n1-1",
                  "wasserstein_gap": "degenerate-delay-n1-1",
                  "cost_gap": "linear-in-measure-cost-n1-1"}
 _CURVES = {"state_gap": ("leader_sq_gap", "follower_sq_gap",
-                         "squared_state_gap", "w2_time_integral"),
+                         "squared_state_gap"),
            "wasserstein_gap": ("w2_time_integral",),
            "cost_gap": ("cost_gap", "leader_cost_gap")}
 
@@ -674,8 +683,7 @@ def _reference_curves(kind, model, pols, law, Ns, reps, K, seed, tol):
                 lead = float(rates._sup_sq_gap(b.leader_path, x0))
                 fol = rates._atom_sup_mean(
                     rates._sup_sq_gap(b.follower_paths, x1), b.delays)
-                row.append((lead, fol, lead + fol, rates._w2_time_integral(
-                    x1[1:], flow, noise.subsample())))
+                row.append((lead, fol, lead + fol))
         rows.append(row)
     arr = np.asarray(rows)                         # (reps, nN, curves)
     return {name: rates._aggregate(arr[:, :, i])

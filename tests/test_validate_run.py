@@ -5,6 +5,8 @@ config, ``run_experiment`` ends as exit 0 or 1 with finite, strict-JSON
 outputs, or as exit 2 with a run result (a divergence or an invalid
 experiment, such as an epsilon-Nash norm-cap miss), never with another
 error.
+The thread count: one fixed accepted mutation per golden case writes the
+same ``results.csv`` and ``report.json`` bytes at one and two workers.
 The per-kind rules: ``validate_config`` returns [] exactly when the
 experiment gets past its own argument checks, that is, reaches its first
 replication.
@@ -18,10 +20,11 @@ import json
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackmf import cli, rates
+from stackmf import _pool, cli, rates
 from stackmf.cli import config_from_dict, config_to_dict, validate_config
 from stackmf.errors import ConfigError, StackmfError
 from test_golden import CASES, case_config
@@ -132,6 +135,28 @@ def run_to_a_result(case, out):
             for key in ("gap_mean", "gap_stderr", "slope", "slope_stderr"):
                 assert row[key] == "" or math.isfinite(float(row[key])), \
                     (path, value, row)
+
+
+# every case's model has a follower noise scale s1, none of them 0.5; a
+# new value moves every number of the run
+_THREADS_MUTATION = (("model", "params", "s1"), 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_accepted_mutation_same_bytes_at_two_threads(name, tmp_path,
+                                                     monkeypatch):
+    # two CPUs, so that two workers run on any box
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+    assert (name, *_THREADS_MUTATION) in ACCEPTED
+    cfg = config_from_dict(mutated(BASES[name], *_THREADS_MUTATION))
+    out = []
+    for threads in (1, 2):
+        d = tmp_path / str(threads)
+        rc = cli.run_experiment(cfg, threads=threads, out_dir=d,
+                                stream=io.StringIO())
+        out.append([rc] + [(d / f).read_bytes()
+                           for f in ("results.csv", "report.json")])
+    assert out[0] == out[1]
 
 
 class _Reached(Exception):
