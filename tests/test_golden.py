@@ -2,12 +2,13 @@
 
 Each case runs one preset, shrunk with ``dataclasses.replace``, through
 ``run_experiment`` and compares ``results.csv`` and ``report.json`` byte for
-byte with the files under ``tests/golden/<case>/``.  Four cases (``N1_2``)
+byte with the files under ``tests/golden/<case>/``.  Five cases (``N1_2``)
 rerun a shrunken preset at ``model.n1 = 2``, so the stepper, the cost rule,
-the limit twin, the stopping rule's assignment route and the W2 time
-integral's per-step LP route are gated at n1 > 1 as well.  The goldens are only valid for the numpy and scipy versions
-recorded in ``tests/golden/versions.json``; on any other version the gate
-fails and names both, it never skips.
+the limit twin, the stopping rule's assignment route, the W2 time
+integral's per-step LP route, the state-gap rule and the partitioned
+uniform delay law are gated at n1 > 1 as well.  The goldens are only valid
+for the numpy and scipy versions recorded in ``tests/golden/versions.json``;
+on any other version the gate fails and names both, it never skips.
 
 Regenerate (only for a change that moves output bytes on purpose, and say
 why in CHANGES.md):
@@ -53,6 +54,7 @@ CASES = {
 # model.n1 = 2 and those fields, under its own scenario name
 N1_2 = {"degenerate-delay-n1-2": ("degenerate-delay-n1-1", {"T": 0.0625}),
         "linear-in-measure-cost-n1-2": ("linear-in-measure-cost-n1-1", {}),
+        "uniform-delay-n1-2": ("uniform-delay-n1-1", {}),
         "epsilon-nash-n16-n1-2": ("epsilon-nash-n16", {}),
         "eta-orthogonality-n64-n1-2": ("eta-orthogonality-n64", {})}
 ALL_CASES = sorted([*CASES, *N1_2])
