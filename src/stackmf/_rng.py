@@ -30,7 +30,6 @@ FLOW_INIT = 5
 FLOW_NOISE = 6
 SUBSAMPLE = 7
 PROBE = 8
-PANEL = 9
 REPLICATION = 10
 
 

@@ -79,7 +79,7 @@ from .errors import (
     ParameterError,
     StackmfError,
 )
-from .meanfield import _SOLVER_RULES
+from .meanfield import _SOLVER_RULES, _partition_level
 from .rates import (
     _BLOCK,
     EpsilonReport,
@@ -93,7 +93,6 @@ from .rates import (
     wasserstein_gap_curve,
     _RULES,
     _check_regime,
-    _partition_level,
     _time_index,
 )
 
@@ -245,8 +244,6 @@ def _shape_rules(config: ScenarioConfig, out) -> None:
         if name not in takes and getattr(config, name) is not None:
             out.append(f"{name}: {config.kind} does not read {name}; leave "
                        f"it out or set it to null")
-    if not _is_int(config.seed) or config.seed < 0:
-        out.append("seed: must be an integer >= 0")
     if config.kind in _GAP_KINDS:
         if not isinstance(config.rate_assertions, bool):
             out.append("rate_assertions: must be true or false")
@@ -384,7 +381,8 @@ def _build(config: ScenarioConfig):
 _ARGUMENT_FIELDS = ("reps", "K", "tol", "regime")
 # the field of an experiment argument that does not come from extras.<name>
 _FIELDS = {"N": "Ns", "Ns": "Ns", "reps": "reps", "K": "K", "tol": "tol",
-           "deviation_library": "extras.deviations", "family": "model.family"}
+           "seed": "seed", "deviation_library": "extras.deviations",
+           "family": "model.family"}
 
 
 # cached per function object, so a rebound experiment is read afresh
@@ -443,7 +441,7 @@ def _experiment_rules(config: ScenarioConfig, objects: dict, check) -> None:
     passed = {name: check(_FIELDS.get(name, f"extras.{name}"), _check_rules,
                           rules, {name: value})
               for name, value in {"family": config.model.get("family"),
-                                  **args}.items()
+                                  "seed": config.seed, **args}.items()
               if name in rules and (sized or name not in ("N", "Ns"))}
     # the q rules of an experiment that solves the conditional law, one
     # line at most: the balanced partition level first

@@ -77,6 +77,10 @@ def _at_least(least: int):
     return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
 
 
+# the rule of a master seed, for every function that reads one
+_SEED_RULES = {"seed": _at_least(0)}
+
+
 def _check_rules(rules: Mapping, args: Mapping) -> None:
     """ParameterError naming the first argument of args (name -> value) that
     breaks its rule in rules (name -> (text, test))."""
@@ -199,8 +203,8 @@ def _check_lag_span(top, grid: TimeGrid) -> None:
 class DelayLaw:
     """Response-delay distribution on [a, b], 0 <= a <= b.
 
-    Kinds: degenerate (point mass), discrete (finite atoms), continuous
-    (currently uniform, with exact CDF).
+    Kinds: discrete (finite atoms; a point mass is one atom) and uniform
+    (with exact CDF).
     """
 
     kind: str
@@ -208,17 +212,13 @@ class DelayLaw:
     b: float
     atoms: tuple = ()
     probs: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         a = _real("a", self.a)
         b = _real("b", self.b)
         if a < 0 or b < a:
             raise ValidationError(f"delay bounds must satisfy 0 <= a <= b, got ({a!r}, {b!r})")
-        if self.kind == "degenerate":
-            if a != b:
-                raise ValidationError("degenerate law needs a == b")
-        elif self.kind == "discrete":
+        if self.kind == "discrete":
             atoms = _reals("atoms", self.atoms)
             probs = _reals("weights", self.probs)
             if len(atoms) == 0 or len(atoms) != len(probs):
@@ -234,11 +234,9 @@ class DelayLaw:
                 raise ValidationError(f"weights sum to {sum(probs)!r}, not 1")
             object.__setattr__(self, "atoms", atoms)
             object.__setattr__(self, "probs", probs)
-        elif self.kind == "continuous":
-            if self.name != "uniform":
-                raise ValidationError(f"unsupported continuous delay law {self.name!r}")
+        elif self.kind == "uniform":
             if b <= a:
-                raise ValidationError("continuous law needs a < b")
+                raise ValidationError("uniform law needs a < b")
         else:
             raise ValidationError(f"unknown delay law kind {self.kind!r}")
         object.__setattr__(self, "a", a)
@@ -246,7 +244,7 @@ class DelayLaw:
 
     @classmethod
     def degenerate(cls, a: float) -> "DelayLaw":
-        return cls("degenerate", a, a)
+        return cls.discrete([_real("a", a)], [1.0])
 
     @classmethod
     def discrete(cls, atoms, probs, bounds=None) -> "DelayLaw":
@@ -257,27 +255,22 @@ class DelayLaw:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "DelayLaw":
-        return cls("continuous", _real("lo", lo), _real("hi", hi), name="uniform")
+        return cls("uniform", _real("lo", lo), _real("hi", hi))
 
     def cdf(self, x):
         """Exact CDF evaluated at x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "degenerate":
-            return (x >= self.a).astype(float)
         if self.kind == "discrete":
             atoms = np.asarray(self.atoms)
             cum = np.cumsum(self.probs)
             idx = np.searchsorted(atoms, x, side="right")
             out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
             return out if out.shape else float(out)
-        # uniform
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def quantile(self, u):
         """Inverse CDF for u in [0, 1) (vectorized)."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "degenerate":
-            return np.full_like(u, self.a) if u.shape else self.a
         if self.kind == "discrete":
             cum = np.cumsum(self.probs)
             idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.atoms) - 1)
@@ -707,19 +700,17 @@ def draw_follower_initial(spec: dict, rng, n1: int, size=None):
 def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
     """N i.i.d. draws from the delay law.
 
-    With a SharedNoise seed follower i takes row i of the DELAY block (see
-    ``SharedNoise.rows``), which makes the draws permutation-equivariant
-    under relabeling; an integer seed draws the same block.  A degenerate
-    law needs no randomness and derives no stream.
+    Follower i takes row i of the DELAY block (see ``SharedNoise.rows``),
+    which makes the draws permutation-equivariant under relabeling; an
+    integer seed is read as ``SharedNoise(seed)``.  A point mass needs no
+    randomness and derives no stream.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
-    if law.kind == "degenerate":
+    if law.a == law.b:
         return np.full(N, law.a)
-    if isinstance(seed, SharedNoise):
-        u = seed.rows(DELAY, N, lambda rng, n: rng.random(n))
-    else:
-        u = _as_generator(seed, DELAY).random(N)
+    noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
+    u = noise.rows(DELAY, N, lambda rng, n: rng.random(n))
     return np.asarray(law.quantile(u), dtype=float)
 
 

@@ -114,8 +114,6 @@ def partition_delay_law(law: DelayLaw, n: int):
     CDF-increment weights; zero-mass cells are dropped."""
     if n < 1:
         raise ParameterError("partition level must be >= 1")
-    if law.kind == "degenerate":
-        return [(law.a, 1.0)]
     if law.a == law.b:
         return [(law.a, 1.0)]
     edges = law.a + (law.b - law.a) * np.arange(n + 1) / n
@@ -153,6 +151,25 @@ def balanced_partition_level(n1: int, q: float, N: int) -> int:
         return 10_000
     level = math.ceil(f_val ** (-2.0 * q / (3.0 * q - 4.0)))
     return int(min(max(level, 1), 10_000))
+
+
+def _partition_level(law: DelayLaw, model: ModelSpec, N: int, level="auto"):
+    """Level at which the limit solve for population size N splits a uniform
+    delay law: `level`, or at "auto" the balanced level, which needs q > 4.
+    None for a law of atoms, which the solve takes atom by atom."""
+    if law.kind != "uniform":
+        return None
+    return balanced_partition_level(model.n1, model.q, N) \
+        if level == "auto" else int(level)
+
+
+def _partition_for(law: DelayLaw, model: ModelSpec, N: int, *level):
+    """Delay partition of the limit solve for population size N: the atoms
+    of a discrete law, or a uniform law cut at ``_partition_level``."""
+    if law.kind == "discrete":
+        return tuple((float(a), float(p)) for a, p in zip(law.atoms, law.probs))
+    return tuple(partition_delay_law(law, _partition_level(law, model, N,
+                                                           *level)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +377,7 @@ def holder_exponent_estimate(model: ModelSpec, policies: PolicySet,
     if reps < 100:
         raise ParameterError("need reps >= 100")
     noise = SharedNoise(zflow.leader_seed)
-    # delays are set per delta below; a degenerate law derives no stream
+    # delays are set per delta below; a point mass derives no stream
     draws = Draws.sample(model, DelayLaw.degenerate(0.0), noise, reps)
     paths = {}
     for d in deltas:

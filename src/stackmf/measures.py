@@ -24,6 +24,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from ._pool import _run_replications
+from .dynamics import _SEED_RULES, _check_rules
 from .errors import (CapacityError, DimensionError, ParameterError,
                      SimulationDivergedError, ValidationError)
 
@@ -396,8 +397,9 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     CPU they run here, with no pool.  The worker count moves no byte.
 
     reps may be an int or a per-N sequence.  Returns (means, stderrs).
-    dim < 1, an empty Ns, an N < 1 or fewer than 2 replications (no
-    standard error) is a ParameterError.
+    dim < 1, an empty Ns, an N < 1, fewer than 2 replications (no
+    standard error) or a seed that is not an integer >= 0 is a
+    ParameterError.
     """
     Ns = [int(N) for N in Ns]
     if isinstance(reps, int):
@@ -414,6 +416,7 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     if min(reps) < 2:
         raise ParameterError(
             f"every replication count must be >= 2, got {min(reps)}")
+    _check_rules(_SEED_RULES, {"seed": seed})
     from ._rng import generator
 
     if dim == 1:

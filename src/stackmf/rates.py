@@ -32,6 +32,7 @@ from .dynamics import (
     ModelSpec,
     PolicySet,
     TimeGrid,
+    _SEED_RULES,
     _at_least,
     _check_lag_span,
     _check_rules,
@@ -51,9 +52,8 @@ from .errors import (
 from .meanfield import (
     ConditionalLawFlow,
     _SOLVER_RULES,
-    balanced_partition_level,
+    _partition_for,
     evaluate_costs_limit,
-    partition_delay_law,
     simulate_limit_pair,
     solve_conditional_law,
 )
@@ -87,6 +87,7 @@ _GAP_RULES = {
                   lambda v: _is_real(v) and 0 < v < math.inf),
     "partition_level": ("'auto' or an integer >= 1",
                         lambda v: v == "auto" or _is_int(v) and v >= 1),
+    **_SEED_RULES,
 }
 _CAP = ("a positive real (inf: no cap)", lambda v: _is_real(v) and v > 0)
 # the rules of each kind of experiment's arguments: name -> (text, test);
@@ -101,12 +102,12 @@ _RULES = {
         "reps": _at_least(1),
         "deviation_library": ("a nonempty list", lambda v: isinstance(
             v, (list, tuple)) and len(v) > 0),
-        "kappa": _CAP, "gamma": _CAP},
+        "kappa": _CAP, "gamma": _CAP, **_SEED_RULES},
     "eta_orthogonality": {
         "family": ("linear_in_measure, the one family the check targets",
                    lambda v: v == "linear_in_measure"),
         "N": _at_least(2), "panels": _at_least(1),
-        "leader_paths": _at_least(1)},
+        "leader_paths": _at_least(1), **_SEED_RULES},
 }
 
 
@@ -312,27 +313,6 @@ def _replicate(run_block, seed, reps, threads, block=_BLOCK):
     return tuple(np.concatenate(rows) for rows in zip(*results))
 
 
-def _partition_level(law: DelayLaw, model: ModelSpec, N: int, level="auto"):
-    """Level at which the limit solve for population size N splits a uniform
-    delay law: `level`, or at "auto" the balanced level, which needs q > 4.
-    None for a law of atoms, which the solve takes atom by atom."""
-    if law.kind != "continuous":
-        return None
-    return balanced_partition_level(model.n1, model.q, N) \
-        if level == "auto" else int(level)
-
-
-def _partition_for(law: DelayLaw, model: ModelSpec, N: int, *level):
-    """Delay partition used by the limit solve for population size N, at
-    the ``_partition_level`` of the optional `level`."""
-    if law.kind == "degenerate":
-        return ((law.a, 1.0),)
-    if law.kind == "discrete":
-        return tuple((float(a), float(p)) for a, p in zip(law.atoms, law.probs))
-    return tuple(partition_delay_law(law, _partition_level(law, model, N,
-                                                           *level)))
-
-
 def _flow_support(flow: ConditionalLawFlow, cap: int, rng):
     """Flattened (points over time, weights) view of the flow, subsampled to
     at most cap support points; uniform clouds subsample without
@@ -441,7 +421,8 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     """
     Ns = tuple(int(n) for n in Ns)
     _check_rules(_RULES[kind], dict(Ns=Ns, reps=reps, slope_tol=slope_tol,
-                                    partition_level=partition_level))
+                                    partition_level=partition_level,
+                                    seed=seed))
     _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
                                      damping=damping))
     _check_lag_span(delay_law.b, model.grid)
@@ -667,7 +648,8 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
     """
     library = list(deviation_library)
     _check_rules(_RULES["epsilon_nash"], dict(
-        N=N, reps=reps, deviation_library=library, kappa=kappa, gamma=gamma))
+        N=N, reps=reps, deviation_library=library, kappa=kappa, gamma=gamma,
+        seed=seed))
     kappa, gamma = float(kappa), float(gamma)
     _check_lag_span(delay_law.b, model.grid)
     follower_devs, leader_devs = [], []
@@ -772,7 +754,7 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     """
     _check_rules(_RULES["eta_orthogonality"], dict(
         family=model.coefficients.family, N=N, panels=panels,
-        leader_paths=leader_paths))
+        leader_paths=leader_paths, seed=seed))
     s = _time_index(time_index, model.grid.forward_steps)
     _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
                                      damping=damping))

@@ -182,7 +182,8 @@ class TestValidation:
     def test_negative_seed_rejected(self):
         assert validate_config(dataclasses.replace(small_state_gap(),
                                                    seed=0)) == []
-        assert "seed: must be an integer >= 0" in validate_config(
+        assert "seed: ParameterError: seed must be an integer >= 0, got -1" \
+            in validate_config(
             dataclasses.replace(small_state_gap(), seed=-1))
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])

@@ -148,6 +148,16 @@ class TestDelayLaw:
         assert law.cdf(0.2) == 0.0
         assert law.cdf(0.25) == 1.0
 
+    def test_degenerate_is_a_one_atom_discrete_law(self):
+        for a in (0.0, 0.125, 0.25):
+            assert DelayLaw.degenerate(a) == DelayLaw.discrete([a], [1.0])
+        assert DelayLaw.degenerate(0.125).kind == "discrete"
+        assert DelayLaw.uniform(0.0, 0.5).kind == "uniform"
+        with pytest.raises(ValidationError, match="a must be a finite real"):
+            DelayLaw.degenerate("0.1")
+        with pytest.raises(ValidationError, match="uniform law needs a < b"):
+            DelayLaw.uniform(0.25, 0.25)
+
     def test_discrete_cdf(self):
         law = DelayLaw.discrete([0.1, 0.3], [0.5, 0.5])
         assert law.cdf(0.05) == 0.0
@@ -223,9 +233,20 @@ class TestSampleDelays:
             return real(*key)
 
         monkeypatch.setattr(_rng, "generator", counting)
-        d = sample_delays(DelayLaw.degenerate(0.125), 50, SharedNoise(9))
-        assert len(calls) == 0
-        assert np.array_equal(d, np.full(50, 0.125))
+        # the degenerate family, and the same point mass as one atom
+        for law in (DelayLaw.degenerate(0.125),
+                    DelayLaw.discrete([0.125], [1.0])):
+            d = sample_delays(law, 50, SharedNoise(9))
+            assert len(calls) == 0
+            assert np.array_equal(d, np.full(50, 0.125))
+
+    @pytest.mark.parametrize("law", [
+        DelayLaw.discrete([0.1, 0.2, 0.4], [0.2, 0.3, 0.5]),
+        DelayLaw.uniform(0.1, 0.4)], ids=["discrete", "uniform"])
+    def test_integer_seed_draws_the_shared_noise_block(self, law):
+        for seed in (0, 7, 2 ** 40):
+            assert sample_delays(law, 300, seed).tobytes() == sample_delays(
+                law, 300, SharedNoise(seed)).tobytes()
 
 
 class TestSnapDelays:

@@ -98,6 +98,27 @@ def test_golden_bytes(name, threads, tmp_path, monkeypatch):
         assert got == want, f"{name}/{fname} differs from the golden"
 
 
+# one case of each kind
+_KIND_CASES = ("degenerate-delay-n1-1", "two-atom-delay-n1-1",
+               "linear-in-measure-cost-n1-1", "epsilon-nash-n16",
+               "eta-orthogonality-n64")
+
+
+@pytest.mark.parametrize("name", _KIND_CASES)
+def test_point_mass_families_write_the_same_bytes(name, tmp_path):
+    """A point mass as the degenerate family and as one discrete atom is
+    one law, so the two configs write the same bytes."""
+    out = []
+    for law in ({"family": "degenerate", "a": 0.125},
+                {"family": "discrete", "atoms": [0.125], "weights": [1.0]}):
+        cfg = dataclasses.replace(case_config(name), delay_law=law)
+        d = tmp_path / law["family"]
+        rc = run_experiment(cfg, out_dir=d, stream=io.StringIO())
+        out.append([rc] + [(d / fname).read_bytes() for fname in FILES])
+    assert out[0][0] in (0, 1)
+    assert out[0] == out[1]
+
+
 def regenerate(names) -> None:
     for name in names:
         with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import threading
 import time
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackmf import _pool, _rng, dynamics, measures, rates
+from stackmf import _pool, _rng, dynamics, meanfield, measures, rates
 from stackmf._rng import REPLICATION, SharedNoise, child_entropy
 from stackmf.dynamics import (
     CoefficientSet,
@@ -657,7 +658,7 @@ def _reference_curves(kind, model, pols, law, Ns, reps, K, seed, tol):
         draws = Draws.sample(model, law, noise, Ns[-1])
         flows, row = {}, []
         for N in Ns:
-            key = rates._partition_for(law, model, N, "auto")
+            key = meanfield._partition_for(law, model, N, "auto")
             if key not in flows:
                 flows[key] = solve_conditional_law(
                     model, pols, key, ent, K, tol=tol, draws=draws)[0]
@@ -932,3 +933,34 @@ class TestOneDriverForEveryKind:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_pool, "_usable_cpus", lambda: 2)
             self._run_both(cfg)
+
+
+def _no_replication(*args, **kwargs):
+    raise AssertionError("a replication ran")
+
+
+class TestSeedRule:
+    """Every function that reads a master seed checks the one seed rule
+    with its other arguments, before its first replication."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    @pytest.mark.parametrize("preset", [
+        "two-atom-delay-n1-1", "degenerate-delay-n1-1",
+        "linear-in-measure-cost-n1-1", "epsilon-nash-n16",
+        "eta-orthogonality-n64"])
+    def test_experiments_reject_a_bad_seed(self, preset, seed, monkeypatch):
+        from stackmf import cli
+        cfg = cli.presets()[preset]
+        objects, errors = cli._build(cfg)
+        assert errors == []
+        monkeypatch.setattr(rates, "_replicate", _no_replication)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            cli._dispatch(cfg, objects, seed, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_rate_curve_rejects_a_bad_seed(self, seed, monkeypatch):
+        monkeypatch.setattr(_rng, "generator", _no_replication)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            measures.empirical_rate_curve(1, [10, 20], 5, seed=seed)

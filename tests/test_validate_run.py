@@ -172,27 +172,32 @@ def _stop(*args, **kwargs):
 # rule of the cli fires
 _COUNTS = (0, 1, 2, 3, 4, 49, 50, 63, 64, 65, 99, 100, 2.0, True, "x", None)
 _REALS = (0, -1.0, 1e-9, 0.5, 1, 1.5, float("inf"), float("nan"), "x", None)
+_SEEDS = (-1, 0, 1.5, "x", True)
 _FIELDS = {
     "gap": {("reps",): _COUNTS, ("K",): _COUNTS, ("tol",): _REALS,
             ("q",): (2, 3, 4, 4.1), ("regime",): ("general", "x", None),
             ("extras", "max_iter"): _COUNTS, ("extras", "damping"): _REALS,
             ("extras", "slope_tol"): _REALS,
             ("extras", "partition_level"): ("auto", "x", 0, 1, 3, 2.0, None),
-            ("Ns",): ([2, 3, 4], [3, 8, 16], [4, 8], [4, 16, 8], [4, 8, 16])},
+            ("Ns",): ([2, 3, 4], [3, 8, 16], [4, 8], [4, 16, 8], [4, 8, 16]),
+            ("seed",): _SEEDS},
     "epsilon_nash": {("reps",): _COUNTS, ("Ns",): ([1], [2], [64], [65]),
                      ("extras", "kappa"): _REALS, ("extras", "gamma"): _REALS,
-                     ("extras", "deviations"): ([],)},
+                     ("extras", "deviations"): ([],), ("seed",): _SEEDS},
     "eta_orthogonality": {
         ("K",): _COUNTS, ("tol",): _REALS, ("q",): (2, 3, 4, 4.5),
         ("Ns",): ([1], [2], [16]), ("extras", "panels"): _COUNTS,
         ("extras", "leader_paths"): _COUNTS,
         ("extras", "max_iter"): _COUNTS, ("extras", "damping"): _REALS,
-        ("extras", "time_index"): (None, 0, 16, 17, -1, 2.0, "x")},
+        ("extras", "time_index"): (None, 0, 16, 17, -1, 2.0, "x"),
+        ("seed",): _SEEDS},
 }
 _LAWS = ({"family": "uniform", "lo": 0.0625, "hi": 0.125},
          {"family": "uniform", "lo": 0.0625, "hi": 0.25},
          {"family": "discrete", "atoms": [0.0625, 0.125],
-          "weights": [0.5, 0.5]})
+          "weights": [0.5, 0.5]},
+         {"family": "degenerate", "a": 0.0625},
+         {"family": "discrete", "atoms": [0.0625], "weights": [1.0]})
 
 
 @settings(max_examples=300, deadline=None)
