@@ -624,6 +624,8 @@ def run_experiment(config: ScenarioConfig, *, threads=None, seed=None,
         if violations:
             raise ConfigError(violations)
         threads = resolve_threads(threads)
+        if seed is not None and not _is_int(seed):
+            raise ConfigError([f"--seed must be an integer, got {seed!r}"])
         seed = config.seed if seed is None else int(seed)
         if seed < 0:
             raise ConfigError([f"--seed must be at least 0, got {seed}"])

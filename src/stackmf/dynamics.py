@@ -312,12 +312,16 @@ def _live_sum(terms, shape):
     """Left-to-right sum of gain * value over the (gain, value) terms whose
     gain is not exactly 0.0, as a new array of `shape`; a callable value is
     called only then.  A skipped term adds 0.0 * value, +-0.0 for a finite
-    value, so skipping it can change only the sign of a zero."""
+    value, so skipping it can change only the sign of a zero.  With shape
+    None the sum comes back as it is, 0.0 when no term is live: a sum of
+    constants stays a scalar, which broadcasts as the filled array would."""
     out = None
     for gain, value in terms:
         if gain != 0.0:
             term = gain * (value() if callable(value) else value)
             out = term if out is None else out + term
+    if shape is None:
+        return 0.0 if out is None else out
     if getattr(out, "shape", None) == shape:
         return out
     full = np.empty(shape)
@@ -354,20 +358,13 @@ class CoefficientSet:
             kernel = params.get("kernel", "mean")
             if kernel not in ("mean", "tanh_mean"):
                 raise ParameterError(f"kernel must be mean or tanh_mean, got {kernel!r}")
-            if any(params.get(k, 0.0) != 0.0 for k in ("k0", "ks0", "k1", "ks1")) \
-                    and kernel not in feats:
-                raise ParameterError(
-                    f"kernel feature {kernel!r} must be declared in measure_features")
             params["kernel"] = kernel
-        else:
-            if any(params.get(k, 0.0) != 0.0 for k in ("k0", "k1")) \
-                    and "mean" not in feats:
-                raise ParameterError("mean feature required when k0/k1 are nonzero")
-        if any(params.get(k, 0.0) != 0.0 for k in ("cost0_track", "cost1_track")) \
-                and "mean" not in feats:
-            raise ParameterError("mean feature required when cost tracking is enabled")
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "measure_features", feats)
+        for name in self.reads["steps"] + self.reads["costs"]:
+            if name not in feats:
+                raise ParameterError(f"measure feature {name!r} must be declared "
+                                     f"in measure_features: a nonzero gain reads it")
 
     def _p(self, key):
         return self.params.get(key, 0.0)
@@ -388,6 +385,22 @@ class CoefficientSet:
                 "sigma0": "s0 s0_x s0_v ks0", "sigma1": "s1 s1_x s1_v ks1"}
         return {name: tuple(map(self._p, row.split())) for name, row in keys.items()}
 
+    @functools.cached_property
+    def reads(self):
+        """What the terms of nonzero gain read: "u0" and "v1", whether the
+        drift or diffusion reads the leader's or the followers' control;
+        "steps", the features the drift or diffusion reads; "costs", those
+        the costs read.  Costs read both controls at any gain: 0.0 * |u|^2
+        is nan for an overflowed control."""
+        def live(*keys):
+            return any(self._p(key) != 0.0 for key in keys)
+
+        return MappingProxyType({
+            "u0": live("b0", "s0_v"), "v1": live("b1", "s1_v"),
+            "steps": (self.params.get("kernel", "mean"),)
+            if live("k0", "k1", "ks0", "ks1") else (),
+            "costs": ("mean",) if live("cost0_track", "cost1_track") else ()})
+
     def _drift(self, name, x, feats, v):
         a, b, k, t = self._gains[name]
         return _live_sum(((a, x), (b, v), (k, lambda: self._kernel(feats)),
@@ -396,20 +409,23 @@ class CoefficientSet:
     def _diffusion(self, name, x, feats, v):
         s, sx, sv, ks = self._gains[name]
         smooth = self.family == "smooth_nonlinear"
+        constant = sx == 0.0 and sv == 0.0 and ks == 0.0
         return _live_sum(((s, 1.0), (sx, lambda: np.tanh(x) if smooth else x),
                           (sv, v), (ks, lambda: self._kernel(feats))),
-                         np.shape(x))
+                         None if constant else np.shape(x))
 
     def g0(self, x0, feats, v0):
         return self._drift("g0", x0, feats, v0)
 
     def sigma0(self, x0, feats, v0):
+        """Shaped as x0, or a float that broadcasts to it when constant."""
         return self._diffusion("sigma0", x0, feats, v0)
 
     def g1(self, x1, feats, v1):
         return self._drift("g1", x1, feats, v1)
 
     def sigma1(self, x1, feats, v1):
+        """Shaped as x1, or a float that broadcasts to it when constant."""
         return self._diffusion("sigma1", x1, feats, v1)
 
     def f0(self, x0, feats, v0):
@@ -834,7 +850,9 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     row keeps stepping; at the end SimulationDivergedError names the first
     non-finite forward step of the earliest such row.  Returns leader paths
     (R, n_steps + 1, n1) and follower paths (R, P, m+1, n1), whose controls
-    are ``path_controls``.  Only terms of nonzero gain are evaluated.
+    are ``path_controls``.  Only terms of nonzero gain are evaluated, and
+    only the controls and features they read (``CoefficientSet.reads``); a
+    constant diffusion multiplies the noise as a scalar.
     """
     grid = model.grid
     h = grid.h
@@ -842,7 +860,8 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     m = grid.forward_steps
     z0 = grid.zero_index
     coeffs = model.coefficients
-    names = coeffs.measure_features
+    reads = coeffs.reads
+    names = reads["steps"]
     X = np.array(X0, dtype=float)
     R, P = X.shape[:2]
     leader_path = np.empty((R, grid.n_steps + 1, model.n1))
@@ -862,11 +881,11 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
             if flow_features is None:
                 full, loo = follower_feature_arrays(X, names)
             else:
-                full = {name: arr[:, k] for name, arr in flow_features.items()}
+                full = {name: flow_features[name][:, k] for name in names}
                 loo = {name: arr[:, None] for name, arr in full.items()}
-            x0_delayed = lead_rows.take(delayed + k, axis=0)
-            u0 = policies.leader_value(x0)
-            v1 = policies.follower_value(X, x0_delayed)
+            u0 = policies.leader_value(x0) if reads["u0"] else None
+            v1 = policies.follower_value(
+                X, lead_rows.take(delayed + k, axis=0)) if reads["v1"] else None
             x0 = x0 + coeffs.g0(x0, full, u0) * h \
                 + coeffs.sigma0(x0, full, u0) * sqrt_h * zeta0[:, k]
             X = X + coeffs.g1(X, loo, v1) * h \
@@ -945,15 +964,17 @@ def _path_costs(model: ModelSpec, policies: PolicySet, leader_path,
     adds, plus terminal cost.  The measure argument is read as in
     ``_euler``: flow_features[name] (..., m+1, k) for both roles, or when
     None the empirical one (full for the leader, leave-one-out for
-    followers).  Floats, or arrays J0 (R,) and Ji (R, N) for R
-    replications; a non-finite cumulative cost raises
+    followers).  Only the features a cost term reads are built
+    (``CoefficientSet.reads``).  Floats, or arrays J0 (R,) and Ji (R, N)
+    for R replications; a non-finite cumulative cost raises
     SimulationDivergedError at its first step (m: terminal)."""
     grid, coeffs, m = model.grid, model.coefficients, model.grid.forward_steps
+    names = coeffs.reads["costs"]
     u, v = path_controls(policies, grid, leader_path, follower_paths, delays)
     # contiguous: the sorted follower sums then round as on one time slice
     fol = np.ascontiguousarray(np.swapaxes(follower_paths, -3, -2))
-    full, loo = (flow_features, None) if flow_features is not None \
-        else follower_feature_arrays(fol, coeffs.measure_features)
+    full, loo = ({name: flow_features[name] for name in names}, None) \
+        if flow_features is not None else follower_feature_arrays(fol, names)
     # the leader as a population of one, so both roles slice alike
     lead_feats = {name: a[..., None, :] for name, a in full.items()}
     roles = ((coeffs.f0, coeffs.h0, leader_path[..., grid.zero_index:, None, :],

@@ -215,7 +215,8 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     grid = model.grid
     m = grid.forward_steps
     n_atoms = atoms.size
-    names = model.coefficients.measure_features
+    # the iterates carry only the features the stepper reads
+    names = model.coefficients.reads["steps"]
 
     if draws is None:
         xi0, zeta0 = _leader_draws(model, noise)
@@ -281,7 +282,8 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
             converged = True
             break
 
-    features = _features_of_clouds(parts_old, weights, names)
+    features = _features_of_clouds(parts_old, weights,
+                                   model.coefficients.measure_features)
     flow = ConditionalLawFlow(
         grid=grid, atoms=atoms, weights=weights, particles=parts_old,
         leader_path=leader_path, leader_seed=int(leader_noise_seed),
@@ -292,10 +294,11 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     return flow, report
 
 
-def _stacked_features(flows):
-    """name -> (R, m+1, dim) feature trajectories of R flows."""
+def _stacked_features(flows, names):
+    """name -> (R, m+1, dim) trajectories of the named features of R
+    flows."""
     return {name: np.stack([f.features[name] for f in flows])
-            for name in flows[0].features}
+            for name in names}
 
 
 def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
@@ -335,7 +338,8 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
     x0_path, x1_paths = _euler(
         model, policies, batch.leader_init_path, batch.follower_init,
         batch.leader_noise, batch.follower_noise,
-        delays.reshape(len(flows), -1), _stacked_features(flows))
+        delays.reshape(len(flows), -1),
+        _stacked_features(flows, model.coefficients.reads["steps"]))
     return (x0_path, x1_paths) if stacked else (x0_path[0], x1_paths[0])
 
 
@@ -345,8 +349,8 @@ def evaluate_costs_limit(model: ModelSpec, policies: PolicySet,
     ``dynamics._path_costs`` with the flow's features as measure argument.
     For stacked paths of R replications, zflow is their R flows and the
     costs are arrays J0 (R,) and Ji (R, N)."""
-    feats = _stacked_features(zflow) if np.ndim(x0_path) == 3 \
-        else zflow.features
+    feats = _stacked_features(zflow, model.coefficients.reads["costs"]) \
+        if np.ndim(x0_path) == 3 else zflow.features
     return _path_costs(model, policies, x0_path, x1_paths, delays, feats)
 
 

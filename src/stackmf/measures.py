@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -24,7 +25,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from ._pool import _run_replications
-from .dynamics import _SEED_RULES, _check_rules
+from .dynamics import _SEED_RULES, _check_rules, _is_int
 from .errors import (CapacityError, DimensionError, ParameterError,
                      SimulationDivergedError, ValidationError)
 
@@ -397,26 +398,27 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     CPU they run here, with no pool.  The worker count moves no byte.
 
     reps may be an int or a per-N sequence.  Returns (means, stderrs).
-    dim < 1, an empty Ns, an N < 1, fewer than 2 replications (no
-    standard error) or a seed that is not an integer >= 0 is a
-    ParameterError.
+    A dim, N or replication count that is not an integer, dim < 1, an
+    empty Ns, an N < 1, fewer than 2 replications (no standard error) or
+    a seed that is not an integer >= 0 is a ParameterError.
     """
-    Ns = [int(N) for N in Ns]
-    if isinstance(reps, int):
-        reps = [reps] * len(Ns)
-    reps = [int(r) for r in reps]
+    Ns = list(Ns)
+    reps = list(reps) if isinstance(reps, Iterable) \
+        and not isinstance(reps, str) else [reps] * len(Ns)
     if len(reps) != len(Ns):
         raise ValidationError("need one replication count per N")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
     if not Ns:
         raise ParameterError("Ns is empty")
-    if min(Ns) < 1:
-        raise ParameterError(f"every N must be >= 1, got {min(Ns)}")
-    if min(reps) < 2:
-        raise ParameterError(
-            f"every replication count must be >= 2, got {min(reps)}")
+    for label, values, least in (("dim", [dim], 1), ("every N", Ns, 1),
+                                 ("every replication count", reps, 2)):
+        odd = [v for v in values if not _is_int(v)]
+        if odd:
+            raise ParameterError(f"{label} must be an integer, got {odd[0]!r}")
+        if min(values) < least:
+            raise ParameterError(f"{label} must be >= {least}, got "
+                                 f"{min(values)}")
     _check_rules(_SEED_RULES, {"seed": seed})
+    Ns, reps = [int(N) for N in Ns], [int(r) for r in reps]
     from ._rng import generator
 
     if dim == 1:

@@ -8,6 +8,7 @@ import os
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -478,6 +479,21 @@ class TestRunExperiment:
         assert buf.getvalue() == "invalid-config: --seed must be at least 0, " \
                                  "got -3\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, True, "3"])
+    def test_non_integer_seed_override_exits_two(self, tmp_path, seed):
+        buf = io.StringIO()
+        assert run_experiment(small_state_gap(), out_dir=tmp_path / "x",
+                              seed=seed, stream=buf) == 2
+        assert buf.getvalue() == "invalid-config: --seed must be an " \
+                                 f"integer, got {seed!r}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_numpy_integer_seed_override_runs(self, tmp_path):
+        buf = io.StringIO()
+        assert run_experiment(small_state_gap(), out_dir=tmp_path / "x",
+                              seed=np.int64(3), dry_run=True, stream=buf) == 0
+        assert " seed=3 " in buf.getvalue()
 
     def test_invalid_config_exits_two(self, tmp_path):
         cfg = dataclasses.replace(small_state_gap(), q=3.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stackmf import _rng
+from stackmf import _rng, dynamics
 from stackmf._rng import SharedNoise
 from stackmf.dynamics import (
     CoefficientSet,
@@ -440,6 +440,22 @@ class TestCoefficientSet:
                            {"k1": 0.5, "kernel": "tanh_mean"}, ("mean",))
         CoefficientSet("linear_in_measure",
                        {"k1": 0.5, "kernel": "tanh_mean"}, ("tanh_mean",))
+
+    def test_every_feature_a_live_term_reads_is_declared(self):
+        # the declaration check asks the same read-set as the stepper
+        for family, params, feats, missing in [
+                ("smooth_nonlinear", {"k0": 0.4}, (), "mean"),
+                ("linear_in_measure", {"ks1": 0.1, "kernel": "tanh_mean"},
+                 ("mean",), "tanh_mean"),
+                ("linear_quadratic", {"cost1_track": 0.5}, ("tanh_mean",),
+                 "mean")]:
+            with pytest.raises(ParameterError, match=f"feature '{missing}'"):
+                CoefficientSet(family, params, feats)
+        coeffs = CoefficientSet("linear_in_measure",
+                                {"k1": -0.0, "cost0_track": 0.0},
+                                ("second_moment",))
+        assert coeffs.reads == {"u0": False, "v1": False, "steps": (),
+                                "costs": ()}
 
 
 class TestLipschitzProbe:
@@ -883,6 +899,12 @@ class TestStackedReplications:
 
 
 class TermByTermCoefficients(CoefficientSet):
+    @property
+    def reads(self):
+        # every control and every declared feature, whatever the gains
+        feats = self.measure_features
+        return {"u0": True, "v1": True, "steps": feats, "costs": feats}
+
     def _measure_term(self, feats, gain_key):
         gain = self._p(gain_key)
         if gain == 0.0:
@@ -1083,3 +1105,44 @@ class TestLiveTerms:
             errors.append(info.value)
         assert errors[0].step == errors[1].step == 3
         assert str(errors[0]) == str(errors[1])
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_euler_computes_only_what_a_live_term_reads(self, live,
+                                                        monkeypatch):
+        # the same affine policies and declared features either way; with
+        # zero control and kernel gains no control and no feature is
+        # computed, and a constant diffusion stays a scalar
+        gains = {"b0": 0.3, "s1_v": 0.2, "k1": 0.5} if live else {}
+        params = {"a0": -0.5, "s0": 0.3, "a1": -0.8, "s1": 0.3,
+                  "kernel": "tanh_mean", **gains}
+        model = ModelSpec(coefficients=CoefficientSet(
+            "linear_in_measure", params, ("tanh_mean", "mean")),
+            grid=self.GRID)
+        calls, names = [], []
+
+        class Counting(PolicySet):
+            def leader_value(self, x0):
+                calls.append("leader_value")
+                return super().leader_value(x0)
+
+            def follower_value(self, x1, x0_delayed):
+                calls.append("follower_value")
+                return super().follower_value(x1, x0_delayed)
+
+        phi = dynamics._phi_block
+        monkeypatch.setattr(dynamics, "_phi_block",
+                            lambda name, X: names.append(name) or phi(name, X))
+        pols = Counting(Policy("affine", {"gain": -0.3}),
+                        Policy("affine", {"gain": -0.2, "gain_lead": 0.4}))
+        rng = np.random.default_rng(3)
+        R, P, m, z0 = 2, 4, self.GRID.forward_steps, self.GRID.zero_index
+        inputs = [rng.standard_normal(shape) for shape in
+                  ((R, z0 + 1, 1), (R, P, 1), (R, m, 1), (R, P, m, 1))]
+        _euler(model, pols, *inputs, np.full((R, P), self.GRID.h))
+        assert calls == (["leader_value", "follower_value"] * m if live
+                         else [])
+        assert names == (["tanh_mean"] * m if live else [])
+        x = np.zeros((R, P, 1))
+        assert isinstance(model.coefficients.sigma0(x, {}, None), float)
+        assert isinstance(model.coefficients.sigma1(x, {}, x), float) \
+            is not live

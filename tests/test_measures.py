@@ -483,6 +483,36 @@ class TestEmpiricalRateCurve:
         with pytest.raises(ParameterError):
             empirical_rate_curve(dim, Ns, reps, seed=3)
 
+    @pytest.mark.parametrize("dim, Ns, reps, message", [
+        (2, [8.5, 16], 3, "every N must be an integer, got 8.5"),
+        (2, [8, 16.0], 3, "every N must be an integer, got 16.0"),
+        (2, [8, True], 3, "every N must be an integer, got True"),
+        (2, [8, 16], 2.5, "every replication count must be an integer, "
+                          "got 2.5"),
+        (2, [8, 16], "3", "every replication count must be an integer, "
+                          "got '3'"),
+        (3, [8, 16], [3, 4.0], "every replication count must be an "
+                               "integer, got 4.0"),
+        (2.0, [8, 16], 3, "dim must be an integer, got 2.0"),
+        # the range messages stay as they were
+        (0, [8, 16], 3, "dim must be >= 1, got 0"),
+        (2, [8, 0], 3, "every N must be >= 1, got 0"),
+        (3, [8, 16], [3, 1], "every replication count must be >= 2, got 1"),
+    ])
+    def test_non_integers_are_parameter_errors(self, dim, Ns, reps, message):
+        with pytest.raises(ParameterError) as info:
+            empirical_rate_curve(dim, Ns, reps, seed=3)
+        assert str(info.value) == message
+
+    def test_numpy_integers_give_the_bytes_of_ints(self):
+        want = np.array(empirical_rate_curve(2, [8, 16], [3, 4], seed=9))
+        got = np.array(empirical_rate_curve(
+            np.int64(2), np.array([8, 16]), np.array([3, 4]), seed=9))
+        assert got.tobytes() == want.tobytes()
+        got = np.array(empirical_rate_curve(2, (8, 16), np.int64(3), seed=9))
+        assert got.tobytes() == np.array(
+            empirical_rate_curve(2, [8, 16], 3, seed=9)).tobytes()
+
     def test_shapes_and_positivity(self):
         means, stderrs = empirical_rate_curve(1, [8, 16], reps=5, seed=3)
         assert means.shape == (2,) and stderrs.shape == (2,)
