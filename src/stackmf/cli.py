@@ -79,7 +79,7 @@ from .errors import (
     ParameterError,
     StackmfError,
 )
-from .meanfield import _SOLVER_RULES, _partition_level
+from .meanfield import _SOLVER_RULES, _check_particles, _partition_level
 from .rates import (
     _BLOCK,
     EpsilonReport,
@@ -93,18 +93,15 @@ from .rates import (
     wasserstein_gap_curve,
     _RULES,
     _check_regime,
-    _time_index,
 )
 
 _KINDS = ("state_gap", "wasserstein_gap", "cost_gap", "epsilon_nash",
           "eta_orthogonality")
 _GAP_KINDS = _KINDS[:3]
 _EXTRA_KEYS = {
-    **dict.fromkeys(_GAP_KINDS, ("slope_tol", "partition_level", "max_iter",
-                                 "damping")),
+    **dict.fromkeys(_GAP_KINDS, ("slope_tol", "partition_level", "max_iter")),
     "epsilon_nash": ("kappa", "gamma", "deviations"),
-    "eta_orthogonality": ("panels", "leader_paths", "time_index",
-                          "max_iter", "damping"),
+    "eta_orthogonality": ("panels", "leader_paths", "max_iter"),
 }
 CSV_COLUMNS = ("scenario", "N", "reps", "gap_mean", "gap_stderr", "quantity",
                "slope", "slope_stderr", "predicted_exponent", "verdict")
@@ -431,9 +428,6 @@ def _experiment_rules(config: ScenarioConfig, objects: dict, check) -> None:
     run = {name: p.default for name, p in params.items()} | args
     regime = args.get("regime")
     regime_ok = regime is None or check("regime", _check_regime, regime)
-    if grid is not None and "time_index" in params:
-        check("extras.time_index", _time_index, run["time_index"],
-              grid.forward_steps)
     Ns = config.Ns
     sized = Ns and all(_is_int(n) for n in Ns) \
         and ("N" not in params or len(Ns) == 1)        # else a shape rule
@@ -444,15 +438,20 @@ def _experiment_rules(config: ScenarioConfig, objects: dict, check) -> None:
                                   "seed": config.seed, **args}.items()
               if name in rules and (sized or name not in ("N", "Ns"))}
     # the q rules of an experiment that solves the conditional law, one
-    # line at most: the balanced partition level first
+    # line at most: the balanced partition level first.  Then the particle
+    # cap of its solves, under the level when a gap kind cuts a uniform law
     if "K" not in params or model is None or law is None or not sized \
             or not all(passed.get(name, True)
                        for name in ("N", "Ns", "partition_level")):
         return
     level = [run["partition_level"]] if "partition_level" in params else []
-    if check("q", _partition_level, law, model, Ns[0], *level) \
-            and regime is not None and regime_ok:
+    if not check("q", _partition_level, law, model, Ns[0], *level):
+        return
+    if regime is not None and regime_ok:
         check("q", _check_regime, regime, model.q)
+    if passed["K"]:
+        check("extras.partition_level" if level and law.kind == "uniform"
+              else "K", _check_particles, law, model, Ns, run["K"], *level)
 
 
 def build_objects(config: ScenarioConfig):

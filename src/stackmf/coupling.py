@@ -112,11 +112,12 @@ def mixture_w2_upper_bound(coupling: MixtureCoupling,
     return float(np.sum(coupling.pihat * d))
 
 
-def verify_mixture_convexity(mus, nus, lambdas, support_cap: int = 512):
+def verify_mixture_convexity(mus, nus, lambdas):
     """Return (lhs, rhs) of the mixture convexity inequality.
 
     lhs = W2^2 between the two lambda-mixtures (exact LP); rhs is the
     lambda-average of componentwise W2^2.  Callers assert lhs <= rhs + 1e-9.
+    Supports, mixtures included, are capped at ``w2_exact_lp``'s 512 points.
     """
     mus = list(mus)
     nus = list(nus)
@@ -125,10 +126,9 @@ def verify_mixture_convexity(mus, nus, lambdas, support_cap: int = 512):
     lams = np.asarray(lambdas, dtype=float).ravel()
     mix_mu = mixture(mus, lams)
     mix_nu = mixture(nus, lams)
-    lhs = w2_exact_lp(mix_mu, mix_nu, support_cap=support_cap)[0] ** 2
-    rhs = float(sum(
-        lam * w2_exact_lp(m, n, support_cap=support_cap)[0] ** 2
-        for lam, m, n in zip(lams, mus, nus)))
+    lhs = w2_exact_lp(mix_mu, mix_nu)[0] ** 2
+    rhs = float(sum(lam * w2_exact_lp(m, n)[0] ** 2
+                    for lam, m, n in zip(lams, mus, nus)))
     return lhs, rhs
 
 

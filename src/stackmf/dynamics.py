@@ -90,6 +90,13 @@ def _check_rules(rules: Mapping, args: Mapping) -> None:
             raise ParameterError(f"{name} must be {text}, got {value!r}")
 
 
+def _seed(seed) -> int:
+    """An integer seed as an int; ParameterError unless ``_SEED_RULES``
+    holds, so that no float or bool is cast."""
+    _check_rules(_SEED_RULES, {"seed": seed})
+    return int(seed)
+
+
 def _family_params(label: str, table, family, params, text=()) -> dict:
     """The params of a {family, params} spec as a new dict, every value a
     finite float but those named in text.  A family not in table, params
@@ -660,7 +667,7 @@ class TrajectoryBundle:
 def _as_generator(seed, *key):
     if isinstance(seed, np.random.Generator):
         return seed
-    return generator(int(seed), *key)
+    return generator(_seed(seed), *key)
 
 
 def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed,
@@ -717,15 +724,15 @@ def sample_delays(law: DelayLaw, N: int, seed) -> np.ndarray:
     """N i.i.d. draws from the delay law.
 
     Follower i takes row i of the DELAY block (see ``SharedNoise.rows``),
-    which makes the draws permutation-equivariant under relabeling; an
-    integer seed is read as ``SharedNoise(seed)``.  A point mass needs no
-    randomness and derives no stream.
+    which makes the draws permutation-equivariant under relabeling; seed
+    is a SharedNoise or an integer >= 0, read as ``SharedNoise(seed)``.  A
+    point mass needs no randomness and derives no stream.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
+    noise = seed if isinstance(seed, SharedNoise) else SharedNoise(_seed(seed))
     if law.a == law.b:
         return np.full(N, law.a)
-    noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
     u = noise.rows(DELAY, N, lambda rng, n: rng.random(n))
     return np.asarray(law.quantile(u), dtype=float)
 
@@ -910,7 +917,7 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
                      draws: Draws | None = None) -> TrajectoryBundle:
     """Explicit Euler simulation of the leader and N delayed followers.
 
-    seed: integer master seed or a SharedNoise.  draws: the random inputs
+    seed: integer master seed >= 0 or a SharedNoise.  draws: the random inputs
     of exactly these N followers (see ``Draws``); when None they are drawn
     from the streams of seed.  Stacked draws (``Draws.stack``) run R
     replications in one call and give a bundle with a leading axis R; seed
@@ -923,7 +930,8 @@ def simulate_nplayer(model: ModelSpec, policies: PolicySet, N: int,
         raise ValidationError(f"need at least 2 followers, got {N}")
     _check_lag_span(delay_law.b, model.grid)
     if draws is None:
-        noise = seed if isinstance(seed, SharedNoise) else SharedNoise(int(seed))
+        noise = seed if isinstance(seed, SharedNoise) \
+            else SharedNoise(_seed(seed))
         draws = Draws.sample(model, delay_law, noise, N)
     elif draws.N != N:
         raise ValidationError(f"draws hold {draws.N} followers, not N={N}")

@@ -1,13 +1,14 @@
 """Particle solver for the limiting system.
 
 The conditional law flow z is represented by per-delay-atom particle clouds
-conditioned on one leader noise realization, found by damped Picard
-iteration on the fixed-point property: simulate the leader and K follower
-particles per atom under the current flow's features, read off the new
-empirical features, repeat until the sup-in-time W2 discrepancy between
-successive iterates is below tolerance.  The particle noise ensemble is
-frozen across iterations, so the iteration is a deterministic map and the
-discrepancy can reach machine scale instead of a Monte-Carlo floor.
+conditioned on one leader noise realization, found by Picard iteration on
+the fixed-point property: simulate the leader and K follower particles per
+atom under the current flow's features, read off the new empirical
+features, repeat until the sup-in-time W2 discrepancy between successive
+iterates is below tolerance.  The particle noise ensemble is frozen across
+iterations, so the iteration is a deterministic map and the discrepancy can
+reach machine scale instead of a Monte-Carlo floor.  A discrepancy that
+overflows is a divergence.  Experiments cap a solve at ``_MAX_PARTICLES``.
 
 Both the Picard solver and the limit twin step through the one Euler
 stepper of ``dynamics`` (``_euler``), fed with the flow's feature
@@ -38,10 +39,12 @@ from .dynamics import (
     _leader_draws,
     _path_costs,
     _phi_block,
+    _seed,
     draw_follower_initial,
     snap_delays_to_grid,
 )
-from .errors import ParameterError, ValidationError
+from .errors import (CapacityError, ParameterError, SimulationDivergedError,
+                     ValidationError)
 from .measures import DiscreteMeasure, _w2_or_inf, rate_f, w2_exact_1d
 
 _WEIGHT_TOL = 1e-12
@@ -52,8 +55,10 @@ _SOLVER_RULES = {
     "K": _at_least(100),
     "tol": ("a positive finite real", lambda v: _is_real(v) and 0 < v < math.inf),
     "max_iter": _at_least(1),
-    "damping": ("a real in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1),
 }
+# the most particles (delay atoms x K) one solve steps: 32 times the
+# largest preset's two atoms x K = 4,096
+_MAX_PARTICLES = 2 ** 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,6 +177,18 @@ def _partition_for(law: DelayLaw, model: ModelSpec, N: int, *level):
                                                            *level)))
 
 
+def _check_particles(law: DelayLaw, model: ModelSpec, Ns, K, *level) -> None:
+    """CapacityError when a limit solve for a size in Ns steps more than
+    ``_MAX_PARTICLES`` particles: K for each atom of a discrete law, or for
+    each cell of a uniform law at ``_partition_level``, before any is cut."""
+    atoms = max(_partition_level(law, model, N, *level) or len(law.atoms)
+                for N in Ns)
+    if atoms * K > _MAX_PARTICLES:
+        raise CapacityError(
+            f"{atoms} delay atoms x K = {K} make {atoms * K} particles per "
+            f"solve, above the cap of {_MAX_PARTICLES}")
+
+
 # ---------------------------------------------------------------------------
 # forward simulation under a prescribed feature flow
 
@@ -191,18 +208,20 @@ def _features_of_clouds(particles, weights, names):
 def solve_conditional_law(model: ModelSpec, policies: PolicySet,
                           delay_partition, leader_noise_seed: int, K: int,
                           tol: float = 1e-3, max_iter: int = 25,
-                          damping: float = 1.0,
                           draws: Draws | None = None):
-    """Damped Picard iteration for the conditional law flow.
+    """Picard iteration for the conditional law flow: each iterate steps
+    the particles under the features of the one before.
 
     Returns (ConditionalLawFlow, FixedPointReport); non-convergence is
-    reported, not raised.  One leader noise realization is fixed by
-    leader_noise_seed, or by the leader part of `draws` when given (drawn
+    reported, not raised.  A discrepancy that is not finite raises
+    SimulationDivergedError at the forward step of its first such
+    sub-time.  One leader noise realization is fixed by leader_noise_seed,
+    an integer >= 0, or by the leader part of `draws` when given (drawn
     from SharedNoise(leader_noise_seed) by the caller); particle initials
     and noises are drawn once and reused across iterations.
     """
-    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
-                                     damping=damping))
+    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter))
+    noise = SharedNoise(_seed(leader_noise_seed))
     atoms = np.array([a for a, _ in delay_partition], dtype=float)
     weights = np.array([w for _, w in delay_partition], dtype=float)
     if atoms.size == 0 or np.any(weights < 0) \
@@ -211,7 +230,6 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     atoms = snap_delays_to_grid(atoms, model.grid)
     _check_lag_span(atoms.max(), model.grid)
 
-    noise = SharedNoise(int(leader_noise_seed))
     grid = model.grid
     m = grid.forward_steps
     n_atoms = atoms.size
@@ -261,25 +279,24 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
     clouds_old = sub_clouds(parts_old)
 
     discrepancies = []
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        new_feats = _features_of_clouds(parts_old, weights, names)
-        applied = {name: damping * new_feats[name] + (1.0 - damping) * applied[name]
-                   for name in applied}
-        leader_path, parts_new = simulate(applied)
+    for _ in range(max_iter):
+        leader_path, parts_new = simulate(
+            _features_of_clouds(parts_old, weights, names))
         clouds_new = sub_clouds(parts_new)
         disc = 0.0
-        for a, b in zip(clouds_new, clouds_old):
+        for k, a, b in zip(sub_times, clouds_new, clouds_old):
             mu, nu = DiscreteMeasure(a, uniform), DiscreteMeasure(b, uniform)
             # squared distances that overflow read as an infinite distance
-            disc = max(disc, w2_exact_1d(mu, nu) if model.n1 == 1
-                       else _w2_or_inf(mu, nu)[0])
+            w2 = w2_exact_1d(mu, nu) if model.n1 == 1 \
+                else _w2_or_inf(mu, nu)[0]
+            if not math.isfinite(w2):
+                raise SimulationDivergedError(
+                    int(k), f"non-finite Picard discrepancy at forward "
+                            f"step {k}")
+            disc = max(disc, w2)
         discrepancies.append(float(disc))
         parts_old, clouds_old = parts_new, clouds_new
-        iterations = it
         if disc <= tol:
-            converged = True
             break
 
     features = _features_of_clouds(parts_old, weights,
@@ -289,8 +306,8 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         leader_path=leader_path, leader_seed=int(leader_noise_seed),
         features=features)
     report = FixedPointReport(
-        iterations=iterations, discrepancies=tuple(discrepancies),
-        converged=converged, tol=float(tol))
+        iterations=len(discrepancies), discrepancies=tuple(discrepancies),
+        converged=discrepancies[-1] <= tol, tol=float(tol))
     return flow, report
 
 

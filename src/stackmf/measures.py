@@ -31,6 +31,8 @@ from .errors import (CapacityError, DimensionError, ParameterError,
 
 WEIGHT_TOL = 1e-12
 MARGINAL_TOL = 1e-10
+# points of the dimension-1 rate curve's reference sample, per point of max(Ns)
+_REF_RATIO = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,11 +382,11 @@ def w2sq_uniform_samples(x: np.ndarray, y: np.ndarray) -> float:
 # empirical-measure rate experiment
 
 
-def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20):
+def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0):
     """Monte-Carlo means of W2^2 between Gaussian empirical measures along Ns.
 
     dim == 1 compares against one fixed high-resolution reference sample
-    (ref_ratio * max(Ns) points, exact quantile coupling).  Higher dimensions
+    (_REF_RATIO * max(Ns) points, exact quantile coupling).  Higher dimensions
     use the equal-size independent-two-sample statistic solved by exact
     assignment, which shares the N-scaling of the one-sample quantity;
     a fixed reference of the mandated ratio is not exactly computable there.
@@ -422,7 +424,7 @@ def empirical_rate_curve(dim: int, Ns, reps, seed: int = 0, ref_ratio: int = 20)
     from ._rng import generator
 
     if dim == 1:
-        ref = np.sort(generator(seed, 0).standard_normal(ref_ratio * max(Ns)))
+        ref = np.sort(generator(seed, 0).standard_normal(_REF_RATIO * max(Ns)))
     samples = []
     for k, (N, R) in enumerate(zip(Ns, reps)):
         gen = generator(seed, 1, k)

@@ -52,6 +52,7 @@ from .errors import (
 from .meanfield import (
     ConditionalLawFlow,
     _SOLVER_RULES,
+    _check_particles,
     _partition_for,
     evaluate_costs_limit,
     simulate_limit_pair,
@@ -399,7 +400,7 @@ def _check_failures(flags, reps):
 
 def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
                     Ns, reps: int, K: int, seed, scenario, regime, tol,
-                    max_iter, damping, partition_level, slope_tol, threads,
+                    max_iter, partition_level, slope_tol, threads,
                     *, kind: str, curve_names, quantity: str,
                     rate_quantity: str, nplayer: bool, twin_size, measure,
                     twin_costs: bool = False) -> GapReport:
@@ -423,9 +424,9 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     _check_rules(_RULES[kind], dict(Ns=Ns, reps=reps, slope_tol=slope_tol,
                                     partition_level=partition_level,
                                     seed=seed))
-    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
-                                     damping=damping))
+    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter))
     _check_lag_span(delay_law.b, model.grid)
+    _check_particles(delay_law, model, Ns, K, partition_level)
     parts = {N: _partition_for(delay_law, model, N, partition_level)
              for N in Ns}
     pred = rate = None
@@ -445,7 +446,7 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
             for r, noise in enumerate(noises):
                 flow, rep = solve_conditional_law(
                     model, policies, key, noise.entropy, K, tol=tol,
-                    max_iter=max_iter, damping=damping, draws=samples[r])
+                    max_iter=max_iter, draws=samples[r])
                 # all the twin reads of a flow; the particles can go
                 flows.append(types.SimpleNamespace(
                     leader_seed=flow.leader_seed, features=flow.features)
@@ -486,7 +487,7 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
                          delay_law: DelayLaw, Ns, reps: int, K: int, seed,
                          *, scenario: str = "state-gap", regime=None,
                          tol: float = 1e-3, max_iter: int = 25,
-                         damping: float = 1.0, partition_level="auto",
+                         partition_level="auto",
                          slope_tol: float = _SDE_SLOPE_TOL,
                          threads: int = 1) -> GapReport:
     """Squared S2-norm gaps between the N-player game and its limit twin.
@@ -509,7 +510,7 @@ def state_gap_experiment(model: ModelSpec, policies: PolicySet,
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
-        max_iter, damping, partition_level, slope_tol, threads,
+        max_iter, partition_level, slope_tol, threads,
         kind="state_gap",
         curve_names=("leader_sq_gap", "follower_sq_gap", "squared_state_gap"),
         quantity="squared_state_gap", rate_quantity="squared_state_gap",
@@ -520,7 +521,7 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
                           delay_law: DelayLaw, Ns, reps: int, K: int, seed,
                           *, scenario: str = "w2-curve", regime=None,
                           tol: float = 1e-3, max_iter: int = 25,
-                          damping: float = 1.0, partition_level="auto",
+                          partition_level="auto",
                           slope_tol: float = _MEASURE_SLOPE_TOL,
                           threads: int = 1) -> GapReport:
     """E integral of W2^2 between the empirical measure of N-1 i.i.d. limit
@@ -539,7 +540,7 @@ def wasserstein_gap_curve(model: ModelSpec, policies: PolicySet,
     # the W2^2 term carries one power of f(N-1)
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
-        max_iter, damping, partition_level, slope_tol, threads,
+        max_iter, partition_level, slope_tol, threads,
         kind="wasserstein_gap", curve_names=("w2_time_integral",),
         quantity="w2_time_integral",
         rate_quantity="squared_state_gap", nplayer=False,
@@ -550,7 +551,7 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
                         delay_law: DelayLaw, Ns, reps: int, K: int, seed,
                         *, scenario: str = "cost-gap", regime=None,
                         tol: float = 1e-3, max_iter: int = 25,
-                        damping: float = 1.0, partition_level="auto",
+                        partition_level="auto",
                         slope_tol: float = _SDE_SLOPE_TOL,
                         threads: int = 1) -> GapReport:
     """|J^{i,N} - J^i| and |J^{0,N} - J^0| on synchronously coupled runs.
@@ -570,7 +571,7 @@ def cost_gap_experiment(model: ModelSpec, policies: PolicySet,
 
     return _gap_experiment(
         model, policies, delay_law, Ns, reps, K, seed, scenario, regime, tol,
-        max_iter, damping, partition_level, slope_tol, threads,
+        max_iter, partition_level, slope_tol, threads,
         kind="cost_gap", curve_names=("cost_gap", "leader_cost_gap"),
         quantity="cost_gap",
         rate_quantity="cost_gap", nplayer=True, twin_size=lambda N: N,
@@ -727,38 +728,27 @@ def epsilon_nash_certify(model: ModelSpec, profile: PolicySet,
 # ---------------------------------------------------------------------------
 # orthogonality diagnostic
 
-def _time_index(time_index, m: int) -> int:
-    """The forward step that the orthogonality check reads: time_index, or
-    m // 2 when it is None.  ParameterError unless an integer in [0, m]."""
-    s = m // 2 if time_index is None else time_index
-    if not (_is_int(s) and 0 <= s <= m):
-        raise ParameterError(f"time_index must be None or an integer in "
-                             f"[0, {m}], got {time_index!r}")
-    return int(s)
-
-
 def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
                             delay_law: DelayLaw, N: int, panels: int,
                             leader_paths: int, K: int, seed,
-                            *, time_index=None, scenario: str = "eta",
+                            *, scenario: str = "eta",
                             tol: float = 1e-3, max_iter: int = 25,
-                            damping: float = 1.0,
                             threads: int = 1) -> EtaReport:
     """Monte-Carlo check that centered interaction kernels of i.i.d. limit
     followers are conditionally uncorrelated given the leader path.
 
     Estimates lhs = E[(mean over N-1 followers of eta)^2] and
     rhs = E[|eta|^2]/(N-1), where eta is the interaction kernel evaluated
-    at one fixed grid time and centered per leader path; their ratio is
-    near 1 exactly when the cross terms vanish.
+    at the middle forward step m // 2 and centered per leader path; their
+    ratio is near 1 exactly when the cross terms vanish.
     """
     _check_rules(_RULES["eta_orthogonality"], dict(
         family=model.coefficients.family, N=N, panels=panels,
         leader_paths=leader_paths, seed=seed))
-    s = _time_index(time_index, model.grid.forward_steps)
-    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter,
-                                     damping=damping))
+    _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter))
     _check_lag_span(delay_law.b, model.grid)
+    _check_particles(delay_law, model, [N], K)
+    s = model.grid.forward_steps // 2
     kernel = model.coefficients.params["kernel"]
     part = _partition_for(delay_law, model, N)
 
@@ -768,7 +758,7 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
         draws = Draws.sample(model, delay_law, noise, panels * (N - 1))
         flow, rep = solve_conditional_law(
             model, policies, part, noise.entropy, K,
-            tol=tol, max_iter=max_iter, damping=damping, draws=draws)
+            tol=tol, max_iter=max_iter, draws=draws)
         _, x1 = simulate_limit_pair(
             model, policies, flow, noise, draws.delays, draws)
         vals = _phi_block(kernel, x1[:, s, :])

@@ -30,8 +30,10 @@ from stackmf.cli import (
     save_config,
     validate_config,
 )
-from stackmf.errors import ConfigError, ExperimentInvalidError, StackmfError
+from stackmf.errors import (CapacityError, ConfigError, ExperimentInvalidError,
+                            StackmfError)
 from stackmf.rates import eta_orthogonality_check
+from test_golden import ALL_CASES, case_config
 
 
 def small_state_gap() -> ScenarioConfig:
@@ -74,7 +76,11 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_presets_all_valid(self):
-        for name, cfg in presets().items():
+        # the presets, the golden cases and the acceptance run's config
+        configs = {**presets(), **{f"golden {name}": case_config(name)
+                                   for name in ALL_CASES},
+                   "small_state_gap": small_state_gap()}
+        for name, cfg in configs.items():
             assert validate_config(cfg) == [], name
 
     def test_state_gap_presets_valid_as_the_w2_kind(self):
@@ -204,21 +210,46 @@ class TestValidation:
         assert any("capped" in e for e in validate_config(
             dataclasses.replace(cfg, Ns=[128])))
 
-    def test_eta_time_index_within_forward_grid(self, tmp_path):
-        cfg = presets()["eta-orthogonality-n64"]
-        m = round(cfg.model["T"] / cfg.model["h"])
-        for ti, valid in ((0, True), (m, True), (m + 1, False),
-                          (999, False)):
-            errs = validate_config(dataclasses.replace(
-                cfg, extras=dict(cfg.extras, time_index=ti)))
-            assert (errs == []) == valid, (ti, errs)
-            assert all(e.startswith("extras.time_index:") for e in errs)
+    @pytest.mark.parametrize("name, key", [
+        ("eta-orthogonality-n64", "time_index"),
+        ("eta-orthogonality-n64", "damping"),
+        ("uniform-delay-n1-1", "damping")])
+    def test_fixed_solver_settings_are_not_extras(self, name, key, tmp_path):
+        # the Picard update takes the new features whole and the eta check
+        # reads forward step m // 2; neither is a setting, not even at a
+        # value the run used to accept
+        cfg = presets()[name]
+        cfg = dataclasses.replace(cfg, extras=dict(cfg.extras, **{key: 1}))
+        line = f"extras.{key}: not recognized for kind {cfg.kind!r}"
+        assert validate_config(cfg) == [line]
         buf = io.StringIO()
-        rc = run_experiment(dataclasses.replace(
-            cfg, extras=dict(cfg.extras, time_index=999)),
-            out_dir=tmp_path / "eta", stream=buf)
-        assert rc == 2
-        assert "invalid-config: extras.time_index" in buf.getvalue()
+        assert run_experiment(cfg, out_dir=tmp_path / "x", stream=buf) == 2
+        assert buf.getvalue() == f"invalid-config: {line}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_particle_cap_of_one_solve(self, tmp_path):
+        # 10,000 uniform cells of K = 1,024 particles: 10.24 M a solve
+        cfg = presets()["uniform-delay-n1-1"]
+        big = dataclasses.replace(
+            cfg, extras=dict(cfg.extras, partition_level=10_000))
+        line = (f"extras.partition_level: CapacityError: 10000 delay atoms x "
+                f"K = {cfg.K} make {10_000 * cfg.K} particles per solve, "
+                f"above the cap of 262144")
+        assert validate_config(big) == [line]
+        buf = io.StringIO()
+        assert run_experiment(big, out_dir=tmp_path / "u", stream=buf) == 2
+        assert buf.getvalue() == f"invalid-config: {line}\n"
+        model, policies, law = build_objects(cfg)
+        with pytest.raises(CapacityError, match="10000 delay atoms"):
+            rates.state_gap_experiment(model, policies, law, big.Ns, big.reps,
+                                       big.K, big.seed, partition_level=10_000)
+        # a discrete law's atoms are fixed, so K takes the report; the cap
+        # itself is allowed
+        two = presets()["two-atom-delay-n1-1"]
+        assert validate_config(dataclasses.replace(two, K=2 ** 17)) == []
+        assert validate_config(dataclasses.replace(two, K=2 ** 17 + 1)) == [
+            "K: CapacityError: 2 delay atoms x K = 131073 make 262146 "
+            "particles per solve, above the cap of 262144"]
 
     @pytest.mark.parametrize("name, changes", [
         ("uniform-delay-n1-1", {}),
@@ -555,11 +586,13 @@ class TestRunExperiment:
                             ("two-atom-delay-n1-1", 0.25, 2),
                             ("uniform-delay-n1-1", 0.25, 2)]])
     def test_w2_overflow_is_a_typed_divergence(self, name, T, n1, tmp_path):
-        # finite follower states too far apart to square: the W2 integral
-        # overflows at forward step 0; at n1 = 2 the Picard stopping rule
-        # reads the overflow as an infinite discrepancy and the per-step LP
-        # route stops at that step.  The state-gap presets run as the W2
-        # kind, the one that measures the integral, for both laws at both n1
+        # finite follower states too far apart to square.  At n1 = 1 the
+        # Picard iterates pair by quantile, stay close and converge, and the
+        # W2 integral overflows at forward step 0.  At n1 = 2 the Picard
+        # stopping rule squares every pair first: its discrepancy overflows
+        # at forward step 0, a divergence of the first solve.  The state-gap
+        # presets run as the W2 kind, the one that measures the integral,
+        # for both laws at both n1
         base = presets()[name]
         cfg = dataclasses.replace(
             base, kind="wasserstein_gap", Ns=[4, 8, 16], reps=50, K=128,
@@ -572,13 +605,18 @@ class TestRunExperiment:
                             parse_constant=self.reject_constant)
         assert report["status"] == "invalid"
         assert report["error_type"] == "SimulationDivergedError"
-        assert report["reason"] == "non-finite W2 integral at forward step 0"
+        picard = "non-finite Picard discrepancy at forward step 0"
+        assert report["reason"] == ("non-finite W2 integral at forward step 0"
+                                    if n1 == 1 else picard)
         if base.kind == "state_gap":
-            # the state gaps of the same config still end in strict JSON
+            # the state gaps of the same config still end in strict JSON,
+            # at n1 = 2 as the same divergence of the Picard solve
             cfg = dataclasses.replace(cfg, kind="state_gap")
             run_experiment(cfg, out_dir=tmp_path / "s", stream=io.StringIO())
-            json.loads((tmp_path / "s" / "report.json").read_text(),
-                       parse_constant=self.reject_constant)
+            report = json.loads((tmp_path / "s" / "report.json").read_text(),
+                                parse_constant=self.reject_constant)
+            if n1 == 2:
+                assert report["reason"] == picard
 
     def test_oversized_grid_is_a_config_error(self, tmp_path):
         # numpy cannot allocate a grid of 4e161 steps; the grid says so
@@ -593,22 +631,29 @@ class TestRunExperiment:
         assert not (tmp_path / "g").exists()
 
     def test_overflow_ends_typed_without_warnings(self, tmp_path):
-        # the squares of the W2 routes, of the state gaps and of the
-        # standard error overflow; each site expects it
-        cfg = small_state_gap()
-        cfg = dataclasses.replace(cfg, K=128, model=dict(
-            cfg.model, T=0.25, params=dict(cfg.model["params"], k1=1e160)))
-        reasons = []
-        for action in ("default", "error"):
-            with warnings.catch_warnings():
-                warnings.simplefilter(action)
-                assert run_experiment(cfg, out_dir=tmp_path / action,
-                                      stream=io.StringIO()) == 2
-            report = json.loads((tmp_path / action / "report.json").read_text())
-            reasons.append((report["error_type"], report["reason"]))
-        assert reasons[0] == reasons[1]
-        assert reasons[0][0] == "ExperimentInvalidError"
-        assert reasons[0][1].startswith("non-finite value in the report")
+        # at k1 = 1e150 the squares of the state gaps and of the standard
+        # error overflow; at 1e160 those of the Picard discrepancy overflow
+        # first.  Each site expects it
+        for k1, error_type, reason in (
+                (1e150, "ExperimentInvalidError",
+                 "non-finite value in the report"),
+                (1e160, "SimulationDivergedError",
+                 "non-finite Picard discrepancy at forward step 2")):
+            cfg = small_state_gap()
+            cfg = dataclasses.replace(cfg, K=128, model=dict(
+                cfg.model, T=0.25, params=dict(cfg.model["params"], k1=k1)))
+            reasons = []
+            for action in ("default", "error"):
+                out = tmp_path / f"{k1}-{action}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action)
+                    assert run_experiment(cfg, out_dir=out,
+                                          stream=io.StringIO()) == 2
+                report = json.loads((out / "report.json").read_text())
+                reasons.append((report["error_type"], report["reason"]))
+            assert reasons[0] == reasons[1]
+            assert reasons[0][0] == error_type
+            assert reasons[0][1].startswith(reason)
 
     @staticmethod
     def reject_constant(token):

@@ -105,6 +105,8 @@ def make_model(grid=None, family="linear_quadratic", params=None, feats=(),
 
 
 ZERO_POLICIES = PolicySet(Policy("zero"), Policy("zero"))
+# seeds that are not integers >= 0; int() would take the first two
+BAD_SEEDS = (2.5, True, -1, "3", None)
 
 
 class TestTimeGrid:
@@ -244,9 +246,18 @@ class TestSampleDelays:
         DelayLaw.discrete([0.1, 0.2, 0.4], [0.2, 0.3, 0.5]),
         DelayLaw.uniform(0.1, 0.4)], ids=["discrete", "uniform"])
     def test_integer_seed_draws_the_shared_noise_block(self, law):
-        for seed in (0, 7, 2 ** 40):
+        for seed in (0, 7, 2 ** 40, np.int64(7)):
             assert sample_delays(law, 300, seed).tobytes() == sample_delays(
                 law, 300, SharedNoise(seed)).tobytes()
+
+    @pytest.mark.parametrize("law", [
+        DelayLaw.uniform(0.1, 0.4), DelayLaw.degenerate(0.125)],
+        ids=["uniform", "point-mass"])
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_must_be_a_nonnegative_integer(self, law, seed):
+        # not cast: 2.5 would draw seed 2's delays
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sample_delays(law, 3, seed)
 
 
 class TestSnapDelays:
@@ -285,6 +296,12 @@ class TestInitialLeaderPath:
             g, "ou_path", {"theta": 2.0, "vol": 0.0, "start": 5.0}, 0)
         ts = np.arange(9) * 0.125
         assert np.abs(path[:, 0] - 5.0 * np.exp(-2.0 * ts)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        g = TimeGrid(-0.5, 1.0, 0.125)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sample_initial_leader_path(g, "ou_path", {}, seed)
 
     def test_scaled_brownian_increment_variance(self):
         # E|xi(t) - xi(s)|^2 = sigma^2 |t - s| over 10^4 samples within 5%
@@ -515,6 +532,17 @@ class TestSimulateNPlayer:
         b = simulate_nplayer(model, ZERO_POLICIES, 10_000, DelayLaw.degenerate(0.0), 5)
         var = b.follower_paths[:, -1, 0].var()
         assert abs(var - 0.25) < 0.05 * 0.25
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # not cast: 1.7 would run seed 1's paths
+        model = make_model(params={"s1": 1.0})
+        law = DelayLaw.uniform(0.0, 0.125)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            simulate_nplayer(model, ZERO_POLICIES, 4, law, seed)
+        a = simulate_nplayer(model, ZERO_POLICIES, 4, law, SharedNoise(1))
+        b = simulate_nplayer(model, ZERO_POLICIES, 4, law, np.int64(1))
+        assert a.follower_paths.tobytes() == b.follower_paths.tobytes()
 
     def test_needs_two_followers(self):
         model = make_model()

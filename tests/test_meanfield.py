@@ -216,15 +216,40 @@ class TestSolveConditionalLaw:
             solve_conditional_law(model, ZERO_POLICIES, [(0.0, 1.0)], 3, K=100)
         assert err.value.step >= 0
 
+    @pytest.mark.parametrize("n1, converged", [(1, True), (2, False)])
+    def test_overflowing_discrepancy_is_a_typed_divergence(self, n1,
+                                                           converged):
+        # finite particles too far apart to square.  The quantile route of
+        # n1 = 1 pairs close iterates and converges; the pairwise costs of
+        # n1 > 1 overflow at forward step 0, which ends the solve typed
+        # instead of running max_iter iterations unconverged
+        model = make_model(n1=n1, follower_init={
+            "family": "normal", "params": {"scale": 1e160}})
+        part = [(0.0625, 0.5), (0.125, 0.5)]
+        if converged:
+            _, report = solve_conditional_law(model, ZERO_POLICIES, part, 3,
+                                              K=128)
+            assert report.converged
+            return
+        with pytest.raises(SimulationDivergedError,
+                           match="non-finite Picard discrepancy at forward "
+                                 "step 0") as err:
+            solve_conditional_law(model, ZERO_POLICIES, part, 3, K=128)
+        assert err.value.step == 0
+
     def test_parameter_guards(self):
         model = make_model()
         with pytest.raises(ParameterError):
             solve_conditional_law(model, ZERO_POLICIES, [(0.0, 1.0)], 0, K=50)
-        with pytest.raises(ParameterError):
-            solve_conditional_law(model, ZERO_POLICIES, [(0.0, 1.0)], 0, K=100,
-                                  damping=0.0)
         with pytest.raises(ValidationError):
             solve_conditional_law(model, ZERO_POLICIES, [(0.0, 0.5)], 0, K=100)
+
+    @pytest.mark.parametrize("seed", [2.9, True, -1])
+    def test_leader_seed_must_be_a_nonnegative_integer(self, seed):
+        # not cast: 2.9 would solve for seed 2 and record leader_seed 2
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            solve_conditional_law(make_model(), ZERO_POLICIES, [(0.0, 1.0)],
+                                  seed, K=100)
 
 
 class TestSimulateLimitPair:

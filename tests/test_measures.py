@@ -22,6 +22,7 @@ from stackmf.errors import (
     CapacityError,
     DimensionError,
     ParameterError,
+    SimulationDivergedError,
     ValidationError,
 )
 from stackmf.measures import (
@@ -446,6 +447,16 @@ class TestExactW2Errors:
         far[side] = uniform_on(pts)
         with pytest.raises(ValidationError, match="non-finite"):
             w2_exact_lp(*far)
+
+    @pytest.mark.parametrize("n1", [1, 2])   # quantile and LP routes
+    def test_overflowing_w2_integral_names_its_step(self, n1):
+        # finite points whose squares overflow from forward step 1 on
+        a = np.zeros((3, 4, n1))
+        a[0, 1:] = 1e200
+        b = np.ones((3, 4, n1))
+        with pytest.raises(SimulationDivergedError,
+                           match="non-finite W2 integral at forward step 1"):
+            measures._w2sq_integral(a, b, np.full(3, 1.0 / 3), 0.25, 4)
 
     @pytest.mark.parametrize("m", [3, 2])   # assignment and LP branches
     def test_one_cost_matrix_per_lp_call(self, m, monkeypatch):

@@ -176,9 +176,9 @@ _SEEDS = (-1, 0, 1.5, "x", True)
 _FIELDS = {
     "gap": {("reps",): _COUNTS, ("K",): _COUNTS, ("tol",): _REALS,
             ("q",): (2, 3, 4, 4.1), ("regime",): ("general", "x", None),
-            ("extras", "max_iter"): _COUNTS, ("extras", "damping"): _REALS,
-            ("extras", "slope_tol"): _REALS,
-            ("extras", "partition_level"): ("auto", "x", 0, 1, 3, 2.0, None),
+            ("extras", "max_iter"): _COUNTS, ("extras", "slope_tol"): _REALS,
+            ("extras", "partition_level"): ("auto", "x", 0, 1, 3, 2.0, None,
+                                            10_000),
             ("Ns",): ([2, 3, 4], [3, 8, 16], [4, 8], [4, 16, 8], [4, 8, 16]),
             ("seed",): _SEEDS},
     "epsilon_nash": {("reps",): _COUNTS, ("Ns",): ([1], [2], [64], [65]),
@@ -188,9 +188,7 @@ _FIELDS = {
         ("K",): _COUNTS, ("tol",): _REALS, ("q",): (2, 3, 4, 4.5),
         ("Ns",): ([1], [2], [16]), ("extras", "panels"): _COUNTS,
         ("extras", "leader_paths"): _COUNTS,
-        ("extras", "max_iter"): _COUNTS, ("extras", "damping"): _REALS,
-        ("extras", "time_index"): (None, 0, 16, 17, -1, 2.0, "x"),
-        ("seed",): _SEEDS},
+        ("extras", "max_iter"): _COUNTS, ("seed",): _SEEDS},
 }
 _LAWS = ({"family": "uniform", "lo": 0.0625, "hi": 0.125},
          {"family": "uniform", "lo": 0.0625, "hi": 0.25},
