@@ -679,6 +679,9 @@ def sample_initial_leader_path(grid: TimeGrid, family: str, params: dict, seed,
     (increment variance sigma^2 h per step by construction).
     """
     check_initial("leader", {"family": family, "params": params})
+    # checked before the constant family returns without drawing
+    if not isinstance(seed, np.random.Generator):
+        seed = _seed(seed)
     m = grid.zero_index
     out = np.empty((m + 1, dim))
     if family == "constant":

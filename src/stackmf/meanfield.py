@@ -14,7 +14,8 @@ Both the Picard solver and the limit twin step through the one Euler
 stepper of ``dynamics`` (``_euler``), fed with the flow's feature
 trajectories in place of empirical features; the Picard solver steps all
 n_atoms * K particles in one call, each with its atom's delay.  The stopping
-rule gathers an iterate's subsampled clouds once, then takes W2 per sub-time.
+rule gathers an iterate's subsampled clouds once, then takes W2 at the
+sub-times where it can be the maximum (``_picard_discrepancy``).
 """
 from __future__ import annotations
 
@@ -50,6 +51,10 @@ from .measures import DiscreteMeasure, _w2_or_inf, rate_f, w2_exact_1d
 _WEIGHT_TOL = 1e-12
 _DISCREPANCY_SUBGRID = 16
 _DISCREPANCY_SUPPORT = 256
+# below this squared bounding-box extent no squared distance overflows
+_FINITE_SQUARES = 1e300
+# relative slack for the rounding of both the coupling bound and W2
+_BOUND_MARGIN = 1e-9
 # the rules of the solver's arguments: name -> (text, test)
 _SOLVER_RULES = {
     "K": _at_least(100),
@@ -205,12 +210,51 @@ def _features_of_clouds(particles, weights, names):
     return out
 
 
+def _picard_discrepancy(clouds_new, clouds_old, sub_times) -> float:
+    """Max over sub-times of the exact W2 between two iterates' uniform
+    clouds (sub-times, n, n1).  Particle i of both steps the same draws, so
+    their root mean square displacement bounds W2; W2 is taken in
+    descending order of that bound while it can reach the maximum, or, when
+    squares may overflow, at every sub-time in time order, where the first
+    non-finite one raises SimulationDivergedError."""
+    n = clouds_new.shape[1]
+    uniform = np.full(n, 1.0 / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = np.concatenate((clouds_new, clouds_old), axis=1)
+        span = both.max(axis=1) - both.min(axis=1)     # (sub-times, n1)
+        diff = clouds_new - clouds_old
+        bound = np.sqrt(np.mean(np.sum(diff * diff, axis=2), axis=1))
+        if not np.all(np.sum(span * span, axis=1) < _FINITE_SQUARES):
+            bound = np.full(len(sub_times), math.inf)
+    disc = 0.0
+    for j in np.argsort(-bound, kind="stable"):
+        if bound[j] < disc * (1.0 - _BOUND_MARGIN):
+            break
+        mu = DiscreteMeasure(clouds_new[j], uniform)
+        nu = DiscreteMeasure(clouds_old[j], uniform)
+        # squared distances that overflow read as an infinite distance
+        w2 = w2_exact_1d(mu, nu) if clouds_new.shape[2] == 1 \
+            else _w2_or_inf(mu, nu)[0]
+        if not math.isfinite(w2):
+            k = int(sub_times[j])
+            raise SimulationDivergedError(
+                k, f"non-finite Picard discrepancy at forward step {k}")
+        disc = max(disc, w2)
+    return disc
+
+
 def solve_conditional_law(model: ModelSpec, policies: PolicySet,
                           delay_partition, leader_noise_seed: int, K: int,
                           tol: float = 1e-3, max_iter: int = 25,
                           draws: Draws | None = None):
     """Picard iteration for the conditional law flow: each iterate steps
     the particles under the features of the one before.
+
+    It stops once the discrepancy, the largest exact W2 between successive
+    iterates over the sub-times of a fixed subsample, is at most tol.  W2
+    is evaluated only where the coupling bound can set that maximum, or at
+    every sub-time in time order when squared distances may overflow
+    (``_picard_discrepancy``).
 
     Returns (ConditionalLawFlow, FixedPointReport); non-convergence is
     reported, not raised.  A discrepancy that is not finite raises
@@ -260,7 +304,6 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         sub_idx = np.sort(rng_sub.choice(cloud_size, _DISCREPANCY_SUPPORT,
                                          replace=False))
     sub_grid = np.ix_(sub_times, sub_idx)
-    uniform = np.full(sub_idx.size, 1.0 / sub_idx.size)
 
     def sub_clouds(parts):      # (sub-times, sub_idx, n1)
         return parts.reshape(cloud_size, m + 1, model.n1).swapaxes(0, 1)[sub_grid]
@@ -283,17 +326,7 @@ def solve_conditional_law(model: ModelSpec, policies: PolicySet,
         leader_path, parts_new = simulate(
             _features_of_clouds(parts_old, weights, names))
         clouds_new = sub_clouds(parts_new)
-        disc = 0.0
-        for k, a, b in zip(sub_times, clouds_new, clouds_old):
-            mu, nu = DiscreteMeasure(a, uniform), DiscreteMeasure(b, uniform)
-            # squared distances that overflow read as an infinite distance
-            w2 = w2_exact_1d(mu, nu) if model.n1 == 1 \
-                else _w2_or_inf(mu, nu)[0]
-            if not math.isfinite(w2):
-                raise SimulationDivergedError(
-                    int(k), f"non-finite Picard discrepancy at forward "
-                            f"step {k}")
-            disc = max(disc, w2)
+        disc = _picard_discrepancy(clouds_new, clouds_old, sub_times)
         discrepancies.append(float(disc))
         parts_old, clouds_old = parts_new, clouds_new
         if disc <= tol:

@@ -303,6 +303,15 @@ class TestInitialLeaderPath:
         with pytest.raises(ParameterError, match="seed must be an integer"):
             sample_initial_leader_path(g, "ou_path", {}, seed)
 
+    @pytest.mark.parametrize("family", ["constant", "ou_path",
+                                        "scaled_brownian"])
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_every_family_checks_the_seed(self, family, seed):
+        # the constant family draws nothing, and still rejects the seed
+        g = TimeGrid(-0.5, 1.0, 0.125)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sample_initial_leader_path(g, family, {}, seed)
+
     def test_scaled_brownian_increment_variance(self):
         # E|xi(t) - xi(s)|^2 = sigma^2 |t - s| over 10^4 samples within 5%
         g = TimeGrid(-0.5, 1.0, 1.0 / 32)

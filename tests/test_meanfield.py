@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stackmf import _rng, meanfield
 from stackmf._rng import SharedNoise
@@ -32,7 +34,8 @@ from stackmf.meanfield import (
     simulate_limit_pair,
     solve_conditional_law,
 )
-from stackmf.measures import DiscreteMeasure, moment, w2_exact_1d, w2_exact_lp
+from stackmf.measures import (DiscreteMeasure, _w2_or_inf, moment, w2_exact_1d,
+                              w2_exact_lp)
 
 ZERO_POLICIES = PolicySet(Policy("zero"), Policy("zero"))
 
@@ -632,3 +635,107 @@ class TestStoppingRule:
         assert np.array_equal(a.particles, b.particles)
         assert np.array_equal(a.leader_path, b.leader_path)
         assert report_a == report_b
+
+    @pytest.mark.parametrize("n1, atoms", [
+        (1, (0.0, 0.0625, 0.125)),
+        (1, (0.0625, 0.125)),
+        (2, (0.0625, 0.125)),
+    ])
+    def test_w2_is_taken_at_fewer_sub_times(self, monkeypatch, n1, atoms):
+        # with _FINITE_SQUARES at 0 every sub-time is priced in time order,
+        # the full per-sub-time loop
+        model = self.model(n1)
+        partition = [(a, 1 / len(atoms)) for a in atoms]
+        m = model.grid.forward_steps
+        sub_times = np.unique(np.linspace(0, m, 16).round().astype(int)).size
+        counts = []     # exact W2 evaluations after each iterate
+        stepper = meanfield._euler
+
+        def stepping(*args):
+            counts.append(0)
+            return stepper(*args)
+
+        def counting(fn):
+            def counted(*args):
+                counts[-1] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(meanfield, "_euler", stepping)
+        for name in ("w2_exact_1d", "_w2_or_inf"):
+            monkeypatch.setattr(meanfield, name,
+                                counting(getattr(meanfield, name)))
+        reports = {}
+        for limit, priced in ((0.0, lambda c: c == sub_times),
+                              (meanfield._FINITE_SQUARES,
+                               lambda c: 1 <= c < sub_times)):
+            monkeypatch.setattr(meanfield, "_FINITE_SQUARES", limit)
+            counts.clear()
+            _, reports[limit] = solve_conditional_law(
+                model, self.POLICIES, partition, 13, 100, tol=1e-6,
+                max_iter=4)
+            assert len(counts) == reports[limit].iterations + 1 >= 3
+            assert counts[0] == 0
+            assert all(priced(c) for c in counts[1:]), counts
+        full, pruned = reports.values()
+        assert pruned == full
+
+
+def per_sub_time_max(clouds_new, clouds_old):
+    """The stopping rule one sub-time at a time in time order: the maximum
+    exact W2, or ("diverged", k) at the first non-finite sub-time k."""
+    n, n1 = clouds_new.shape[1:]
+    uniform = np.full(n, 1.0 / n)
+    disc = 0.0
+    for k, (a, b) in enumerate(zip(clouds_new, clouds_old)):
+        mu, nu = DiscreteMeasure(a, uniform), DiscreteMeasure(b, uniform)
+        w2 = w2_exact_1d(mu, nu) if n1 == 1 else _w2_or_inf(mu, nu)[0]
+        if not math.isfinite(w2):
+            return ("diverged", k)
+        disc = max(disc, w2)
+    return disc
+
+
+class TestPicardDiscrepancy:
+    """The pruned stopping rule equals the full loop bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n1=st.sampled_from([1, 2]),
+           n=st.sampled_from([200, 256]),
+           kinds=st.lists(st.sampled_from(["zero", "shift", "scaled", "noise",
+                                            "copy"]), min_size=1, max_size=16),
+           spread=st.sampled_from([1.0, 1e155]),
+           step=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    # sixteen equal shifts whose W2 and bounds differ in the last digit: a
+    # rule with no rounding margin prunes the maximum here
+    @example(seed=131, n1=1, n=200, kinds=["shift"] * 16, spread=1.0,
+             step=1e-3)
+    def test_equals_per_sub_time_loop(self, seed, n1, n, kinds, spread,
+                                      step):
+        # "shift" moves every point alike, so W2 equals the coupling bound
+        # up to rounding, and sub-times shifted alike tie up to rounding;
+        # "scaled" shifts by a random fraction of that, and "noise" has W2
+        # well below its bound, so the two order the sub-times differently;
+        # "copy" repeats sub-time 0, an exact tie with an early sub-time; a
+        # spread of 1e155 squares past _FINITE_SQUARES, the time-ordered
+        # route
+        rng = np.random.default_rng(seed)
+        old = spread * rng.standard_normal((len(kinds), n, n1))
+        new = old.copy()
+        shift = spread * step * rng.standard_normal(n1)
+        for k, kind in enumerate(kinds):
+            if kind == "shift":
+                new[k] = old[k] + shift
+            elif kind == "scaled":
+                new[k] = old[k] + rng.uniform(0.25, 1.0) * shift
+            elif kind == "noise":
+                new[k] = old[k] + spread * step * 2.0 ** -rng.integers(4) \
+                    * rng.standard_normal((n, n1))
+            elif kind == "copy":
+                old[k], new[k] = old[0], new[0]
+        try:
+            got = meanfield._picard_discrepancy(new, old,
+                                                np.arange(len(kinds)))
+        except SimulationDivergedError as err:
+            got = ("diverged", err.step)
+        assert got == per_sub_time_max(new, old)
