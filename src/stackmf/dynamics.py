@@ -858,27 +858,35 @@ def _euler(model: ModelSpec, policies: PolicySet, xi0, X0, zeta0, zeta1,
     flow_features[name][r, k], (R, m+1, dim), at forward step k.  Row r
     equals the run of replication r alone, byte for byte.  A non-finite
     row keeps stepping; at the end SimulationDivergedError names the first
-    non-finite forward step of the earliest such row.  Returns leader paths
-    (R, n_steps + 1, n1) and follower paths (R, P, m+1, n1), whose controls
-    are ``path_controls``.  Only terms of nonzero gain are evaluated, and
-    only the controls and features they read (``CoefficientSet.reads``); a
-    constant diffusion multiplies the noise as a scalar.
+    non-finite forward step of the earliest such row.  It takes as many
+    forward steps s <= m as the noise holds (zeta0 (R, s, n1) and zeta1
+    (R, P, s, n1)), so a noise cut to s steps gives the first s + 1 points
+    of the full paths, byte for byte.  Returns leader paths
+    (R, zero_index + s + 1, n1), on [-b, T] when s = m, and follower paths
+    (R, P, s + 1, n1), whose controls are ``path_controls``.  Only terms of
+    nonzero gain are evaluated, and only the controls and features they
+    read (``CoefficientSet.reads``); a constant diffusion multiplies the
+    noise as a scalar.
     """
     grid = model.grid
     h = grid.h
     sqrt_h = math.sqrt(h)
-    m = grid.forward_steps
+    m = np.shape(zeta1)[-2]
     z0 = grid.zero_index
+    if not np.shape(zeta0)[-2] == m <= grid.forward_steps:
+        raise DimensionError(
+            f"leader noise of {np.shape(zeta0)[-2]} steps and follower noise "
+            f"of {m} need the same count, at most {grid.forward_steps}")
     coeffs = model.coefficients
     reads = coeffs.reads
     names = reads["steps"]
     X = np.array(X0, dtype=float)
     R, P = X.shape[:2]
-    leader_path = np.empty((R, grid.n_steps + 1, model.n1))
+    leader_path = np.empty((R, z0 + m + 1, model.n1))
     leader_path[:, :z0 + 1] = xi0
     # at forward step k follower p of replication r reads row delayed[r, p] + k
     lead_rows = leader_path.reshape(-1, model.n1)
-    delayed = (np.arange(R)[:, None] * (grid.n_steps + 1) + z0
+    delayed = (np.arange(R)[:, None] * (z0 + m + 1) + z0
                - np.round(delays / h).astype(int))
     follower_paths = np.empty((R, P, m + 1, model.n1))
     follower_paths[:, :, 0, :] = X

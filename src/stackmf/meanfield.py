@@ -214,7 +214,7 @@ def _picard_discrepancy(clouds_new, clouds_old, sub_times) -> float:
     """Max over sub-times of the exact W2 between two iterates' uniform
     clouds (sub-times, n, n1).  Particle i of both steps the same draws, so
     their root mean square displacement bounds W2; W2 is taken in
-    descending order of that bound while it can reach the maximum, or, when
+    descending order of that bound while it can exceed the maximum, or, when
     squares may overflow, at every sub-time in time order, where the first
     non-finite one raises SimulationDivergedError."""
     n = clouds_new.shape[1]
@@ -228,7 +228,7 @@ def _picard_discrepancy(clouds_new, clouds_old, sub_times) -> float:
             bound = np.full(len(sub_times), math.inf)
     disc = 0.0
     for j in np.argsort(-bound, kind="stable"):
-        if bound[j] < disc * (1.0 - _BOUND_MARGIN):
+        if bound[j] <= disc * (1.0 - _BOUND_MARGIN):
             break
         mu = DiscreteMeasure(clouds_new[j], uniform)
         nu = DiscreteMeasure(clouds_old[j], uniform)
@@ -360,7 +360,9 @@ def simulate_limit_pair(model: ModelSpec, policies: PolicySet,
     Returns (x0 path on [-b, T], x1 paths (N, m+1, n1)).  Coefficient
     z-arguments are read from zflow.  draws: the leader and follower noise
     of these N followers, already drawn from shared_noise's streams (its
-    delays are not read); when None they are drawn here.  Stacked draws
+    delays are not read); when None they are drawn here.  Draws whose
+    noise is cut to the first s < m steps stop both paths at step s, the
+    first points of the full paths byte for byte (``_euler``).  Stacked draws
     (``Draws.stack``) run R replications in one call: zflow and
     shared_noise are then the R flows and SharedNoises in order, delays
     (R, N), and both paths gain a leading axis R.

@@ -77,9 +77,9 @@ _ONE_SIDED_REGIMES = ("general", "sigma0_control_free", "discrete_delta")
 
 def _sizes(least: int):
     """The rule of a gap experiment's population sizes."""
-    return (f"at least 3 strictly increasing sizes from {least}",
-            lambda Ns: len(Ns) >= 3 and Ns[0] >= least
-            and all(a < b for a, b in zip(Ns, Ns[1:])))
+    return (f"at least 3 strictly increasing integer sizes from {least}",
+            lambda Ns: len(Ns) >= 3 and all(_is_int(n) for n in Ns)
+            and Ns[0] >= least and all(a < b for a, b in zip(Ns, Ns[1:])))
 
 
 _GAP_RULES = {
@@ -420,10 +420,11 @@ def _gap_experiment(model: ModelSpec, policies: PolicySet, delay_law: DelayLaw,
     on `quantity` and compared with the prediction for `rate_quantity`.
     Every argument is checked before the first replication.
     """
-    Ns = tuple(int(n) for n in Ns)
-    _check_rules(_RULES[kind], dict(Ns=Ns, reps=reps, slope_tol=slope_tol,
+    _check_rules(_RULES[kind], dict(Ns=tuple(Ns), reps=reps,
+                                    slope_tol=slope_tol,
                                     partition_level=partition_level,
                                     seed=seed))
+    Ns = tuple(int(n) for n in Ns)
     _check_rules(_SOLVER_RULES, dict(K=K, tol=tol, max_iter=max_iter))
     _check_lag_span(delay_law.b, model.grid)
     _check_particles(delay_law, model, Ns, K, partition_level)
@@ -740,7 +741,9 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
     Estimates lhs = E[(mean over N-1 followers of eta)^2] and
     rhs = E[|eta|^2]/(N-1), where eta is the interaction kernel evaluated
     at the middle forward step m // 2 and centered per leader path; their
-    ratio is near 1 exactly when the cross terms vanish.
+    ratio is near 1 exactly when the cross terms vanish.  The Picard solve
+    covers [0, T], the limit twin only steps 0..m // 2: a twin that would
+    first turn non-finite after step m // 2 does not raise.
     """
     _check_rules(_RULES["eta_orthogonality"], dict(
         family=model.coefficients.family, N=N, panels=panels,
@@ -759,8 +762,11 @@ def eta_orthogonality_check(model: ModelSpec, policies: PolicySet,
         flow, rep = solve_conditional_law(
             model, policies, part, noise.entropy, K,
             tol=tol, max_iter=max_iter, draws=draws)
+        # the twin stops at the step it is read at
         _, x1 = simulate_limit_pair(
-            model, policies, flow, noise, draws.delays, draws)
+            model, policies, flow, noise, draws.delays, dataclasses.replace(
+                draws, leader_noise=draws.leader_noise[:s],
+                follower_noise=draws.follower_noise[:, :s]))
         vals = _phi_block(kernel, x1[:, s, :])
         eta = (vals - vals.mean(axis=0)).reshape(panels, N - 1, -1)
         lhs_rows = np.sum(eta.mean(axis=1) ** 2, axis=1)

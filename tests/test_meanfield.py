@@ -21,6 +21,7 @@ from stackmf.dynamics import (
     simulate_nplayer,
 )
 from stackmf.errors import (
+    DimensionError,
     ParameterError,
     SimulationDivergedError,
     ValidationError,
@@ -539,6 +540,71 @@ class TestStackedLimitTwin:
         assert evaluate_costs_limit(model, pols, flow, y0, y1,
                                     head.delays) == (j0, ji[:4])
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("n1, feats", [
+        (1, ("mean",)), (2, ("mean", "second_moment"))])
+    def test_noise_cut_to_s_steps_stops_the_twin_at_step_s(self, n1, feats,
+                                                             stacked):
+        # the eta check reads its twin at step m // 2 and steps it no further
+        model = self.model(n1, feats)
+        pols = PolicySet(Policy("affine", {"gain": -0.4}),
+                         Policy("affine", {"gain": -0.2, "gain_lead": 0.4}))
+        seeds = (4, 9) if stacked else (4,)
+        noises = [SharedNoise(seed) for seed in seeds]
+        draws = [Draws.sample(model, self.LAW, noise, 5) for noise in noises]
+        flows = [solve_conditional_law(
+            model, pols, [(0.0625, 0.5), (0.125, 0.5)], noise.entropy, 100,
+            draws=d)[0] for noise, d in zip(noises, draws)]
+        if stacked:
+            batch = Draws.stack(draws)
+        else:
+            (batch,), (flows,), (noises,) = draws, flows, noises
+        x0, x1 = simulate_limit_pair(model, pols, flows, noises,
+                                     batch.delays, batch)
+        m, z0 = model.grid.forward_steps, model.grid.zero_index
+        for s in (0, m // 2, m - 1):
+            cut = dataclasses.replace(
+                batch, leader_noise=batch.leader_noise[..., :s, :],
+                follower_noise=batch.follower_noise[..., :s, :])
+            y0, y1 = simulate_limit_pair(model, pols, flows, noises,
+                                         batch.delays, cut)
+            assert y0.tobytes() == x0[..., :z0 + s + 1, :].tobytes()
+            assert y1.tobytes() == x1[..., :s + 1, :].tobytes()
+
+    def test_cut_twin_does_not_read_a_later_divergence(self):
+        # the declared behaviour of the eta check: a twin that would first
+        # turn non-finite after step s raises only when stepped past it
+        model = self.model()
+        noise = SharedNoise(4)
+        draws = Draws.sample(model, self.LAW, noise, 5)
+        flow, _ = solve_conditional_law(
+            model, ZERO_POLICIES, [(0.0625, 0.5), (0.125, 0.5)], 4, 100,
+            draws=draws)
+        s = model.grid.forward_steps // 2
+        zeta = draws.follower_noise.copy()
+        zeta[:, s] = np.inf         # drives step s + 1
+        late = dataclasses.replace(draws, follower_noise=zeta)
+        with pytest.raises(SimulationDivergedError):
+            simulate_limit_pair(model, ZERO_POLICIES, flow, noise,
+                                draws.delays, late)
+        cut = dataclasses.replace(late, leader_noise=late.leader_noise[:s],
+                                  follower_noise=zeta[:, :s])
+        _, x1 = simulate_limit_pair(model, ZERO_POLICIES, flow, noise,
+                                    draws.delays, cut)
+        assert x1.shape == (5, s + 1, 1) and np.isfinite(x1).all()
+
+    def test_leader_and_follower_noise_cover_the_same_steps(self):
+        model = self.model()
+        noise = SharedNoise(4)
+        draws = Draws.sample(model, self.LAW, noise, 5)
+        flow, _ = solve_conditional_law(
+            model, ZERO_POLICIES, [(0.0625, 0.5), (0.125, 0.5)], 4, 100,
+            draws=draws)
+        cut = dataclasses.replace(draws, leader_noise=draws.leader_noise[:3])
+        with pytest.raises(DimensionError):
+            simulate_limit_pair(model, ZERO_POLICIES, flow, noise,
+                                draws.delays, cut)
+
 
 # ---------------------------------------------------------------------------
 # reference: the stopping rule one sub-time at a time, each cloud
@@ -679,6 +745,19 @@ class TestStoppingRule:
             assert all(priced(c) for c in counts[1:]), counts
         full, pruned = reports.values()
         assert pruned == full
+
+    def test_coinciding_iterates_take_at_most_one_w2(self, monkeypatch):
+        # a zero coupling bound makes every sub-time's W2 zero
+        calls = []
+        for name in ("w2_exact_1d", "_w2_or_inf"):
+            fn = getattr(meanfield, name)
+            monkeypatch.setattr(meanfield, name, lambda *a, fn=fn: (
+                calls.append(a), fn(*a))[1])
+        _, report = solve_conditional_law(make_model(), ZERO_POLICIES,
+                                          [(0.0, 1.0)], 3, K=100)
+        assert report.iterations == 1
+        assert report.discrepancies == (0.0,)
+        assert len(calls) <= 1
 
 
 def per_sub_time_max(clouds_new, clouds_old):

@@ -964,3 +964,31 @@ class TestSeedRule:
         with pytest.raises(ParameterError, match=re.escape(
                 f"seed must be an integer >= 0, got {seed!r}")):
             measures.empirical_rate_curve(1, [10, 20], 5, seed=seed)
+
+
+class TestPopulationSizes:
+    """A gap experiment checks its sizes as given, before any draw: a float
+    or a string is never cast to an integer."""
+
+    GAP_EXPERIMENTS = [state_gap_experiment, wasserstein_gap_curve,
+                       cost_gap_experiment]
+
+    @pytest.mark.parametrize("Ns", [(4.7, 8.2, 16.9), ("4", "8", "16"),
+                                    (4.0, 8.0, 16.0)])
+    @pytest.mark.parametrize("fn", GAP_EXPERIMENTS)
+    def test_non_integer_sizes_are_rejected(self, fn, Ns, monkeypatch):
+        monkeypatch.setattr(_rng, "generator", _no_replication)
+        monkeypatch.setattr(rates, "_replicate", _no_replication)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"Ns must be at least 3 strictly increasing integer sizes "
+                f"from {4 if fn is not wasserstein_gap_curve else 2}, "
+                f"got {Ns!r}")):
+            fn(no_interaction_model(), ZERO_POLICIES,
+               DelayLaw.degenerate(0.125), Ns, 50, 128, 0)
+
+    @pytest.mark.parametrize("fn", GAP_EXPERIMENTS)
+    def test_numpy_integer_sizes_pass(self, fn, monkeypatch):
+        monkeypatch.setattr(rates, "_replicate", _no_replication)
+        with pytest.raises(AssertionError, match="a replication ran"):
+            fn(no_interaction_model(), ZERO_POLICIES,
+               DelayLaw.degenerate(0.125), np.array([4, 8, 16]), 50, 128, 0)
